@@ -28,8 +28,6 @@ from .monoid import (
     UnionFind,
     absorbing_compose,
     absorbing_product,
-    is_full_cycle_class,
-    merge_partitions,
     orbit_partition,
     partition_from_pairs,
 )
@@ -80,8 +78,6 @@ __all__ = [
     "UnionFind",
     "absorbing_compose",
     "absorbing_product",
-    "is_full_cycle_class",
-    "merge_partitions",
     "orbit_partition",
     "partition_from_pairs",
     "ExactMatrix",

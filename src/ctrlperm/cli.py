@@ -114,37 +114,26 @@ def _render_text(report):
 
 def _cmd_analyze(args):
     spec = parse_spec(_read(args.spec))
-    report = analyze(spec, with_oracle=args.oracle, oracle_max_n=_oracle_max_n())
+    max_n = _oracle_max_n()
+    report = analyze(spec, with_oracle=args.oracle, oracle_max_n=max_n)
+    if args.dump_basis:
+        basis = (report.oracle or oracle_check(spec, max_n=max_n)).closure.basis
     if args.text:
         sys.stdout.write(_render_text(report))
         if args.dot:
             sys.stdout.write(to_dot(control_graph(spec)))
         if args.dump_basis:
-            closure_basis = _closure_basis(spec)
             sys.stdout.write("closure basis:\n")
-            for m in closure_basis:
+            for m in basis:
                 sys.stdout.write(m.format_grid() + "\n\n")
     else:
         doc = report_to_dict(report, spec, oracle_ran=args.oracle)
         if args.dot:
             doc["dot"] = to_dot(control_graph(spec))
         if args.dump_basis:
-            doc["closure_basis"] = [m.format_grid() for m in _closure_basis(spec)]
+            doc["closure_basis"] = [m.format_grid() for m in basis]
         sys.stdout.write(canonical_json(doc))
     return 0 if report.controllable else 1
-
-
-def _closure_basis(spec):
-    from .liealg import coupling_generator, lie_closure, rotation_generator
-
-    build = rotation_generator if spec.family in ("so_n", "sphere") else coupling_generator
-    return lie_closure([build(spec.n, p) for p in spec.sorted_pairs()]).basis
-
-
-def _compare_one(spec, max_n):
-    report = analyze(spec)
-    oracle = oracle_check(spec, max_n=max_n)
-    return report, oracle
 
 
 def _cmd_compare(args):
@@ -164,7 +153,8 @@ def _cmd_compare(args):
     header = f"{'idx':>5}  {'n':>3}  {'m':>3}  {'perm':<7} {'oracle':<7} {'dim':>4}  agree"
     print(header)
     for idx, spec in enumerate(specs):
-        report, oracle = _compare_one(spec, max_n)
+        report = analyze(spec)
+        oracle = oracle_check(spec, max_n=max_n)
         agree = oracle.agrees
         agreements += agree
         print(

@@ -9,9 +9,10 @@ orbit is swallowed instead of cancelling, which makes the set-level map from
 index pairs to orbit partitions well defined and order independent.
 
 Two independent realizations are provided on purpose: a permutation-level
-fold (:func:`absorbing_product`) and a union-find merge on partitions
-(:func:`merge_partitions` / :func:`partition_from_pairs`).  They must agree,
-and the test suite uses each as an oracle for the other.
+fold (:func:`absorbing_product`) and a single union-find pass over index
+pairs (:func:`partition_from_pairs`, which :meth:`OrbitPartition.merge` also
+goes through).  They must agree, and the test suite uses each as an oracle
+for the other.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ __all__ = [
     "orbit_partition",
     "absorbing_compose",
     "absorbing_product",
-    "merge_partitions",
     "partition_from_pairs",
-    "is_full_cycle_class",
 ]
 
 
@@ -134,17 +133,16 @@ class OrbitPartition:
 
         This is the product of the classes: take the union of the two orbit
         collections and repeatedly fuse orbits that share a letter until all
-        are pairwise disjoint.
+        are pairwise disjoint.  Each orbit contributes the pairs of a star
+        spanning it, and one union-find pass merges them all.
         """
         if self.n != other.n:
             raise ValueError(f"letter counts differ: {self.n} != {other.n}")
-        uf = UnionFind(self.n)
-        for orbit in list(self.orbits) + list(other.orbits):
-            it = iter(orbit)
-            first = next(it)
-            for a in it:
-                uf.union(first, a)
-        return OrbitPartition(self.n, (g for g in uf.groups() if len(g) >= 2))
+        pairs = []
+        for orbit in self.orbits | other.orbits:
+            first = min(orbit)
+            pairs.extend((first, a) for a in orbit if a != first)
+        return partition_from_pairs(pairs, self.n)
 
     @classmethod
     def parse(cls, text, n):
@@ -200,26 +198,15 @@ def absorbing_product(pairs, n):
     return acc
 
 
-def merge_partitions(a, b):
-    """Product of two classes; alias for :meth:`OrbitPartition.merge`."""
-    return a.merge(b)
-
-
 def partition_from_pairs(pairs, n):
     """The orbit partition generated by a set of index pairs.
 
-    Folds :func:`merge_partitions` over the single-pair partitions; the
-    result is independent of iteration order and equals
-    ``orbit_partition(absorbing_product(ordering, n))`` for every ordering
-    of the set.  The empty set maps to the empty partition and nothing else
-    does.
+    One union-find pass over the validated pairs; the result is independent
+    of iteration order and equals ``orbit_partition(absorbing_product(ordering,
+    n))`` for every ordering of the set.  The empty set maps to the empty
+    partition and nothing else does.
     """
-    acc = OrbitPartition(n, ())
+    uf = UnionFind(n)
     for pair in sorted(set(pairs)):
-        acc = acc.merge(OrbitPartition(n, (check_pair(pair, n),)))
-    return acc
-
-
-def is_full_cycle_class(p):
-    """True iff ``p`` is the class of full-length cycles, i.e. {{1, ..., n}}."""
-    return p.is_full()
+        uf.union(*check_pair(pair, n))
+    return OrbitPartition(n, (g for g in uf.groups() if len(g) >= 2))

@@ -68,6 +68,8 @@ def parse_spec(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFormatError("JSON document is nested too deeply") from exc
     _require(isinstance(doc, dict), "spec document must be a JSON object")
     if "generators" in doc:
         raise SpecFormatError(
@@ -143,6 +145,8 @@ def parse_probe(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFormatError("JSON document is nested too deeply") from exc
     _require(isinstance(doc, dict), "probe document must be a JSON object")
     unknown = set(doc) - {"n", "generators"}
     _require(not unknown, f"unknown probe keys: {sorted(unknown)}")

@@ -23,10 +23,10 @@ Families:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liealg import coupling_generator, lie_closure, rotation_generator
+from .liealg import LinearSpan, coupling_generator, lie_closure, rotation_generator
 from .monoid import OrbitPartition, UnionFind, partition_from_pairs
 from .permutation import Permutation, check_pair, generate_subgroup
 
@@ -119,12 +119,17 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of the exact rank-condition oracle on one spec."""
+    """Outcome of the exact rank-condition oracle on one spec.
+
+    ``closure`` is the bracket closure itself, kept so that callers needing
+    its basis or per-orbit dimensions do not close the algebra again.
+    """
 
     dim: int
     controllable: bool
     orbits: tuple
     agrees: bool
+    closure: LinearSpan = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -237,7 +242,15 @@ def _state_space(spec):
     return f"(Delta^(n-1))^{spec.n}"
 
 
-def _submanifold(spec, orbits, fixed_points, oracle_ran):
+def _submanifold(spec, orbits, fixed_points, closure):
+    # Generators on disjoint letter sets have disjoint support and commute, so
+    # the closure is a direct sum of orbit blocks: each reduced echelon basis
+    # matrix lies in the block holding the letter of its first nonzero row.
+    first_rows = None
+    if closure is not None and spec.family not in _ROTATION_FAMILIES:
+        first_rows = [
+            next(i for i, row in enumerate(m.rows, 1) if any(row)) for m in closure.basis
+        ]
     components = []
     for orbit in orbits:
         size = len(orbit)
@@ -247,11 +260,8 @@ def _submanifold(spec, orbits, fixed_points, oracle_ran):
         else:
             labels = _agent_labels(orbit)
             # no closed form is asserted for the agent algebra restricted to
-            # an orbit; the dimension is filled by the oracle when it runs
-            dim = None
-            if oracle_ran:
-                inside = [p for p in spec.all_pairs if p[0] in orbit and p[1] in orbit]
-                dim = lie_closure([_generator(spec, p) for p in inside]).dim
+            # an orbit; the dimension is read off the oracle's closure
+            dim = None if first_rows is None else sum(r in orbit for r in first_rows)
         components.append(SubmanifoldComponent(orbit, labels, dim))
     dims = [c.dim for c in components]
     total = sum(dims) if all(d is not None for d in dims) else None
@@ -293,7 +303,7 @@ def analyze(spec, with_oracle=False, oracle_max_n=None):
         fixed_points=fixed_points,
         min_controls_satisfied=min_controls_check(spec),
         oracle=oracle,
-        submanifold=_submanifold(spec, orbits, fixed_points, oracle is not None),
+        submanifold=_submanifold(spec, orbits, fixed_points, oracle and oracle.closure),
     )
 
 
@@ -328,7 +338,8 @@ def oracle_check(spec, max_n=None):
         blocks == method_class.sorted_orbits()
     )
     return OracleResult(
-        dim=closure.dim, controllable=controllable, orbits=blocks, agrees=agrees
+        dim=closure.dim, controllable=controllable, orbits=blocks, agrees=agrees,
+        closure=closure,
     )
 
 

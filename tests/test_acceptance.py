@@ -26,7 +26,6 @@ from ctrlperm.monoid import (
     OrbitPartition,
     absorbing_compose,
     absorbing_product,
-    merge_partitions,
     orbit_partition,
 )
 from ctrlperm.permutation import Permutation, transposition, transposition_product
@@ -218,8 +217,8 @@ def test_criterion_08_monoid_law_suite():
     for _ in range(1000):  # associativity, both groupings and the flat fold
         n = 3 + int(rng.random() * 5)
         a, b, c = (orbit_partition(random_permutation(rng, n)) for _ in range(3))
-        left = merge_partitions(merge_partitions(a, b), c)
-        right = merge_partitions(a, merge_partitions(b, c))
+        left = a.merge(b).merge(c)
+        right = a.merge(b.merge(c))
         if left != right:
             failures.append(("associativity", a, b, c))
     for _ in range(1000):  # compatibility across representatives
@@ -266,7 +265,7 @@ def test_criterion_08_monoid_law_suite():
         n = 3 + int(rng.random() * 5)
         p = OrbitPartition(n, random_orbit_sets(rng, n))
         empty = OrbitPartition(n, ())
-        if merge_partitions(p, empty) != p or merge_partitions(empty, p) != p:
+        if p.merge(empty) != p or empty.merge(p) != p:
             failures.append(("identity", p))
     _check(8, "monoid laws, >=1000 random cases per law, exact equality", failures)
 

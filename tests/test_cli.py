@@ -166,6 +166,20 @@ def test_oracle_guard_env_override(write, capsys, monkeypatch):
     assert main(["analyze", path, "--oracle"]) == 2
 
 
+def test_dump_basis_applies_the_oracle_size_guard(write, capsys, monkeypatch):
+    monkeypatch.delenv("CTRLPERM_ORACLE_MAX_N", raising=False)
+    path = write("big.json", '{"family": "so_n", "n": 13, "controls": [[1, 2]]}')
+    assert main(["analyze", path, "--dump-basis"]) == 2
+    assert "size guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "probe"])
+def test_deeply_nested_json_is_bad_input(write, capsys, command):
+    path = write("deep.json", "[" * 100_000 + "]" * 100_000)
+    assert main([command, path]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ compare
 
 

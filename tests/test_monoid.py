@@ -9,8 +9,6 @@ from ctrlperm.monoid import (
     OrbitPartition,
     absorbing_compose,
     absorbing_product,
-    is_full_cycle_class,
-    merge_partitions,
     orbit_partition,
     partition_from_pairs,
 )
@@ -120,11 +118,11 @@ def test_absorbing_product_examples():
 
 
 def test_merge_absorbs_contained_orbit():
-    assert merge_partitions(part(3, {1, 2, 3}), part(3, {1, 3})) == part(3, {1, 2, 3})
+    assert part(3, {1, 2, 3}).merge(part(3, {1, 3})) == part(3, {1, 2, 3})
 
 
 def test_merge_disjoint_orbits_stack():
-    assert merge_partitions(part(4, {1, 2}), part(4, {3, 4})) == part(4, {1, 2}, {3, 4})
+    assert part(4, {1, 2}).merge(part(4, {3, 4})) == part(4, {1, 2}, {3, 4})
 
 
 def test_merge_overlapping_orbit_collections():
@@ -135,12 +133,12 @@ def test_merge_overlapping_orbit_collections():
     decomposed = [(1, 2), (2, 3)] + [(3, 4), (5, 6)]
     oracle = orbit_partition(absorbing_product(decomposed, 6))
     assert oracle == part(6, {1, 2, 3, 4}, {5, 6})
-    assert merge_partitions(left, right) == oracle
+    assert left.merge(right) == oracle
 
 
 def test_merge_rejects_mismatched_n():
     with pytest.raises(ValueError):
-        merge_partitions(part(3, {1, 2}), part(4, {1, 2}))
+        part(3, {1, 2}).merge(part(4, {1, 2}))
 
 
 def test_partition_from_pairs_examples():
@@ -150,9 +148,9 @@ def test_partition_from_pairs_examples():
 
 
 def test_is_full_cycle_class():
-    assert is_full_cycle_class(part(4, {1, 2, 3, 4}))
-    assert not is_full_cycle_class(part(5, {1, 2, 3}, {4, 5}))
-    assert not is_full_cycle_class(part(4))
+    assert part(4, {1, 2, 3, 4}).is_full()
+    assert not part(5, {1, 2, 3}, {4, 5}).is_full()
+    assert not part(4).is_full()
 
 
 # ------------------------------------------------------------ laws
@@ -173,18 +171,14 @@ def test_commutativity_on_classes(data):
 def test_associativity_on_classes(data):
     n, (sigma, eta, xi) = data
     a, b, c = (orbit_partition(p) for p in (sigma, eta, xi))
-    assert merge_partitions(merge_partitions(a, b), c) == merge_partitions(
-        a, merge_partitions(b, c)
-    )
+    assert a.merge(b).merge(c) == a.merge(b.merge(c))
     # and the permutation-level fold lands in the same class
     decomposed = (
         transposition_decomposition(sigma)
         + transposition_decomposition(eta)
         + transposition_decomposition(xi)
     )
-    assert orbit_partition(absorbing_product(decomposed, n)) == merge_partitions(
-        merge_partitions(a, b), c
-    )
+    assert orbit_partition(absorbing_product(decomposed, n)) == a.merge(b).merge(c)
 
 
 def test_compatibility_under_representatives():
@@ -200,8 +194,8 @@ def test_compatibility_under_representatives():
             decomposed = transposition_decomposition(sigma) + transposition_decomposition(eta)
             results.add(orbit_partition(absorbing_product(decomposed, n)))
         assert len(results) == 1
-        assert next(iter(results)) == merge_partitions(
-            OrbitPartition(n, orbits_a), OrbitPartition(n, orbits_b)
+        assert next(iter(results)) == OrbitPartition(n, orbits_a).merge(
+            OrbitPartition(n, orbits_b)
         )
 
 
@@ -228,8 +222,8 @@ def test_union_find_route_matches_permutation_route(data):
 def test_identity_law(data):
     n, pairs = data
     p = partition_from_pairs(pairs, n)
-    assert merge_partitions(p, OrbitPartition(n, ())) == p
-    assert merge_partitions(OrbitPartition(n, ()), p) == p
+    assert p.merge(OrbitPartition(n, ())) == p
+    assert OrbitPartition(n, ()).merge(p) == p
 
 
 @settings(max_examples=200)

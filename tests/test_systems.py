@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctrlperm.liealg import rotation_generator
+from ctrlperm.liealg import coupling_generator, lie_closure, rotation_generator
 from ctrlperm.monoid import OrbitPartition
 from ctrlperm.systems import (
     OracleSizeError,
@@ -14,7 +14,7 @@ from ctrlperm.systems import (
     oracle_check,
     probe_nonstandard,
 )
-from helpers import sample_pairs
+from helpers import sample_pairs, shuffled, sorted_pair, spanning_tree_pairs
 
 UNIFORM5 = tuple(Fraction(1, 5) for _ in range(5))
 
@@ -109,6 +109,34 @@ def test_analyze_multi_agent_dims_come_from_oracle():
     assert [c.dim for c in with_oracle.submanifold.components] == [1, 1]
     assert with_oracle.submanifold.total_dim == 2
     assert with_oracle.oracle.dim == 2
+
+
+def test_agent_orbit_dims_match_a_closure_per_orbit():
+    # reference: close each orbit's own pairs on their own
+    rng = random.Random(2718)
+    for i in range(60):
+        family = ("multi_agent", "markov")[i % 2]
+        n = 4 + int(rng.random() * 5)  # 4..8
+        letters = shuffled(rng, range(1, n + 1))
+        cut = 2 + int(rng.random() * (n - 3))  # two blocks, maybe a fixed point
+        free = 1 if n - cut >= 3 and rng.random() < 0.5 else 0
+        pairs = []
+        for block in (letters[:cut], letters[cut : n - free]):
+            pairs += spanning_tree_pairs(rng, block)
+            if len(block) >= 3 and rng.random() < 0.5:
+                pairs.append(sorted_pair(*rng.sample(block, 2)))
+        drift = pairs.pop() if family == "markov" and i % 4 == 1 else None
+        spec = SystemSpec(family, n, frozenset(pairs), drift=drift)
+        report = analyze(spec, with_oracle=True)
+        assert len(report.orbits) == 2
+        expected = [
+            lie_closure(
+                [coupling_generator(n, p) for p in spec.all_pairs if set(p) <= set(orbit)]
+            ).dim
+            for orbit in report.orbits
+        ]
+        assert [c.dim for c in report.submanifold.components] == expected
+        assert report.submanifold.total_dim == report.oracle.dim
 
 
 def test_analyze_sphere_family():
