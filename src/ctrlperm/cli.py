@@ -2,8 +2,8 @@
 
 Exit codes encode the verdict so shell pipelines can branch without parsing
 JSON: 0 means controllable (for ``compare``: full agreement), 1 means not
-controllable (``compare``: a disagreement), 2 means bad input or a size
-guard violation.
+controllable (``compare``: a disagreement), 2 means bad input, a size
+guard violation, or an internal error.
 
 Randomized subcommands use Python's Mersenne Twister (MT19937) seeded
 explicitly, drawing only from ``Random.random()``, whose output stream for a
@@ -172,7 +172,7 @@ def _cmd_compare(args):
 
 def _cmd_probe(args):
     n, generators = parse_probe(_read(args.spec))
-    result = probe_nonstandard(generators, n=n)
+    result = probe_nonstandard(generators, n=n, max_n=_oracle_max_n())
     print(
         "EXPERIMENTAL: the subgroup statistic below is a conjecture-level"
         " indicator; trust the rank-condition verdict."
@@ -260,6 +260,13 @@ def main(argv=None):
         return args.func(args)
     except (SpecFormatError, OracleSizeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means "not controllable"; a crash must never read as that
+        import traceback  # only on this path, to keep start-up lean
+
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
 
 

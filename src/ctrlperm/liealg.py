@@ -6,6 +6,11 @@ floating point anywhere.  The module provides the skew-symmetric rotation
 generators spanning so(n), the zero-row-sum coupling/circulation generators
 of the agent-interaction algebra, Lie brackets, and the bracket-closure
 computation behind the rank-condition oracle.
+
+:class:`ExactMatrix` is the dense form used at the public boundary.  The
+closure engine works on *entry maps*: ``{(row, col): value}`` dicts holding
+only the nonzero entries, with 0-based indices, because the generators and
+their brackets have a handful of nonzeros out of n^2.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ __all__ = [
     "ExactMatrix",
     "SignedBasisTerm",
     "LinearSpan",
+    "rotation_entries",
     "rotation_generator",
     "bracket",
     "basis_bracket",
+    "coupling_entries",
     "coupling_generator",
     "circulation_generator",
     "lie_closure",
@@ -57,8 +64,33 @@ class ExactMatrix:
         return len(self.rows)
 
     @classmethod
+    def _trusted(cls, rows):
+        """Wrap a square tuple-of-tuples grid of exact entries without re-validating it."""
+        matrix = cls.__new__(cls)
+        matrix.rows = rows
+        return matrix
+
+    @classmethod
     def zeros(cls, n):
         return cls([[0] * n for _ in range(n)])
+
+    @classmethod
+    def from_entries(cls, n, entries):
+        """The n-by-n matrix with the given ``{(row, col): value}`` entries, 0-based."""
+        if n < 1:
+            raise ValueError("matrix must be square and nonempty")
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), value in entries.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"entry index {(i, j)} outside a {n}x{n} matrix")
+            rows[i][j] = _as_exact(value)
+        return cls._trusted(tuple(map(tuple, rows)))
+
+    def entries(self):
+        """The nonzero entries as a ``{(row, col): value}`` map, 0-based."""
+        return {
+            (i, j): a for i, row in enumerate(self.rows) for j, a in enumerate(row) if a
+        }
 
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.rows == other.rows
@@ -144,6 +176,12 @@ class ExactMatrix:
             raise ValueError(f"matrix sizes differ: {self.n} != {other.n}")
 
 
+def rotation_entries(n, pair):
+    """Entry map of :func:`rotation_generator`: ``{(i-1, j-1): 1, (j-1, i-1): -1}``."""
+    i, j = check_pair(pair, n)
+    return {(i - 1, j - 1): 1, (j - 1, i - 1): -1}
+
+
 def rotation_generator(n, pair):
     """The standard skew-symmetric generator of rotations in the (i, j) plane.
 
@@ -151,11 +189,7 @@ def rotation_generator(n, pair):
     all such generators for 1 <= i < j <= n is a basis of so(n), which has
     dimension n(n-1)/2.
     """
-    i, j = check_pair(pair, n)
-    rows = [[0] * n for _ in range(n)]
-    rows[i - 1][j - 1] = 1
-    rows[j - 1][i - 1] = -1
-    return ExactMatrix(rows)
+    return ExactMatrix.from_entries(n, rotation_entries(n, pair))
 
 
 def bracket(a, b):
@@ -201,20 +235,23 @@ def basis_bracket(p, q, n):
     )
 
 
+def coupling_entries(n, pair):
+    """Entry map of :func:`coupling_generator`, 0-based."""
+    i, j = pair
+    if i > j:
+        i, j = j, i
+    i, j = check_pair((i, j), n)
+    i, j = i - 1, j - 1
+    return {(i, i): -1, (i, j): 1, (j, i): 1, (j, j): -1}
+
+
 def coupling_generator(n, pair):
     """Symmetric zero-row-sum generator coupling coordinates i and j.
 
     Entries: +1 at (i, j) and (j, i), -1 at (i, i) and (j, j).  The pair is
     normalized, so (i, j) and (j, i) give the same matrix.
     """
-    i, j = pair
-    if i > j:
-        i, j = j, i
-    i, j = check_pair((i, j), n)
-    rows = [[0] * n for _ in range(n)]
-    rows[i - 1][j - 1] = rows[j - 1][i - 1] = 1
-    rows[i - 1][i - 1] = rows[j - 1][j - 1] = -1
-    return ExactMatrix(rows)
+    return ExactMatrix.from_entries(n, coupling_entries(n, pair))
 
 
 def circulation_generator(n, i, j, k):
@@ -241,75 +278,101 @@ def circulation_generator(n, i, j, k):
 
 
 def _primitive(vec):
-    """Divide an integer vector by the gcd of its entries, pivot made positive."""
+    """Divide an integer entry map by the gcd of its values, pivot made positive.
+
+    The pivot is the entry in the smallest column.  Returns ``vec`` itself
+    when it is already primitive, otherwise a new map.
+    """
+    if not vec:
+        return vec
     g = 0
-    for x in vec:
+    for x in vec.values():
         g = gcd(g, x)
         if g == 1:
             break
-    if g > 1:
-        vec = [x // g for x in vec]
-    for x in vec:
-        if x:
-            if x < 0:
-                vec = [-y for y in vec]
-            break
-    return vec
+    if vec[min(vec)] < 0:
+        g = -g
+    if g == 1:
+        return vec
+    return {k: x // g for k, x in vec.items()}
 
 
 def _integer_vector(exact_vec):
-    """Scale an exact rational vector to a primitive integer vector."""
+    """A new integer map, the exact rational entry map times the lcm of its denominators."""
     denom = 1
-    for x in exact_vec:
+    for x in exact_vec.values():
         d = x.denominator
-        denom = denom * d // gcd(denom, d)
-    return _primitive([int(x * denom) for x in exact_vec])
+        if d != 1:
+            denom = denom * d // gcd(denom, d)
+    return {k: int(x * denom) for k, x in exact_vec.items()}
+
+
+def _eliminate(vec, row, col):
+    """Clear ``vec[col]`` in place with ``vec := a*vec - c*row``, a > 0.
+
+    Both are integer maps without zero values and ``row[col]`` is positive,
+    so ``vec`` changes only by a positive factor and a multiple of ``row``.
+    """
+    a, c = row[col], vec[col]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    if a != 1:
+        for k in vec:
+            vec[k] *= a
+    for k, y in row.items():
+        x = vec.get(k, 0) - c * y
+        if x:
+            vec[k] = x
+        else:
+            del vec[k]
 
 
 class _RowSpace:
-    """Exact row space over the rationals.
+    """Exact row space over the rationals, stored sparsely.
 
-    Rows are primitive integer vectors kept in reduced echelon form (each
-    pivot column is zero in every other row, pivots positive, rows ordered
-    by pivot column), so rank and membership are exact integer computations.
+    A vector is a map ``{column: value}`` of its nonzero entries; columns are
+    any totally ordered keys (``(row, col)`` pairs for matrices).  The rows
+    are primitive integer vectors in reduced echelon form: the pivot (the
+    smallest column) of each row is positive and is zero in every other row.
+    Scaled to pivot 1 they are the reduced row echelon form, which is unique
+    for the subspace, so the rows depend only on the span and not on the
+    order of insertion.  Rank and membership are exact integer computations.
     """
 
-    __slots__ = ("width", "rows", "pivots")
+    __slots__ = ("rows",)
 
-    def __init__(self, width):
-        self.width = width
-        self.rows = []
-        self.pivots = []
+    def __init__(self):
+        self.rows = {}  # pivot column -> row
 
     def _reduced(self, vec):
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if c:
-                a = row[p]
-                vec = [a * x - c * y for x, y in zip(vec, row)]
+        """Eliminate every pivot column from an integer vector, in place.
+
+        Eliminating a row clears its pivot and touches no other pivot
+        column, so one pass over the pivots present in ``vec`` suffices.
+        """
+        rows = self.rows
+        for p in [k for k in vec if k in rows]:
+            _eliminate(vec, rows[p], p)
         return vec
 
-    def insert(self, exact_vec):
-        """Add a vector; True iff it enlarged the space."""
-        vec = self._reduced(_integer_vector(exact_vec))
-        if not any(vec):
+    def insert(self, vec):
+        """Add an integer vector, consuming it; True iff it enlarged the space."""
+        vec = self._reduced(vec)
+        if not vec:
             return False
         vec = _primitive(vec)
-        pivot = next(i for i, x in enumerate(vec) if x)
-        a = vec[pivot]
-        for idx, row in enumerate(self.rows):
-            c = row[pivot]
-            if c:
-                self.rows[idx] = _primitive([a * x - c * y for x, y in zip(row, vec)])
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pivot:
-            at += 1
-        self.rows.insert(at, vec)
-        self.pivots.insert(at, pivot)
+        pivot = min(vec)
+        rows = self.rows
+        for p, row in rows.items():
+            if pivot in row:
+                _eliminate(row, vec, pivot)
+                rows[p] = _primitive(row)
+        rows[pivot] = vec
         return True
 
-    def contains(self, exact_vec):
-        return not any(self._reduced(_integer_vector(exact_vec)))
+    def contains(self, vec):
+        """Membership of an integer vector, consuming it."""
+        return not self._reduced(vec)
 
     @property
     def dim(self):
@@ -317,23 +380,26 @@ class _RowSpace:
 
 
 class LinearSpan:
-    """Span of a set of n-by-n exact matrices, with exact rank and membership."""
+    """Span of a set of n-by-n exact matrices, with exact rank and membership.
+
+    Matrices are given as :class:`ExactMatrix` or as ``{(row, col): value}``
+    entry maps (0-based) and kept as sparse echelon rows keyed by
+    ``(row, col)``.
+    """
 
     __slots__ = ("n", "_space")
 
     def __init__(self, n):
         self.n = n
-        self._space = _RowSpace(n * n)
+        self._space = _RowSpace()
 
     def insert(self, matrix):
         """Add a matrix to the span; True iff the dimension grew."""
-        self._check(matrix)
-        return self._space.insert([x for row in matrix.rows for x in row])
+        return self._space.insert(_integer_vector(self._entries(matrix)))
 
     def contains(self, matrix):
         """Exact membership test."""
-        self._check(matrix)
-        return self._space.contains([x for row in matrix.rows for x in row])
+        return self._space.contains(_integer_vector(self._entries(matrix)))
 
     @property
     def dim(self):
@@ -341,35 +407,90 @@ class LinearSpan:
 
     @property
     def basis(self):
-        """Basis matrices, devectorized from the reduced echelon rows."""
+        """Basis matrices, the reduced echelon rows in pivot order."""
         n = self.n
-        return tuple(
-            ExactMatrix([row[i * n : (i + 1) * n] for i in range(n)])
-            for row in self._space.rows
-        )
+        rows = self._space.rows
+        basis = []
+        for pivot in sorted(rows):
+            grid = [[0] * n for _ in range(n)]
+            for (i, j), x in rows[pivot].items():
+                grid[i][j] = x
+            basis.append(ExactMatrix._trusted(tuple(map(tuple, grid))))
+        return tuple(basis)
 
     def rank_at(self, point):
         """Rank of the span evaluated at a point: dim of {M @ point}."""
         point = tuple(_as_exact(x) for x in point)
         if len(point) != self.n:
             raise ValueError(f"point length {len(point)} != {self.n}")
-        evaluated = _RowSpace(self.n)
-        for m in self.basis:
-            evaluated.insert(m.apply(point))
+        evaluated = _RowSpace()
+        for row in self._space.rows.values():
+            image = {}
+            for (i, j), x in row.items():
+                image[i] = image.get(i, 0) + x * point[j]
+            evaluated.insert(_integer_vector({i: y for i, y in image.items() if y}))
         return evaluated.dim
 
-    def _check(self, matrix):
-        if matrix.n != self.n:
-            raise ValueError(f"matrix size {matrix.n} != span size {self.n}")
+    def _entries(self, matrix):
+        """Entry map of an ExactMatrix or an entry map, checked against n."""
+        n = self.n
+        if isinstance(matrix, ExactMatrix):
+            if matrix.n != n:
+                raise ValueError(f"matrix size {matrix.n} != span size {n}")
+            return matrix.entries()
+        entries = {}
+        for (i, j), x in matrix.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"entry index {(i, j)} outside a {n}x{n} matrix")
+            x = _as_exact(x)
+            if x:
+                entries[i, j] = x
+        return entries
+
+
+def _index(entries):
+    """Row and column index of an entry map.
+
+    ``by_row[i]`` lists the ``(j, value)`` entries of row i and
+    ``by_col[j]`` the ``(i, value)`` entries of column j.
+    """
+    by_row, by_col = {}, {}
+    for (i, j), x in entries.items():
+        by_row.setdefault(i, []).append((j, x))
+        by_col.setdefault(j, []).append((i, x))
+    return by_row, by_col
+
+
+def _bracket_indexed(a, b_rows, b_cols):
+    """Entry map of ``a @ b - b @ a``, with b given by :func:`_index`."""
+    out = {}
+    for (i, k), x in a.items():
+        for j, y in b_rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + x * y
+        for r, y in b_cols.get(i, ()):
+            out[r, k] = out.get((r, k), 0) - y * x
+    return {key: x for key, x in out.items() if x}
 
 
 def lie_closure(generators):
     """Smallest linear span containing the generators and closed under bracket.
 
-    Worklist algorithm: seed the span with the independent generators, then
-    bracket every newly added element against all current basis elements,
-    inserting any bracket that enlarges the span, until a fixpoint.  The
-    dimension is bounded by n^2, so termination is guaranteed.
+    Worklist over the independent generators g_1..g_k: every element that
+    enlarged the span is bracketed against each generator, and a bracket
+    that enlarges the span joins the worklist, until a fixpoint.  A
+    generator g_i is bracketed only against g_(i+1)..g_k; the pairs before
+    it were tried from the other side, and [g_i, g_i] = 0.  Bracketing
+    against the generators alone is complete: at the fixpoint the span V
+    contains the generators and [V, g_i] lies in V for every i, so V holds
+    every left-normed bracket [...[[g_a, g_b], g_c], ..., g_z], and these
+    span the Lie algebra generated by the g_i (Reutenauer, *Free Lie
+    Algebras*, 1993).  The dimension is bounded by n^2, so termination is
+    guaranteed.
+
+    Storage is sparse and exact: elements are ``{(row, col): value}`` entry
+    maps, brackets cost time in their nonzeros rather than n^3, and the
+    span keeps primitive integer echelon rows, unique for the span, so the
+    basis does not depend on the order in which elements were found.
     """
     generators = list(generators)
     if not generators:
@@ -379,19 +500,31 @@ def lie_closure(generators):
         if g.n != n:
             raise ValueError(f"generator sizes differ: {g.n} != {n}")
     span = LinearSpan(n)
-    mats = []
+    space = span._space
+    elements = []
+    indexed = []
     for g in generators:
-        if span.insert(g):
-            mats.append(g)
+        # scaling a generator to integers leaves the generated algebra
+        # unchanged, and makes every bracket an integer map
+        entries = _integer_vector(g.entries())
+        if space.insert(dict(entries)):
+            elements.append(entries)
+            indexed.append(_index(entries))
+    k = len(elements)
     head = 0
-    while head < len(mats):
-        x = mats[head]
+    while head < len(elements):
+        x = elements[head]
         head += 1
-        for y in mats[:head]:
-            b = bracket(x, y)
-            if span.insert(b):
-                mats.append(b)
-    if all(g.is_skew_symmetric() for g in generators):
-        # skew generators can never close to more than so(n)
-        assert span.dim <= n * (n - 1) // 2
+        for b_rows, b_cols in indexed[head if head <= k else 0 :]:
+            b = _bracket_indexed(x, b_rows, b_cols)
+            if b and space.insert(dict(b)):
+                elements.append(b)
+    skew = all(
+        e.get((j, i)) == -x for e in elements[:k] for (i, j), x in e.items()
+    )
+    if skew and span.dim > n * (n - 1) // 2:
+        # brackets of skew-symmetric matrices stay in so(n)
+        raise RuntimeError(
+            f"closure of skew-symmetric generators has dim {span.dim} > {n * (n - 1) // 2}"
+        )
     return span

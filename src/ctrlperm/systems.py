@@ -25,8 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
-from .liealg import LinearSpan, coupling_generator, lie_closure, rotation_generator
+from .liealg import ExactMatrix, LinearSpan, coupling_entries, lie_closure, rotation_entries
 from .monoid import OrbitPartition, UnionFind, partition_from_pairs
 from .permutation import Permutation, check_pair, generate_subgroup
 
@@ -59,6 +60,10 @@ _ROTATION_FAMILIES = (SO_N, SPHERE)
 # but still a few seconds of work at the top end.
 ORACLE_MAX_ROTATION = 12
 ORACLE_MAX_AGENTS = 8
+
+# Largest subgroup the probe enumerates: all of S_9.  Every probe on at most
+# nine letters is enumerated in full; larger ones report a truncated count.
+PROBE_SUBGROUP_CAP = factorial(9)
 
 
 class OracleSizeError(ValueError):
@@ -212,10 +217,22 @@ def _full_dim(spec):
     return (spec.n - 1) ** 2
 
 
-def _generator(spec, pair):
+def _generator_entries(spec, pair):
     if spec.family in _ROTATION_FAMILIES:
-        return rotation_generator(spec.n, pair)
-    return coupling_generator(spec.n, pair)
+        return rotation_entries(spec.n, pair)
+    return coupling_entries(spec.n, pair)
+
+
+def _generator(spec, pair):
+    return ExactMatrix.from_entries(spec.n, _generator_entries(spec, pair))
+
+
+def _check_oracle_size(n, guard):
+    if n > guard:
+        raise OracleSizeError(
+            f"n={n} exceeds the oracle size guard {guard}; "
+            "raise it explicitly if you really want the closure"
+        )
 
 
 def _rotation_labels(orbit):
@@ -321,16 +338,14 @@ def oracle_check(spec, max_n=None):
     guard = max_n
     if guard is None:
         guard = ORACLE_MAX_ROTATION if spec.family in _ROTATION_FAMILIES else ORACLE_MAX_AGENTS
-    if spec.n > guard:
-        raise OracleSizeError(
-            f"n={spec.n} exceeds the oracle size guard {guard}; "
-            "raise it explicitly if you really want the closure"
-        )
-    closure = lie_closure([_generator(spec, p) for p in spec.sorted_pairs()])
+    _check_oracle_size(spec.n, guard)
+    pairs = spec.sorted_pairs()
+    # a markov chain with every rate frozen has no generators: the zero algebra
+    closure = lie_closure([_generator(spec, p) for p in pairs]) if pairs else LinearSpan(spec.n)
     controllable = closure.dim == _full_dim(spec)
     uf = UnionFind(spec.n)
     for a, b in itertools.combinations(range(1, spec.n + 1), 2):
-        if closure.contains(_generator(spec, (a, b))):
+        if closure.contains(_generator_entries(spec, (a, b))):
             uf.union(a, b)
     blocks = tuple(g for g in uf.groups() if len(g) >= 2)
     method_class = partition_from_pairs(spec.all_pairs, spec.n)
@@ -391,7 +406,7 @@ def _disjoint_pair_decomposition(matrix):
     return pairs
 
 
-def probe_nonstandard(generators, n=None, cap=None):
+def probe_nonstandard(generators, n=None, cap=None, max_n=None):
     """Experimental subgroup test for non-standard-basis generators.
 
     Each generator must be a signed sum of rotation generators on pairwise
@@ -400,12 +415,19 @@ def probe_nonstandard(generators, n=None, cap=None):
     those permutations generate alongside the trusted rank-condition verdict
     computed from the matrices themselves.  The subgroup statistic is a
     conjecture-level indicator and must not be read as a verdict.
+
+    ``n`` must not exceed the rotation oracle guard (``max_n`` overrides
+    it), checked before any work; the subgroup enumeration stops after
+    ``cap`` elements (default :data:`PROBE_SUBGROUP_CAP`).
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
     if n is None:
         n = generators[0].n
+    _check_oracle_size(n, ORACLE_MAX_ROTATION if max_n is None else max_n)
+    if cap is None:
+        cap = PROBE_SUBGROUP_CAP
     images = []
     for g in generators:
         if g.n != n:

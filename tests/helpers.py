@@ -1,9 +1,13 @@
-"""Shared helpers for the test suite: seeded random builders and the
+"""Shared helpers for the test suite: seeded random builders, the
 transposition-decomposition oracle used to cross-check partition-level
-operations at the permutation level."""
+operations at the permutation level, and a dense reference for the
+bracket-closure engine."""
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
+from ctrlperm.liealg import ExactMatrix, bracket
 from ctrlperm.permutation import Permutation, cycle_decomposition
 
 
@@ -93,3 +97,85 @@ def sample_pairs(rng, n, m):
         idx = min(int(rng.random() * len(pool)), len(pool) - 1)
         chosen.append(pool.pop(idx))
     return chosen
+
+
+# ------------------------------------------- reference closure engine
+#
+# The bracket-closure engine as it was before sparse storage: an all-pairs
+# worklist over dense matrices, with a dense integer echelon row space.  It
+# shares nothing with ``ctrlperm.liealg`` but ``ExactMatrix`` and the dense
+# ``bracket``, and pins the library's closure basis exactly.
+
+
+def _dense_primitive(vec):
+    g = 0
+    for x in vec:
+        g = gcd(g, x)
+    if g > 1:
+        vec = [x // g for x in vec]
+    for x in vec:
+        if x:
+            if x < 0:
+                vec = [-y for y in vec]
+            break
+    return vec
+
+
+def _dense_integer_vector(exact_vec):
+    denom = 1
+    for x in exact_vec:
+        d = Fraction(x).denominator
+        denom = denom * d // gcd(denom, d)
+    return _dense_primitive([int(x * denom) for x in exact_vec])
+
+
+class DenseRowSpace:
+    """Primitive integer rows in reduced echelon form, dense and ordered by pivot."""
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    def insert(self, exact_vec):
+        vec = _dense_integer_vector(exact_vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = vec[p]
+            if c:
+                vec = [row[p] * x - c * y for x, y in zip(vec, row)]
+        if not any(vec):
+            return False
+        vec = _dense_primitive(vec)
+        pivot = next(i for i, x in enumerate(vec) if x)
+        a = vec[pivot]
+        for idx, row in enumerate(self.rows):
+            c = row[pivot]
+            if c:
+                self.rows[idx] = _dense_primitive([a * x - c * y for x, y in zip(row, vec)])
+        at = 0
+        while at < len(self.pivots) and self.pivots[at] < pivot:
+            at += 1
+        self.rows.insert(at, vec)
+        self.pivots.insert(at, pivot)
+        return True
+
+
+def reference_closure_basis(generators):
+    """Closure basis by brackets of every new element with every element so far."""
+    space = DenseRowSpace()
+
+    def insert(m):
+        return space.insert([x for row in m.rows for x in row])
+
+    mats = [g for g in generators if insert(g)]
+    head = 0
+    while head < len(mats):
+        x = mats[head]
+        head += 1
+        for y in mats[:head]:
+            b = bracket(x, y)
+            if insert(b):
+                mats.append(b)
+    n = generators[0].n
+    return tuple(
+        ExactMatrix([row[i * n : (i + 1) * n] for i in range(n)]) for row in space.rows
+    )

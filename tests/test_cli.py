@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ctrlperm import cli, systems
 from ctrlperm.cli import main
 from ctrlperm.specio import (
     SpecFormatError,
@@ -16,6 +17,7 @@ from ctrlperm.systems import SystemSpec, analyze
 
 CHAIN5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[3,4],[4,5]]}'
 SPLIT5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[4,5]]}'
+FROZEN3 = '{"family": "markov", "n": 3, "controls": []}'
 PROBE4 = json.dumps(
     {
         "n": 4,
@@ -173,6 +175,39 @@ def test_dump_basis_applies_the_oracle_size_guard(write, capsys, monkeypatch):
     assert "size guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze --oracle", "compare", "analyze --dump-basis"])
+def test_frozen_markov_chain_closes_to_the_zero_algebra(write, capsys, command):
+    # a chain with every rate frozen has no generators; the oracle reads that
+    # as the zero algebra instead of rejecting the spec
+    argv = command.split()
+    argv.insert(1, write("frozen.json", FROZEN3))
+    code = main(argv)
+    out = capsys.readouterr().out
+    if command == "compare":
+        assert code == 0
+        row = out.splitlines()[1].split()
+        assert row == ["0", "3", "0", "no", "no", "0", "ok"]
+        assert out.endswith("1/1 agree\n")
+        return
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["controllable"] is False
+    if command == "analyze --oracle":
+        assert doc["oracle"] == {"dim": 0, "controllable": False, "orbits": [], "agrees": True}
+    else:
+        assert doc["closure_basis"] == []
+
+
+def test_uncaught_exception_is_an_internal_error_not_a_verdict(write, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "analyze", crash)
+    assert main(["analyze", write("a.json", CHAIN5)]) == 2
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError('boom')" in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "probe"])
 def test_deeply_nested_json_is_bad_input(write, capsys, command):
     path = write("deep.json", "[" * 100_000 + "]" * 100_000)
@@ -223,6 +258,40 @@ def test_probe_cli(write, capsys):
     assert "larc dimension:  6 of 6" in out
     bad = {"n": 4, "generators": [[["0", "2", "0", "0"], ["-2", "0", "0", "0"], ["0"] * 4, ["0"] * 4]]}
     assert main(["probe", write("g3.json", json.dumps(bad))]) == 2
+
+
+def _rotation_probe(n):
+    rows = [["0"] * n for _ in range(n)]
+    rows[0][1], rows[1][0] = "1", "-1"
+    return json.dumps({"n": n, "generators": [rows]})
+
+
+def test_probe_size_guard_refuses_before_any_work(write, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the probe started work beyond its size guard")
+
+    monkeypatch.setattr(systems, "generate_subgroup", no_work)
+    monkeypatch.setattr(systems, "lie_closure", no_work)
+    monkeypatch.delenv("CTRLPERM_ORACLE_MAX_N", raising=False)
+    assert main(["probe", write("big.json", _rotation_probe(13))]) == 2
+    assert "size guard" in capsys.readouterr().err
+    monkeypatch.setenv("CTRLPERM_ORACLE_MAX_N", "3")
+    assert main(["probe", write("four.json", _rotation_probe(4))]) == 2
+    assert "size guard" in capsys.readouterr().err
+
+
+def test_probe_enumeration_is_capped(monkeypatch):
+    caps = []
+    real = systems.generate_subgroup
+
+    def recording(generators, n, cap=None):
+        caps.append(cap)
+        return real(generators, n, cap=cap)
+
+    monkeypatch.setattr(systems, "generate_subgroup", recording)
+    n, gens = parse_probe(PROBE4)
+    systems.probe_nonstandard(gens, n=n)
+    assert caps == [362880]  # 9!: every probe on at most nine letters is exact
 
 
 # ---------------------------------------------------------------- gen

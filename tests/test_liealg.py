@@ -1,22 +1,28 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, cycle, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrlperm import liealg
 from ctrlperm.liealg import (
     ExactMatrix,
     LinearSpan,
     SignedBasisTerm,
+    _bracket_indexed,
+    _index,
     basis_bracket,
     bracket,
     circulation_generator,
+    coupling_entries,
     coupling_generator,
     lie_closure,
+    rotation_entries,
     rotation_generator,
 )
+from helpers import reference_closure_basis, sample_pairs, shuffled
 
 
 def rot(n, i, j):
@@ -57,6 +63,18 @@ def test_rotation_generator_shape():
     assert (m + m.transpose()).is_zero()
     with pytest.raises(ValueError):
         rot(3, 2, 4)
+
+
+def test_entry_maps_round_trip():
+    m = ExactMatrix([["1/2", 0, 0], [0, 0, -3], [0, 0, 0]])
+    assert m.entries() == {(0, 0): Fraction(1, 2), (1, 2): -3}
+    assert ExactMatrix.from_entries(3, m.entries()) == m
+    assert rotation_generator(4, (2, 4)).entries() == rotation_entries(4, (2, 4))
+    assert coupling_generator(4, (4, 2)).entries() == coupling_entries(4, (2, 4))
+    with pytest.raises(ValueError):
+        ExactMatrix.from_entries(3, {(0, 3): 1})
+    with pytest.raises(TypeError):
+        ExactMatrix.from_entries(3, {(0, 1): 0.5})
 
 
 def test_rotation_generators_are_distinct_basis():
@@ -253,6 +271,88 @@ def test_closure_is_bracket_closed():
         for x in span.basis:
             for y in span.basis:
                 assert span.contains(bracket(x, y))
+
+
+def _random_generator_sets(seed):
+    """Seeded generator sets: (label, generators) for every kind of input."""
+    rng = random.Random(seed)
+    sets = []
+    for n in range(3, 9):
+        for kind, builder in (("rotation", rotation_generator), ("coupling", coupling_generator)):
+            # the dense reference is slowest on the (n-1)^2-dimensional agent algebra
+            for _ in range(3 if kind == "rotation" else 1 + (n < 7)):
+                m = 1 + int(rng.random() * min(2 * n, n * (n - 1) // 2))
+                sets.append((f"{kind} n={n}", [builder(n, p) for p in sample_pairs(rng, n, m)]))
+    for n in range(3, 8):
+        # probe style: signed sums of rotations on disjoint pairs
+        for _ in range(3):
+            gens = []
+            for _ in range(1 + int(rng.random() * 3)):
+                letters = shuffled(rng, range(1, n + 1))
+                acc = ExactMatrix.zeros(n)
+                for at in range(0, 2 * (1 + int(rng.random() * (n // 2))) - 1, 2):
+                    i, j = sorted(letters[at : at + 2])
+                    sign = 1 if rng.random() < 0.5 else -1
+                    acc = acc + rotation_generator(n, (i, j)).scaled(sign)
+                gens.append(acc)
+            sets.append((f"probe n={n}", gens))
+    for n in range(3, 7):
+        # rational coefficients, in a mix of rotations and couplings
+        for _ in range(2 if n < 5 else 1):
+            gens = []
+            for p in sample_pairs(rng, n, 1 + int(rng.random() * n)):
+                coefficient = Fraction(1 + int(rng.random() * 5), 1 + int(rng.random() * 6))
+                builder = rotation_generator if rng.random() < 0.5 else coupling_generator
+                gens.append(builder(n, p).scaled(coefficient))
+            sets.append((f"fraction n={n}", gens))
+    return sets
+
+
+def test_closure_basis_matches_reference_engine():
+    # exact basis equality, not only the dimension: the echelon rows are unique
+    # for the span, and --dump-basis prints them
+    for label, gens in _random_generator_sets(20261017):
+        span = lie_closure(gens)
+        assert span.basis == reference_closure_basis(gens), label
+        assert span.dim == len(span.basis)
+
+
+def test_sparse_bracket_matches_dense_bracket():
+    for label, gens in _random_generator_sets(7):
+        n = gens[0].n
+        for a in gens:
+            for b in gens:
+                expected = bracket(a, b)
+                got = _bracket_indexed(a.entries(), *_index(b.entries()))
+                assert got == expected.entries(), label
+                assert ExactMatrix.from_entries(n, got) == expected
+
+
+def test_span_accepts_entry_maps():
+    span = lie_closure([rot(4, 1, 2), rot(4, 2, 3)])
+    assert span.contains(rotation_entries(4, (1, 3)))
+    assert span.contains({(0, 2): "1/2", (2, 0): Fraction(-1, 2), (1, 1): 0})
+    assert not span.contains(rotation_entries(4, (1, 4)))
+    with pytest.raises(ValueError):
+        span.contains({(0, 4): 1})
+    other = LinearSpan(4)
+    assert other.insert({(0, 1): Fraction(2, 3), (1, 0): Fraction(-2, 3)})
+    assert not other.insert(rot(4, 1, 2))
+    assert other.basis == (rot(4, 1, 2),)
+
+
+def test_closure_dimension_check_is_a_raised_error(monkeypatch):
+    # a skew generator set closing beyond so(n) is an engine fault; the check
+    # must survive python -O, so it cannot be an assert
+    diagonal = cycle(range(3))
+
+    def broken_bracket(a, b_rows, b_cols):
+        i = next(diagonal)
+        return {(i, i): 1}
+
+    monkeypatch.setattr(liealg, "_bracket_indexed", broken_bracket)
+    with pytest.raises(RuntimeError, match="skew-symmetric"):
+        lie_closure([rot(3, 1, 2), rot(3, 2, 3)])
 
 
 def test_closure_rejects_empty_or_mismatched():

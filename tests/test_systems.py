@@ -6,6 +6,7 @@ import pytest
 from ctrlperm.liealg import coupling_generator, lie_closure, rotation_generator
 from ctrlperm.monoid import OrbitPartition
 from ctrlperm.systems import (
+    FAMILIES,
     OracleSizeError,
     SystemSpec,
     analyze,
@@ -238,6 +239,39 @@ def test_uncontrollable_oracle_dim_matches_orbit_formula():
         expected = sum(len(o) * (len(o) - 1) // 2 for o in report.orbits)
         assert oracle_check(spec).dim == expected == report.submanifold.total_dim
         checked += 1
+
+
+def _random_spec(rng, family, n):
+    """Random spec of any family: drift pairs, markov distributions, frozen chains."""
+    m = int(rng.random() * (min(n * (n - 1) // 2, 2 * n) + 1))
+    pairs = sample_pairs(rng, n, m)
+    drift = pairs.pop() if pairs and rng.random() < 0.3 else None
+    if not pairs and drift is None and family != "markov":
+        pairs = sample_pairs(rng, n, 1)
+    dist = None
+    if family == "markov" and rng.random() < 0.5:
+        weights = [int(rng.random() * 4) for _ in range(n)]
+        weights[int(rng.random() * n)] += 1
+        dist = tuple(Fraction(w, sum(weights)) for w in weights)
+    return SystemSpec(family, n, frozenset(pairs), drift=drift, initial_distribution=dist)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_methods_agree_on_random_specs_of_every_family(family):
+    rng = random.Random(4040 + FAMILIES.index(family))
+    top = 9 if family in ("so_n", "sphere") else 7
+    verdicts = set()
+    for n in range(2, top + 1):
+        for _ in range(50):
+            spec = _random_spec(rng, family, n)
+            report = analyze(spec, with_oracle=True)
+            oracle = report.oracle
+            assert oracle.agrees, spec
+            assert oracle.controllable == report.controllable, spec
+            assert oracle.orbits == report.orbits, spec
+            assert oracle.dim == report.submanifold.total_dim, spec
+            verdicts.add(report.controllable)
+    assert verdicts == {True, False}
 
 
 # ----------------------------------------------------- nonstandard probe
