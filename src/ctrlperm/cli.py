@@ -13,6 +13,7 @@ given integer seed is stable across platforms and Python versions.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import random
@@ -33,6 +34,7 @@ from .systems import (
     OracleSizeError,
     SystemSpec,
     analyze,
+    check_oracle_size,
     oracle_check,
     probe_nonstandard,
 )
@@ -60,6 +62,8 @@ def _read(path):
 
 def _sample_pairs(rng, n, m):
     """Draw m distinct index pairs uniformly, using only rng.random()."""
+    if m < 0:
+        raise SpecFormatError(f"m must be nonnegative, got {m}")
     pool = list(itertools.combinations(range(1, n + 1), 2))
     if m > len(pool):
         raise SpecFormatError(f"m={m} exceeds the {len(pool)} available pairs for n={n}")
@@ -140,6 +144,8 @@ def _cmd_compare(args):
     max_n = _oracle_max_n()
     if args.random is not None:
         n, m, seed, count = args.random
+        if count < 1:
+            raise SpecFormatError(f"COUNT must be positive, got {count}")
         rng = random.Random(seed)
         specs = [
             SystemSpec("so_n", n, frozenset(_sample_pairs(rng, n, m)))
@@ -149,6 +155,8 @@ def _cmd_compare(args):
         specs = [parse_spec(_read(args.spec))]
     else:
         raise SpecFormatError("compare needs a spec path or --random N M SEED COUNT")
+    for spec in specs:  # refuse before the header, so a refused run prints nothing
+        check_oracle_size(spec, max_n)
     agreements = 0
     header = f"{'idx':>5}  {'n':>3}  {'m':>3}  {'perm':<7} {'oracle':<7} {'dim':>4}  agree"
     print(header)
@@ -192,8 +200,6 @@ def _cmd_probe(args):
 
 
 def _cmd_gen(args):
-    if args.m < 0:
-        raise SpecFormatError(f"m must be nonnegative, got {args.m}")
     rng = random.Random(args.seed)
     pairs = _sample_pairs(rng, args.n, args.m)
     spec = SystemSpec(args.family, args.n, frozenset(pairs))
@@ -253,9 +259,19 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's parser, built on the first call of :func:`main`.
+
+    Building it costs about as much as analyzing a small spec, and nothing in
+    it changes between calls: each call still gets its own namespace, reads
+    the environment afresh and looks up the library functions at call time.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpecFormatError, OracleSizeError, ValueError) as exc:

@@ -43,6 +43,7 @@ __all__ = [
     "OracleSizeError",
     "analyze",
     "oracle_check",
+    "check_oracle_size",
     "min_controls_check",
     "markov_classify",
     "probe_nonstandard",
@@ -324,6 +325,18 @@ def analyze(spec, with_oracle=False, oracle_max_n=None):
     )
 
 
+def check_oracle_size(spec, max_n=None):
+    """Raise :class:`OracleSizeError` if ``spec`` is beyond the oracle size guard.
+
+    The guard is ``ORACLE_MAX_ROTATION`` for rotation families and
+    ``ORACLE_MAX_AGENTS`` for agent families; ``max_n`` overrides both.
+    """
+    guard = max_n
+    if guard is None:
+        guard = ORACLE_MAX_ROTATION if spec.family in _ROTATION_FAMILIES else ORACLE_MAX_AGENTS
+    _check_oracle_size(spec.n, guard)
+
+
 def oracle_check(spec, max_n=None):
     """Settle controllability by exact Lie-bracket closure and rank.
 
@@ -335,10 +348,7 @@ def oracle_check(spec, max_n=None):
     when both the verdict and the recovered orbit partition match the
     permutation method's output.
     """
-    guard = max_n
-    if guard is None:
-        guard = ORACLE_MAX_ROTATION if spec.family in _ROTATION_FAMILIES else ORACLE_MAX_AGENTS
-    _check_oracle_size(spec.n, guard)
+    check_oracle_size(spec, max_n)
     pairs = spec.sorted_pairs()
     # a markov chain with every rate frozen has no generators: the zero algebra
     closure = lie_closure([_generator(spec, p) for p in pairs]) if pairs else LinearSpan(spec.n)

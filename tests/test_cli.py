@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +243,35 @@ def test_compare_without_source_errors(capsys):
     assert main(["compare"]) == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_compare_random_needs_a_positive_count(capsys, count):
+    # "0/0 agree" with exit 0 would claim full agreement on nothing
+    assert main(["compare", "--random", "5", "4", "1", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "COUNT must be positive" in captured.err
+
+
+def test_compare_random_rejects_negative_m(capsys):
+    assert main(["compare", "--random", "5", "-1", "1", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m must be nonnegative, got -1" in captured.err
+
+
+@pytest.mark.parametrize("source", ["random", "spec"])
+def test_compare_size_guard_refuses_before_the_header(write, capsys, monkeypatch, source):
+    monkeypatch.delenv("CTRLPERM_ORACLE_MAX_N", raising=False)
+    if source == "random":
+        argv = ["compare", "--random", "13", "20", "1", "2"]
+    else:
+        argv = ["compare", write("big.json", '{"family": "markov", "n": 9, "controls": [[1, 2]]}')]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "size guard" in captured.err
+
+
 # -------------------------------------------------------------- probe
 
 
@@ -297,6 +330,11 @@ def test_probe_enumeration_is_capped(monkeypatch):
 # ---------------------------------------------------------------- gen
 
 
+def test_gen_rejects_negative_m(capsys):
+    assert main(["gen", "so_n", "4", "-1", "1"]) == 2
+    assert "m must be nonnegative, got -1" in capsys.readouterr().err
+
+
 def test_gen_is_deterministic(capsys):
     assert main(["gen", "so_n", "5", "4", "7"]) == 0
     first = capsys.readouterr().out
@@ -326,3 +364,98 @@ def test_gen_round_trip_thousand_seeds(capsys):
         text = capsys.readouterr().out
         report = analyze(parse_spec(text))
         assert report.method_class is not None
+
+
+# ------------------------------------------------- repeated main calls
+
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def _python(*args):
+    """Run a fresh interpreter with this checkout's ctrlperm on its path."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env.pop("CTRLPERM_ORACLE_MAX_N", None)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_main_builds_the_parser_once(write, capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    path = write("a.json", CHAIN5)
+    for _ in range(5):
+        assert main(["analyze", path]) == 0
+    assert main(["gen", "so_n", "5", "4", "7"]) == 0
+    assert main(["compare", path]) == 0
+    assert main(["probe", write("g.json", PROBE4)]) == 1
+    assert len(built) == 1
+
+
+def test_usage_error_leaves_the_parser_reusable(write, capsys):
+    path = write("a.json", SPLIT5)
+    argv = ["analyze", path, "--text", "--dump-basis"]
+    cli._parser.cache_clear()
+    assert main(argv) == 1
+    fresh = capsys.readouterr().out
+    for bad in (
+        ["analyze", path, "--json", "--text"],
+        ["gen", "so_n", "five", "4", "7"],
+        ["compare", "--random", "5", "4"],
+        ["nonsense"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().out == fresh
+
+
+def test_in_process_calls_match_fresh_processes(write, capsys, monkeypatch):
+    monkeypatch.delenv("CTRLPERM_ORACLE_MAX_N", raising=False)
+    split = write("split.json", SPLIT5)
+    commands = [
+        ["analyze", split],
+        ["gen", "markov", "6", "5", "3"],
+        ["analyze", split, "--text", "--dot", "--dump-basis"],
+        ["probe", write("g.json", PROBE4)],
+        ["compare", write("chain.json", CHAIN5)],
+        ["analyze", split, "--oracle", "--dot", "--dump-basis"],
+        ["compare", "--random", "4", "3", "42", "5"],
+        ["gen", "so_n", "5", "4", "7"],
+        ["compare", "--random", "5", "-1", "1", "2"],
+    ]
+    in_process = []
+    for argv in commands + commands:  # interleaved, and each command twice
+        code = main(argv)
+        in_process.append((capsys.readouterr().out, code))
+    assert in_process[: len(commands)] == in_process[len(commands):]
+    fresh = [_python("-m", "ctrlperm.cli", *argv) for argv in commands]
+    assert in_process[: len(commands)] == [(done.stdout, done.returncode) for done in fresh]
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import ctrlperm.cli\n"
+        "print(len(built))\n"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
