@@ -13,8 +13,9 @@ given integer seed is stable across platforms and Python versions.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
-import itertools
+import math
 import os
 import random
 import sys
@@ -61,16 +62,31 @@ def _read(path):
 
 
 def _sample_pairs(rng, n, m):
-    """Draw m distinct index pairs uniformly, using only rng.random()."""
+    """Draw m distinct index pairs uniformly, using only rng.random().
+
+    Each draw picks an index among the pairs not yet drawn, in lexicographic
+    order, as if popping it from the list of all n(n-1)/2 pairs; that list is
+    never built.  The index becomes a rank by skipping the ranks already
+    drawn, and the rank becomes the pair (i, j).
+    """
     if m < 0:
         raise SpecFormatError(f"m must be nonnegative, got {m}")
-    pool = list(itertools.combinations(range(1, n + 1), 2))
-    if m > len(pool):
-        raise SpecFormatError(f"m={m} exceeds the {len(pool)} available pairs for n={n}")
+    total = n * (n - 1) // 2 if n > 1 else 0
+    if m > total:
+        raise SpecFormatError(f"m={m} exceeds the {total} available pairs for n={n}")
+    drawn = []  # ranks drawn so far, sorted
     chosen = []
     for _ in range(m):
-        idx = min(int(rng.random() * len(pool)), len(pool) - 1)
-        chosen.append(pool.pop(idx))
+        left = total - len(drawn)
+        idx = min(int(rng.random() * left), left - 1)
+        # drawn[at] - at ranks below drawn[at] are undrawn, so the ranks drawn
+        # below the idx-th undrawn one are those with drawn[at] - at <= idx
+        below = bisect.bisect_right(range(len(drawn)), idx, key=lambda at: drawn[at] - at)
+        rank = idx + below
+        drawn.insert(below, rank)
+        # the last t rows, i = n-t .. n-1, hold the last t(t+1)/2 ranks
+        t = (math.isqrt(8 * (total - 1 - rank) + 1) + 1) // 2
+        chosen.append((n - t, n + 1 + rank - total + t * (t - 1) // 2))
     return chosen
 
 
@@ -146,17 +162,20 @@ def _cmd_compare(args):
         n, m, seed, count = args.random
         if count < 1:
             raise SpecFormatError(f"COUNT must be positive, got {count}")
+        # refuse before drawing, and before the header, so a refused run
+        # neither samples nor prints anything
+        check_oracle_size("so_n", n, max_n)
         rng = random.Random(seed)
         specs = [
             SystemSpec("so_n", n, frozenset(_sample_pairs(rng, n, m)))
             for _ in range(count)
         ]
     elif args.spec is not None:
-        specs = [parse_spec(_read(args.spec))]
+        spec = parse_spec(_read(args.spec))
+        check_oracle_size(spec.family, spec.n, max_n)
+        specs = [spec]
     else:
         raise SpecFormatError("compare needs a spec path or --random N M SEED COUNT")
-    for spec in specs:  # refuse before the header, so a refused run prints nothing
-        check_oracle_size(spec, max_n)
     agreements = 0
     header = f"{'idx':>5}  {'n':>3}  {'m':>3}  {'perm':<7} {'oracle':<7} {'dim':>4}  agree"
     print(header)

@@ -12,6 +12,7 @@ rather than the file bytes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -42,13 +43,12 @@ def _require(condition, message):
 
 
 def _as_pair(value, what):
-    _require(
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in value),
-        f"{what} must be a pair of integers, got {value!r}",
-    )
-    return tuple(value)
+    # json.loads yields only list, int and bool here, so exact types suffice
+    if type(value) is list and len(value) == 2:
+        i, j = value
+        if type(i) is int and type(j) is int:
+            return (i, j)
+    raise SpecFormatError(f"{what} must be a pair of integers, got {value!r}")
 
 
 def _as_rational(value, what):
@@ -129,6 +129,9 @@ def spec_to_dict(spec):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+# the characters encode_basestring_ascii leaves as they are: printable ASCII
+# but the quote and the backslash
+_VERBATIM = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
 
 def canonical_json(doc):
@@ -138,6 +141,16 @@ def canonical_json(doc):
     and a value ``json.dumps`` rejects raises the same ``TypeError``.  It is
     written directly because ``json.dumps`` serves ``indent`` only through its
     pure-Python encoder, which is several times slower on report-sized lists.
+
+    Report-sized lists take bulk paths, each one ``join`` or ``%`` in C:
+
+    * a list of only ``int``s, or only ``str``s, is joined in one go;
+    * a list of plain ``str``s whose concatenation is printable ASCII without
+      ``"`` or ``\\`` needs no escaping, so each item is quoted as it is;
+    * a list of equal-length, nonempty lists or tuples of plain ``int``s (the
+      control pairs) is written through one ``%d`` row template.
+
+    Bools and other ``int`` or ``str`` subclasses take the item-by-item path.
     """
     out = []
     _write(doc, "\n", out)
@@ -163,9 +176,18 @@ def _write(value, newline, out):
             return
         inner = newline + "  "
         kinds = set(map(type, value))
-        if kinds == {int} or kinds == {str}:
-            encode = int.__repr__ if int in kinds else _encode_str
-            out += ("[", inner, ("," + inner).join(map(encode, value)), newline, "]")
+        if kinds == {str}:
+            text = "".join(value)
+            if text.isascii() and not text.encode().translate(None, _VERBATIM):
+                # no item needs an escape, so each is its own JSON string body
+                out += ("[", inner, '"', ('",' + inner + '"').join(value), '"', newline, "]")
+            else:
+                out += ("[", inner, ("," + inner).join(map(_encode_str, value)), newline, "]")
+            return
+        if kinds == {int}:
+            out += ("[", inner, ("," + inner).join(map(int.__repr__, value)), newline, "]")
+            return
+        if kinds <= {list, tuple} and _write_int_rows(value, inner, newline, out):
             return
         sep = "[" + inner
         for item in value:
@@ -188,6 +210,23 @@ def _write(value, newline, out):
         # floats, dicts with non-string keys and unsupported types: json's own
         # text for the value, moved to this indent, or its TypeError
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+
+
+def _write_int_rows(rows, inner, newline, out):
+    """Write equal-length, nonempty rows of plain ints through one row template.
+
+    Returns False, writing nothing, for any other list of lists or tuples.
+    """
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return False
+    cells = tuple(itertools.chain.from_iterable(rows))
+    if set(map(type, cells)) != {int}:
+        return False
+    cell = inner + "  "
+    row = "[" + cell + ("," + cell).join(["%d"] * widths.pop()) + inner + "]"
+    out += ("[", inner, ("," + inner).join([row] * len(rows)) % cells, newline, "]")
+    return True
 
 
 def spec_digest(spec):

@@ -228,24 +228,39 @@ def _generator(spec, pair):
     return ExactMatrix.from_entries(spec.n, _generator_entries(spec, pair))
 
 
-def _check_oracle_size(n, guard):
-    if n > guard:
-        raise OracleSizeError(
-            f"n={n} exceeds the oracle size guard {guard}; "
-            "raise it explicitly if you really want the closure"
-        )
+def _pair_rows(letters, head=""):
+    """``head + i,j)`` for each pair i < j of ``letters``: one space-separated row per i."""
+    return [
+        f"{head}{i}," + f") {head}{i},".join(letters[at:]) + ")"
+        for at, i in enumerate(letters[:-1], 1)
+    ]
+
+
+# Labels hold no space, so each builder writes all of an orbit's labels as one
+# space-separated text in a few C-level joins and cuts it up with one split.
 
 
 def _rotation_labels(orbit):
-    return tuple(f"rot({i},{j})" for i, j in itertools.combinations(orbit, 2))
+    """``rot(i,j)`` for each pair i < j of the orbit, in combinations order."""
+    rows = _pair_rows(list(map(str, orbit)), "rot(")
+    return tuple(" ".join(rows).split(" ")) if rows else ()
 
 
 def _agent_labels(orbit):
-    couples = tuple(f"couple({i},{j})" for i, j in itertools.combinations(orbit, 2))
-    circs = tuple(
-        f"circ({i},{j},{k})" for i, j, k in itertools.combinations(orbit, 3)
+    """``couple(i,j)`` for each pair, then ``circ(i,j,k)`` for each triple."""
+    letters = list(map(str, orbit))
+    rows = _pair_rows(letters)
+    if not rows:
+        return ()
+    pairs = " ".join(rows)
+    # the triples of i are "circ(i," before each pair from the row after i's on
+    starts = itertools.accumulate((len(row) + 1 for row in rows[:-1]), initial=0)
+    next(starts)
+    text = "couple(" + pairs.replace(" ", " couple(") + "".join(
+        f" circ({i}," + pairs[at:].replace(" ", f" circ({i},")
+        for i, at in zip(letters, starts)
     )
-    return couples + circs
+    return tuple(text.split(" "))
 
 
 def _state_space(spec):
@@ -325,16 +340,22 @@ def analyze(spec, with_oracle=False, oracle_max_n=None):
     )
 
 
-def check_oracle_size(spec, max_n=None):
-    """Raise :class:`OracleSizeError` if ``spec`` is beyond the oracle size guard.
+def check_oracle_size(family, n, max_n=None):
+    """Raise :class:`OracleSizeError` if ``n`` letters are beyond the oracle size guard.
 
     The guard is ``ORACLE_MAX_ROTATION`` for rotation families and
-    ``ORACLE_MAX_AGENTS`` for agent families; ``max_n`` overrides both.
+    ``ORACLE_MAX_AGENTS`` for agent families; ``max_n`` overrides both.  It
+    needs only the family and the letter count, so callers can refuse an
+    instance before building it.
     """
     guard = max_n
     if guard is None:
-        guard = ORACLE_MAX_ROTATION if spec.family in _ROTATION_FAMILIES else ORACLE_MAX_AGENTS
-    _check_oracle_size(spec.n, guard)
+        guard = ORACLE_MAX_ROTATION if family in _ROTATION_FAMILIES else ORACLE_MAX_AGENTS
+    if n > guard:
+        raise OracleSizeError(
+            f"n={n} exceeds the oracle size guard {guard}; "
+            "raise it explicitly if you really want the closure"
+        )
 
 
 def oracle_check(spec, max_n=None):
@@ -348,7 +369,7 @@ def oracle_check(spec, max_n=None):
     when both the verdict and the recovered orbit partition match the
     permutation method's output.
     """
-    check_oracle_size(spec, max_n)
+    check_oracle_size(spec.family, spec.n, max_n)
     pairs = spec.sorted_pairs()
     # a markov chain with every rate frozen has no generators: the zero algebra
     closure = lie_closure([_generator(spec, p) for p in pairs]) if pairs else LinearSpan(spec.n)
@@ -435,7 +456,7 @@ def probe_nonstandard(generators, n=None, cap=None, max_n=None):
         raise ValueError("need at least one generator")
     if n is None:
         n = generators[0].n
-    _check_oracle_size(n, ORACLE_MAX_ROTATION if max_n is None else max_n)
+    check_oracle_size(SO_N, n, max_n)
     if cap is None:
         cap = PROBE_SUBGROUP_CAP
     images = []

@@ -89,7 +89,11 @@ def shuffled(rng, items):
 
 
 def sample_pairs(rng, n, m):
-    """m distinct index pairs drawn uniformly from the n(n-1)/2 possible."""
+    """m distinct index pairs drawn uniformly from the n(n-1)/2 possible.
+
+    Pops each draw from the list of all pairs: the definition that
+    ``ctrlperm.cli._sample_pairs`` must reproduce without building the list.
+    """
     pool = list(itertools.combinations(range(1, n + 1), 2))
     assert m <= len(pool)
     chosen = []
@@ -97,6 +101,18 @@ def sample_pairs(rng, n, m):
         idx = min(int(rng.random() * len(pool)), len(pool) - 1)
         chosen.append(pool.pop(idx))
     return chosen
+
+
+def reference_rotation_labels(orbit):
+    """Generator labels of a rotation orbit, one f-string per pair."""
+    return tuple(f"rot({i},{j})" for i, j in itertools.combinations(orbit, 2))
+
+
+def reference_agent_labels(orbit):
+    """Generator labels of an agent orbit: pairs, then triples."""
+    couples = tuple(f"couple({i},{j})" for i, j in itertools.combinations(orbit, 2))
+    circs = tuple(f"circ({i},{j},{k})" for i, j, k in itertools.combinations(orbit, 3))
+    return couples + circs
 
 
 # ------------------------------------------- reference closure engine

@@ -18,6 +18,7 @@ from ctrlperm.specio import (
     spec_to_dict,
 )
 from ctrlperm.systems import SystemSpec, analyze
+from helpers import sample_pairs
 
 CHAIN5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[3,4],[4,5]]}'
 SPLIT5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[4,5]]}'
@@ -69,6 +70,18 @@ def test_parse_spec_rejects_bad_documents():
             '{"family": "markov", "n": 2, "controls": [[1, 2]],'
             ' "initial_distribution": [0.5, 0.5]}'
         )
+
+
+@pytest.mark.parametrize(
+    "pair",
+    ["[1, true]", "[false, 2]", "[1.0, 2]", '["1", 2]', "[1]", "[1, 2, 3]", "[[1], [2]]"]
+    + ['"12"', "{}", "[null, 2]"],
+)
+def test_parse_spec_needs_pairs_of_integers(pair):
+    head = '{"family": "so_n", "n": 5, "controls": [[1, 2]'
+    for text in (f"{head}, {pair}]}}", f'{head}], "drift": {pair}}}'):
+        with pytest.raises(SpecFormatError, match="must be a pair of integers"):
+            parse_spec(text)
 
 
 def test_parse_spec_routes_probe_documents_away():
@@ -272,6 +285,25 @@ def test_compare_size_guard_refuses_before_the_header(write, capsys, monkeypatch
     assert "size guard" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, max_n",
+    [(["2000", "3", "1", "1"], None), (["13", "5", "1", "4"], None), (["6", "5", "1", "4"], "5")],
+    ids=["n=2000", "n=13", "n=6 with max 5"],
+)
+def test_compare_random_refuses_before_sampling(capsys, monkeypatch, argv, max_n):
+    if max_n is None:
+        monkeypatch.delenv("CTRLPERM_ORACLE_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("CTRLPERM_ORACLE_MAX_N", max_n)
+    calls = []
+    monkeypatch.setattr(cli, "_sample_pairs", lambda *args: calls.append(args) or [])
+    assert main(["compare", "--random", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "size guard" in captured.err
+    assert calls == []
+
+
 # -------------------------------------------------------------- probe
 
 
@@ -353,6 +385,31 @@ def test_gen_markov_family(capsys):
 def test_gen_rejects_oversized_m(capsys):
     assert main(["gen", "so_n", "4", "7", "1"]) == 2
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_sample_pairs_matches_the_pool_draw():
+    rng = random.Random(5)
+    cases = []
+    for n in range(0, 13):
+        total = n * (n - 1) // 2 if n > 1 else 0
+        for m in sorted({0, min(1, total), total // 2, max(total - 1, 0), total}):
+            cases += [(n, m, seed) for seed in range(3)]
+    for n in (40, 97, 200):
+        total = n * (n - 1) // 2
+        for m in (0, n, int(rng.random() * total), total):
+            cases.append((n, m, int(rng.random() * 10**6)))
+    for n, m, seed in cases:
+        got = cli._sample_pairs(random.Random(seed), n, m)
+        assert got == sample_pairs(random.Random(seed), n, m), (n, m, seed)
+
+
+def test_sample_pairs_never_lists_every_pair():
+    # the pool of all pairs on a million letters would hold 5e11 tuples
+    n = 10**6
+    pairs = cli._sample_pairs(random.Random(3), n, 50)
+    assert pairs == cli._sample_pairs(random.Random(3), n, 50)
+    assert len(set(pairs)) == 50
+    assert all(1 <= i < j <= n for i, j in pairs)
 
 
 def test_gen_round_trip_thousand_seeds(capsys):

@@ -26,8 +26,79 @@ scalars = st.one_of(
     st.integers(min_value=-(2**200), max_value=2**200),
     texts,
 )
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Tag(str):
+    pass
+
+
+def _insert(items, extra, at):
+    """``items`` with ``extra``, if given, inserted before item ``at`` (mod len + 1)."""
+    items = list(items)
+    if extra is not None:
+        items.insert(at % (len(items) + 1), extra)
+    return items
+
+
+# Lists that reach the bulk string path: printable ASCII labels, at times
+# with one item that needs an escape or is not a plain str.
+ascii_texts = st.text(
+    alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\')
+)
+label_lists = st.builds(
+    _insert,
+    st.lists(ascii_texts, min_size=1, max_size=8),
+    st.sampled_from(
+        [None, None, None, '"', 'a"b', "\\", "c\\d", "\x1f", "\x7f", "\n", "é", "😀"]
+        + [Tag("t"), Tag('"')]
+    ),
+    st.integers(min_value=0, max_value=8),
+)
+
+
+def _spoil(rows, defect, at):
+    """``rows`` with one defect: an empty or a ragged row, or a cell that is not a plain int."""
+    rows = list(rows)
+    at %= len(rows)
+    if defect == "empty":
+        rows.insert(at, [])
+    elif defect == "ragged":
+        rows.insert(at, [*rows[at], 7])
+    elif defect is not None:
+        row = list(rows[at])
+        row[at % len(row)] = defect
+        rows[at] = row
+    return rows
+
+
+# Lists that reach the bulk row path: equal-length rows of ints, as lists
+# and tuples, with big and negative values, at times with one defect.
+row_cells = st.integers(min_value=-(2**70), max_value=2**70) | st.integers(
+    min_value=2**64, max_value=2**200
+)
+
+
+def _int_rows(width):
+    row = st.lists(row_cells, min_size=width, max_size=width)
+    return st.lists(row | row.map(tuple), min_size=1, max_size=6)
+
+
+row_lists = st.builds(
+    _spoil,
+    st.integers(min_value=1, max_value=3).flatmap(_int_rows),
+    st.sampled_from([None, None, "empty", "ragged", True, False, Level.LOW]),
+    st.integers(min_value=0, max_value=8),
+)
 documents = st.recursive(
-    scalars | st.lists(st.integers(), max_size=6) | st.lists(texts, max_size=6),
+    scalars
+    | st.lists(st.integers(), max_size=6)
+    | st.lists(texts, max_size=6)
+    | label_lists
+    | row_lists,
     lambda inner: st.one_of(
         st.lists(inner, max_size=6),
         st.lists(inner, max_size=6).map(tuple),
@@ -43,14 +114,6 @@ def test_canonical_json_is_json_dumps(doc):
     assert canonical_json(doc) == reference(doc)
 
 
-class Level(enum.IntEnum):
-    LOW = 1
-
-
-class Tag(str):
-    pass
-
-
 @pytest.mark.parametrize(
     "doc",
     [
@@ -58,6 +121,19 @@ class Tag(str):
         [Level.LOW, 2],
         {"level": Level.LOW, "levels": [Level.LOW, Level.LOW]},
         [Tag("a"), "b"],
+        ['"', "a"],
+        ["a", "b\\c"],
+        ["x\x1f", "y"],
+        ["\x7f"],
+        ["é", "a"],
+        [Tag('"'), "a"],
+        ["rot(1,2)", "rot(1,10)", "", " "],
+        [[1, 2], [True, 3]],
+        [(1, 2), [3, Level.LOW]],
+        [[1, 2], []],
+        [[1, 2], [3]],
+        [[-1, 2**70], (2**65, -(2**64))],
+        ([0], (7,), [-3]),
         {Tag("k"): [Tag("v")]},
         {"x": 1.5, "y": [float("nan"), float("inf"), -0.0, 1e300]},
         {"ints": {3: [1], 1: {"a": [2.5, {}]}}, "z": [[], {}, ()]},

@@ -9,13 +9,22 @@ from ctrlperm.systems import (
     FAMILIES,
     OracleSizeError,
     SystemSpec,
+    _agent_labels,
+    _rotation_labels,
     analyze,
     markov_classify,
     min_controls_check,
     oracle_check,
     probe_nonstandard,
 )
-from helpers import sample_pairs, shuffled, sorted_pair, spanning_tree_pairs
+from helpers import (
+    reference_agent_labels,
+    reference_rotation_labels,
+    sample_pairs,
+    shuffled,
+    sorted_pair,
+    spanning_tree_pairs,
+)
 
 UNIFORM5 = tuple(Fraction(1, 5) for _ in range(5))
 
@@ -146,6 +155,18 @@ def test_analyze_sphere_family():
     assert report.controllable
     assert report.submanifold.state_space == "S^3"
     assert report.oracle.dim == 6 and report.oracle.agrees
+
+
+def test_generator_labels_match_their_definition():
+    rng = random.Random(17)
+    orbits = [tuple(range(1, k + 1)) for k in range(31)]
+    for k in range(31):
+        # gaps between letters, and letters of one to four digits
+        letters = sorted(shuffled(rng, range(1, 1200))[:k])
+        orbits += [tuple(letters), tuple(range(95, 95 + 7 * k, 7))]
+    for orbit in orbits:
+        assert _rotation_labels(orbit) == reference_rotation_labels(orbit), orbit
+        assert _agent_labels(orbit) == reference_agent_labels(orbit), orbit
 
 
 # ------------------------------------------------------------ oracle
