@@ -11,13 +11,7 @@ its total probability mass.
 
 from fractions import Fraction
 
-from ctrlperm import (
-    SystemSpec,
-    analyze,
-    coupling_generator,
-    lie_closure,
-    markov_classify,
-)
+from ctrlperm import SystemSpec, analyze, coupling_generator, lie_closure
 from itertools import combinations
 
 print("== agent coupling algebra ==")
@@ -44,9 +38,11 @@ print("== a five-state chain with tunable rates ==")
 uniform = tuple(Fraction(1, 5) for _ in range(5))
 chain = SystemSpec("markov", 5, frozenset([(1, 2), (2, 3), (4, 5)]), initial_distribution=uniform)
 report = analyze(chain)
-classes = markov_classify(chain)
-print("irreducible:", classes.irreducible)
-print("communication classes:", classes.communication_classes)
+# irreducible means controllable; the communication classes are the orbits
+# plus each fixed state on its own
+classes = tuple(sorted(report.orbits + tuple((j,) for j in report.fixed_points)))
+print("irreducible:", report.controllable)
+print("communication classes:", classes)
 for orbit, mass in report.submanifold.conserved_sums:
     print(f"  states {orbit} keep total probability {mass}")
 

@@ -47,7 +47,6 @@ from .permutation import (
 from .systems import (
     FAMILIES,
     ControllabilityReport,
-    MarkovClassification,
     NonstandardProbeResult,
     OracleResult,
     OracleSizeError,
@@ -55,7 +54,6 @@ from .systems import (
     SubmanifoldDescription,
     SystemSpec,
     analyze,
-    markov_classify,
     min_controls_check,
     oracle_check,
     probe_nonstandard,
@@ -91,7 +89,6 @@ __all__ = [
     "rotation_generator",
     "FAMILIES",
     "ControllabilityReport",
-    "MarkovClassification",
     "NonstandardProbeResult",
     "OracleResult",
     "OracleSizeError",
@@ -99,7 +96,6 @@ __all__ = [
     "SubmanifoldDescription",
     "SystemSpec",
     "analyze",
-    "markov_classify",
     "min_controls_check",
     "oracle_check",
     "probe_nonstandard",

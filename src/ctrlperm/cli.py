@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import functools
+import itertools
 import math
 import os
 import random
@@ -95,16 +96,17 @@ def _format_pairs(pairs):
 
 
 def _render_text(report):
+    spec = report.spec
     lines = [
-        f"family:         {report.family}",
-        f"n:              {report.n}",
-        f"controls:       {_format_pairs(report.controls)}",
-        f"drift:          {_format_pairs([report.drift]) if report.drift else 'none'}",
+        f"family:         {spec.family}",
+        f"n:              {spec.n}",
+        f"controls:       {_format_pairs(sorted(spec.controls))}",
+        f"drift:          {_format_pairs([spec.drift]) if spec.drift else 'none'}",
         f"verdict:        {'controllable' if report.controllable else 'not controllable'}",
         f"orbit class:    {report.method_class}",
         f"fixed points:   {', '.join(map(str, report.fixed_points)) or 'none'}",
         f"min controls:   {'satisfied' if report.min_controls_satisfied else 'NOT satisfied'}"
-        f" (needs >= {report.n - 1})",
+        f" (needs >= {spec.n - 1})",
         f"state space:    {report.submanifold.state_space}",
     ]
     if report.submanifold.components:
@@ -147,7 +149,7 @@ def _cmd_analyze(args):
             for m in basis:
                 sys.stdout.write(m.format_grid() + "\n\n")
     else:
-        doc = report_to_dict(report, spec, oracle_ran=args.oracle)
+        doc = report_to_dict(report)
         if args.dot:
             doc["dot"] = to_dot(control_graph(spec))
         if args.dump_basis:
@@ -166,14 +168,17 @@ def _cmd_compare(args):
         # neither samples nor prints anything
         check_oracle_size("so_n", n, max_n)
         rng = random.Random(seed)
-        specs = [
+        specs = (
             SystemSpec("so_n", n, frozenset(_sample_pairs(rng, n, m)))
             for _ in range(count)
-        ]
+        )
+        # each spec is drawn just before its row; the first one before the
+        # header, so a bad N or M, shared by every draw, prints nothing
+        specs = itertools.chain([next(specs)], specs)
     elif args.spec is not None:
         spec = parse_spec(_read(args.spec))
         check_oracle_size(spec.family, spec.n, max_n)
-        specs = [spec]
+        specs, count = [spec], 1
     else:
         raise SpecFormatError("compare needs a spec path or --random N M SEED COUNT")
     agreements = 0
@@ -193,13 +198,13 @@ def _cmd_compare(args):
         if not agree:
             print("  reproduce with spec:")
             print("  " + canonical_json(spec_to_dict(spec)).replace("\n", "\n  ").rstrip())
-    print(f"{agreements}/{len(specs)} agree")
-    return 0 if agreements == len(specs) else 1
+    print(f"{agreements}/{count} agree")
+    return 0 if agreements == count else 1
 
 
 def _cmd_probe(args):
     n, generators = parse_probe(_read(args.spec))
-    result = probe_nonstandard(generators, n=n, max_n=_oracle_max_n())
+    result = probe_nonstandard(generators, max_n=_oracle_max_n())
     print(
         "EXPERIMENTAL: the subgroup statistic below is a conjecture-level"
         " indicator; trust the rank-condition verdict."

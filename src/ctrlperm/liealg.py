@@ -127,13 +127,6 @@ class ExactMatrix:
     def transpose(self):
         return ExactMatrix(zip(*self.rows))
 
-    def apply(self, vector):
-        """Matrix-vector product with an exact vector of length n."""
-        vector = tuple(_as_exact(x) for x in vector)
-        if len(vector) != self.n:
-            raise ValueError(f"vector length {len(vector)} != {self.n}")
-        return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.rows)
-
     def is_zero(self):
         return all(a == 0 for row in self.rows for a in row)
 

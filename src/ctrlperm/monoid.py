@@ -207,6 +207,6 @@ def partition_from_pairs(pairs, n):
     partition and nothing else does.
     """
     uf = UnionFind(n)
-    for pair in sorted(set(pairs)):
+    for pair in pairs:
         uf.union(*check_pair(pair, n))
     return OrbitPartition(n, (g for g in uf.groups() if len(g) >= 2))

@@ -75,9 +75,6 @@ class Permutation:
     def __repr__(self):
         return f"Permutation.parse({format_cycles(self)!r}, n={self.n})"
 
-    def is_identity(self):
-        return all(v == k + 1 for k, v in enumerate(self.image))
-
     def moved_letters(self):
         """Letters not fixed by the permutation, as a frozenset."""
         return frozenset(k + 1 for k, v in enumerate(self.image) if v != k + 1)

@@ -231,7 +231,11 @@ def _write_int_rows(rows, inner, newline, out):
 
 def spec_digest(spec):
     """sha256 over the canonical spec serialization."""
-    return hashlib.sha256(canonical_json(spec_to_dict(spec)).encode()).hexdigest()
+    return _digest(spec_to_dict(spec))
+
+
+def _digest(spec_doc):
+    return hashlib.sha256(canonical_json(spec_doc).encode()).hexdigest()
 
 
 def parse_probe(text):
@@ -273,19 +277,25 @@ def _fraction_str(x):
     return str(Fraction(x))
 
 
-def report_to_dict(report, spec, oracle_ran):
-    """Dict form of a report, ready for :func:`canonical_json`."""
+def report_to_dict(report):
+    """Dict form of a report, ready for :func:`canonical_json`.
+
+    One :func:`spec_to_dict` of ``report.spec`` gives both the spec digest
+    and the report's family, n, controls and drift; ``oracle_ran`` says
+    whether the report carries an oracle result.
+    """
+    spec_doc = spec_to_dict(report.spec)
     sub = report.submanifold
     doc = {
         "provenance": {
             "tool_version": __version__,
-            "spec_digest": spec_digest(spec),
-            "oracle_ran": bool(oracle_ran),
+            "spec_digest": _digest(spec_doc),
+            "oracle_ran": report.oracle is not None,
         },
-        "family": report.family,
-        "n": report.n,
-        "controls": [list(p) for p in report.controls],
-        "drift": list(report.drift) if report.drift is not None else None,
+        "family": spec_doc["family"],
+        "n": spec_doc["n"],
+        "controls": spec_doc["controls"],
+        "drift": spec_doc.get("drift"),
         "controllable": report.controllable,
         "method_class": str(report.method_class),
         "orbits": [list(o) for o in report.orbits],

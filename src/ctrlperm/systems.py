@@ -38,14 +38,12 @@ __all__ = [
     "SubmanifoldComponent",
     "SubmanifoldDescription",
     "ControllabilityReport",
-    "MarkovClassification",
     "NonstandardProbeResult",
     "OracleSizeError",
     "analyze",
     "oracle_check",
     "check_oracle_size",
     "min_controls_check",
-    "markov_classify",
     "probe_nonstandard",
 ]
 
@@ -119,9 +117,6 @@ class SystemSpec:
             return self.controls
         return self.controls | {self.drift}
 
-    def sorted_pairs(self):
-        return tuple(sorted(self.all_pairs))
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -165,10 +160,9 @@ class SubmanifoldDescription:
 
 @dataclass(frozen=True)
 class ControllabilityReport:
-    family: str
-    n: int
-    controls: tuple
-    drift: tuple | None
+    """Outcome of :func:`analyze` on ``spec``; see there for the markov reading."""
+
+    spec: SystemSpec
     controllable: bool
     method_class: OrbitPartition
     orbits: tuple
@@ -176,12 +170,6 @@ class ControllabilityReport:
     min_controls_satisfied: bool
     oracle: OracleResult | None
     submanifold: SubmanifoldDescription
-
-
-@dataclass(frozen=True)
-class MarkovClassification:
-    irreducible: bool
-    communication_classes: tuple
 
 
 @dataclass(frozen=True)
@@ -319,17 +307,18 @@ def analyze(spec, with_oracle=False, oracle_max_n=None):
     merge; on these compact state spaces the drift contributes to
     reachability exactly like a control.  The permutation verdict never
     touches matrix arithmetic.  With ``with_oracle=True`` the exact
-    rank-condition oracle runs as well and its result is attached.
+    rank-condition oracle runs as well and its result is attached; otherwise
+    ``oracle`` is None.  The report keeps ``spec`` itself rather than copies
+    of its fields.  For a markov spec ``controllable`` says whether the chain
+    is irreducible, and ``orbits`` together with the singletons of
+    ``fixed_points`` are its communication classes.
     """
     method_class = partition_from_pairs(spec.all_pairs, spec.n)
     orbits = method_class.sorted_orbits()
     fixed_points = tuple(sorted(method_class.fixed_points()))
     oracle = oracle_check(spec, max_n=oracle_max_n) if with_oracle else None
     return ControllabilityReport(
-        family=spec.family,
-        n=spec.n,
-        controls=tuple(sorted(spec.controls)),
-        drift=spec.drift,
+        spec=spec,
         controllable=method_class.is_full(),
         method_class=method_class,
         orbits=orbits,
@@ -370,7 +359,7 @@ def oracle_check(spec, max_n=None):
     permutation method's output.
     """
     check_oracle_size(spec.family, spec.n, max_n)
-    pairs = spec.sorted_pairs()
+    pairs = sorted(spec.all_pairs)
     # a markov chain with every rate frozen has no generators: the zero algebra
     closure = lie_closure([_generator(spec, p) for p in pairs]) if pairs else LinearSpan(spec.n)
     controllable = closure.dim == _full_dim(spec)
@@ -386,24 +375,6 @@ def oracle_check(spec, max_n=None):
     return OracleResult(
         dim=closure.dim, controllable=controllable, orbits=blocks, agrees=agrees,
         closure=closure,
-    )
-
-
-def markov_classify(spec):
-    """Communication structure of a controlled symmetric Markov chain.
-
-    The chain is irreducible exactly when the rate pattern merges all states
-    into one orbit.  States touched by no pair form singleton classes.
-    """
-    if spec.family != MARKOV:
-        raise ValueError(f"markov_classify needs a markov spec, got {spec.family!r}")
-    method_class = partition_from_pairs(spec.all_pairs, spec.n)
-    classes = list(method_class.sorted_orbits())
-    classes.extend((j,) for j in sorted(method_class.fixed_points()))
-    classes.sort(key=lambda c: c[0])
-    return MarkovClassification(
-        irreducible=method_class.is_full(),
-        communication_classes=tuple(classes),
     )
 
 
@@ -437,7 +408,7 @@ def _disjoint_pair_decomposition(matrix):
     return pairs
 
 
-def probe_nonstandard(generators, n=None, cap=None, max_n=None):
+def probe_nonstandard(generators, max_n=None):
     """Experimental subgroup test for non-standard-basis generators.
 
     Each generator must be a signed sum of rotation generators on pairwise
@@ -447,25 +418,23 @@ def probe_nonstandard(generators, n=None, cap=None, max_n=None):
     computed from the matrices themselves.  The subgroup statistic is a
     conjecture-level indicator and must not be read as a verdict.
 
-    ``n`` must not exceed the rotation oracle guard (``max_n`` overrides
-    it), checked before any work; the subgroup enumeration stops after
-    ``cap`` elements (default :data:`PROBE_SUBGROUP_CAP`).
+    All generators are n-by-n, n taken from the first one.  ``n`` must not
+    exceed the rotation oracle guard (``max_n`` overrides it), checked before
+    any work; the subgroup enumeration stops after
+    :data:`PROBE_SUBGROUP_CAP` elements.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
-    if n is None:
-        n = generators[0].n
+    n = generators[0].n
     check_oracle_size(SO_N, n, max_n)
-    if cap is None:
-        cap = PROBE_SUBGROUP_CAP
     images = []
     for g in generators:
         if g.n != n:
             raise ValueError(f"generator size {g.n} != {n}")
         pairs = _disjoint_pair_decomposition(g)
         images.append(Permutation.from_cycles(n, pairs))
-    subgroup = generate_subgroup(images, n, cap=cap)
+    subgroup = generate_subgroup(images, n, cap=PROBE_SUBGROUP_CAP)
     closure = lie_closure(generators)
     return NonstandardProbeResult(
         n=n,

@@ -285,6 +285,25 @@ def test_compare_size_guard_refuses_before_the_header(write, capsys, monkeypatch
     assert "size guard" in captured.err
 
 
+def test_compare_random_draws_each_spec_before_its_row(capsys, monkeypatch):
+    draws, seen = [], []
+    real_sample, real_analyze = cli._sample_pairs, cli.analyze
+
+    def sample(*args):
+        draws.append(args)
+        return real_sample(*args)
+
+    def record(spec):
+        seen.append(len(draws))
+        return real_analyze(spec)
+
+    monkeypatch.setattr(cli, "_sample_pairs", sample)
+    monkeypatch.setattr(cli, "analyze", record)
+    assert main(["compare", "--random", "5", "4", "1", "3"]) == 0
+    assert seen == [1, 2, 3]
+    assert capsys.readouterr().out.endswith("\n3/3 agree\n")
+
+
 @pytest.mark.parametrize(
     "argv, max_n",
     [(["2000", "3", "1", "1"], None), (["13", "5", "1", "4"], None), (["6", "5", "1", "4"], "5")],
@@ -354,8 +373,8 @@ def test_probe_enumeration_is_capped(monkeypatch):
         return real(generators, n, cap=cap)
 
     monkeypatch.setattr(systems, "generate_subgroup", recording)
-    n, gens = parse_probe(PROBE4)
-    systems.probe_nonstandard(gens, n=n)
+    _, gens = parse_probe(PROBE4)
+    systems.probe_nonstandard(gens)
     assert caps == [362880]  # 9!: every probe on at most nine letters is exact
 
 

@@ -183,7 +183,7 @@ REPORT_SPECS = [
 @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
 def test_canonical_json_of_real_reports(spec, oracle):
     report = analyze(spec, with_oracle=oracle)
-    doc = report_to_dict(report, spec, oracle_ran=oracle)
+    doc = report_to_dict(report)
     assert canonical_json(doc) == reference(doc)
     doc["dot"] = to_dot(control_graph(spec))
     if oracle:

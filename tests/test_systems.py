@@ -12,7 +12,6 @@ from ctrlperm.systems import (
     _agent_labels,
     _rotation_labels,
     analyze,
-    markov_classify,
     min_controls_check,
     oracle_check,
     probe_nonstandard,
@@ -226,23 +225,27 @@ def test_too_few_pairs_never_controllable():
 # ------------------------------------------------------------- markov
 
 
+def communication_classes(report):
+    """A markov report's orbits and fixed-point singletons, by smallest state."""
+    return tuple(sorted(report.orbits + tuple((j,) for j in report.fixed_points)))
+
+
 def test_markov_classify():
+    # for a markov spec the verdict is irreducibility
     chain = SystemSpec("markov", 5, frozenset([(1, 2), (2, 3), (3, 4), (4, 5)]))
-    assert markov_classify(chain).irreducible
-    split = markov_classify(SystemSpec("markov", 5, frozenset([(1, 2), (4, 5)])))
-    assert not split.irreducible
-    assert split.communication_classes == ((1, 2), (3,), (4, 5))
-    drift_only = markov_classify(SystemSpec("markov", 3, frozenset(), drift=(1, 2)))
-    assert drift_only.communication_classes == ((1, 2), (3,))
-    with pytest.raises(ValueError):
-        markov_classify(so_spec(3, [(1, 2)]))
+    assert analyze(chain).controllable
+    split = analyze(SystemSpec("markov", 5, frozenset([(1, 2), (4, 5)])))
+    assert not split.controllable
+    assert communication_classes(split) == ((1, 2), (3,), (4, 5))
+    drift_only = analyze(SystemSpec("markov", 3, frozenset(), drift=(1, 2)))
+    assert communication_classes(drift_only) == ((1, 2), (3,))
 
 
 def test_markov_all_rates_frozen():
     # the zero intensity pattern is a valid (frozen) chain for markov only
-    frozen = markov_classify(SystemSpec("markov", 3, frozenset()))
-    assert not frozen.irreducible
-    assert frozen.communication_classes == ((1,), (2,), (3,))
+    frozen = analyze(SystemSpec("markov", 3, frozenset()))
+    assert not frozen.controllable
+    assert communication_classes(frozen) == ((1,), (2,), (3,))
     with pytest.raises(ValueError):
         SystemSpec("so_n", 3, frozenset())
 
