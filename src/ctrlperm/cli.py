@@ -139,7 +139,8 @@ def _cmd_analyze(args):
     max_n = _oracle_max_n()
     report = analyze(spec, with_oracle=args.oracle, oracle_max_n=max_n)
     if args.dump_basis:
-        basis = (report.oracle or oracle_check(spec, max_n=max_n)).closure.basis
+        oracle = report.oracle or oracle_check(spec, report.method_class, max_n=max_n)
+        basis = oracle.closure.basis
     if args.text:
         sys.stdout.write(_render_text(report))
         if args.dot:
@@ -185,13 +186,14 @@ def _cmd_compare(args):
     header = f"{'idx':>5}  {'n':>3}  {'m':>3}  {'perm':<7} {'oracle':<7} {'dim':>4}  agree"
     print(header)
     for idx, spec in enumerate(specs):
-        report = analyze(spec)
-        oracle = oracle_check(spec, max_n=max_n)
+        # the table needs only the permutation verdict, not a full report
+        method_class = spec.orbit_class()
+        oracle = oracle_check(spec, method_class, max_n=max_n)
         agree = oracle.agrees
         agreements += agree
         print(
             f"{idx:>5}  {spec.n:>3}  {len(spec.all_pairs):>3}  "
-            f"{'yes' if report.controllable else 'no':<7} "
+            f"{'yes' if method_class.is_full() else 'no':<7} "
             f"{'yes' if oracle.controllable else 'no':<7} "
             f"{oracle.dim:>4}  {'ok' if agree else 'DISAGREEMENT'}"
         )
@@ -213,8 +215,7 @@ def _cmd_probe(args):
     print(f"generators:      {len(generators)}")
     print("permutations:    " + ", ".join(str(p) for p in result.permutation_images))
     group_note = "the full symmetric group" if result.subgroup_is_full_symmetric else "a proper subgroup"
-    truncated = " (enumeration truncated)" if result.subgroup_truncated else ""
-    print(f"subgroup order:  {result.subgroup_order} ({group_note}){truncated}")
+    print(f"subgroup order:  {result.subgroup_order} ({group_note})")
     print(f"larc dimension:  {result.larc_dim} of {n * (n - 1) // 2}")
     print(
         "larc verdict:    "

@@ -65,7 +65,8 @@ class UnionFind:
         members = {}
         for a in range(1, len(self.parent)):
             members.setdefault(self.find(a), []).append(a)
-        return tuple(tuple(sorted(g)) for g in sorted(members.values()))
+        # a list, not a generator: see specio._write_int_rows
+        return tuple([tuple(sorted(g)) for g in sorted(members.values())])
 
 
 class OrbitPartition:

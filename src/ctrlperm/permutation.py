@@ -211,47 +211,134 @@ def is_k_cycle(sigma, k):
 
 @dataclass(frozen=True)
 class SubgroupSummary:
-    """Result of a breadth-first subgroup enumeration.
-
-    ``order`` is exact when ``truncated`` is False; when the enumeration hit
-    the cap it is only the number of elements discovered so far.
-    """
+    """Exact order of a subgroup of S_n, and whether it is all of S_n."""
 
     order: int
     is_full_symmetric: bool
-    truncated: bool
 
 
-def generate_subgroup(generators, n, cap=None):
-    """Enumerate the subgroup generated by ``generators`` inside S_n.
+class _Level:
+    """One level of a stabilizer chain, on 0-based image tuples.
 
-    Plain breadth-first closure under left multiplication by the generators,
-    with a visited set keyed on the image tuple.  ``cap`` bounds the number
-    of elements enumerated (default ``10 * n!``); if it is exceeded the
-    summary comes back truncated.  Intended for small n (n <= 8 or so).
+    ``gens`` generate the stabilizer of the earlier levels' base points;
+    ``transversal`` maps each point of the orbit of ``base`` under them to a
+    pair ``(u, u_inv)`` with ``u[base] == point``; ``checked`` holds the
+    (orbit point, generator index) pairs whose Schreier generator needs no
+    more sifting.
     """
-    if cap is None:
-        cap = 10 * factorial(n)
-    gens = []
+
+    __slots__ = ("base", "gens", "transversal", "checked")
+
+    def __init__(self, base, identity_image):
+        self.base = base
+        self.gens = []
+        self.transversal = {base: (identity_image, identity_image)}
+        self.checked = set()
+
+    def add_generator(self, g):
+        """Append ``g`` and extend the orbit of ``base`` to the new generators."""
+        self.gens.append(g)
+        transversal, checked = self.transversal, self.checked
+        # the old points are closed under the old generators: only g can
+        # leave them, while a new point must meet every generator
+        todo = [(u, point) for point, (u, _) in transversal.items()]
+        gens = [(len(self.gens) - 1, g)]
+        while todo:
+            fresh = []
+            for u, point in todo:
+                for index, s in gens:
+                    image = s[point]
+                    if image not in transversal:
+                        v = tuple(map(s.__getitem__, u))
+                        # the inverse of v lists the points in the order of their images
+                        transversal[image] = (v, tuple(sorted(range(len(v)), key=v.__getitem__)))
+                        # this edge defines v, so its Schreier generator is the identity
+                        checked.add((point, index))
+                        fresh.append((v, image))
+            todo, gens = fresh, list(enumerate(self.gens))
+
+
+def _sift(chain, start, h):
+    """Strip ``h`` through ``chain[start:]``: the residue and the level it stopped at.
+
+    The residue is the identity exactly when ``h`` lies in the group that a
+    complete ``chain[start:]`` describes; otherwise it fixes the base points
+    of every level before the returned index.
+    """
+    for at in range(start, len(chain)):
+        level = chain[at]
+        point = h[level.base]
+        if point != level.base:
+            entry = level.transversal.get(point)
+            if entry is None:
+                return h, at
+            h = tuple(map(entry[1].__getitem__, h))
+    return h, len(chain)
+
+
+def _next_residue(chain, at, identity_image):
+    """Sift the unchecked Schreier generators of ``chain[at]`` through the levels below.
+
+    Returns the first residue other than the identity with the level its
+    sift stopped at, or ``(None, None)`` once every pair is checked.
+    """
+    level = chain[at]
+    transversal, checked = level.transversal, level.checked
+    for point, (u, _) in transversal.items():
+        for index, s in enumerate(level.gens):
+            if (point, index) in checked:
+                continue
+            checked.add((point, index))
+            # u_inv(s(point)) * s * u fixes the base point
+            v_inv = transversal[s[point]][1]
+            h, stop = _sift(chain, at + 1, tuple(map(v_inv.__getitem__, map(s.__getitem__, u))))
+            if h != identity_image:
+                return h, stop
+    return None, None
+
+
+def generate_subgroup(generators, n):
+    """Exact order of the subgroup of S_n generated by ``generators``.
+
+    Deterministic Schreier-Sims (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4): build a stabilizer chain with explicit
+    transversals, completing it from the deepest level up, until the Schreier
+    generator of every (orbit point, generator) pair of every level sifts to
+    the identity through the levels below it.  The order is the product of
+    the orbit lengths.  Time and memory are polynomial in n and the number of
+    generators; no group element is listed.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one letter, got n={n}")
+    one = tuple(range(n))
+    chain = []
     for g in generators:
         if g.n != n:
             raise ValueError(f"generator on {g.n} letters, expected {n}")
-        gens.append(g)
-    seen = {identity(n).image}
-    frontier = list(seen)
-    while frontier:
-        next_frontier = []
-        for img in frontier:
-            for g in gens:
-                prod = tuple(g.image[v - 1] for v in img)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        return SubgroupSummary(len(seen), False, True)
-                    seen.add(prod)
-                    next_frontier.append(prod)
-        frontier = next_frontier
-    order = len(seen)
-    return SubgroupSummary(order, order == factorial(n), False)
+        image = tuple(v - 1 for v in g.image)
+        if image != one:
+            if not chain:
+                chain.append(_Level(next(x for x in one if image[x] != x), one))
+            chain[0].add_generator(image)
+    # invariant: each level below ``at`` is complete for the group its
+    # generators generate, so sifting through them decides membership
+    at = len(chain) - 1
+    while at >= 0:
+        residue, stop = _next_residue(chain, at, one)
+        if residue is None:
+            at -= 1
+            continue
+        if stop == len(chain):
+            chain.append(_Level(next(x for x in one if residue[x] != x), one))
+        # the residue fixes the base points of chain[:stop], so it joins the
+        # generators of every level from the stabilizer of chain[at] to chain[stop]
+        for level in chain[at + 1 : stop + 1]:
+            level.add_generator(residue)
+        at = stop
+    order = 1
+    for level in chain:
+        order *= len(level.transversal)
+    return SubgroupSummary(order, order == factorial(n))
 
 
 def format_cycles(sigma):

@@ -52,11 +52,11 @@ def _as_pair(value, what):
 
 
 def _as_rational(value, what):
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SpecFormatError(f"{what} must be an integer or a rational string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    # json.loads yields exact types; an int stays an int, which ExactMatrix
+    # keeps as it is, and only a string is parsed as a Fraction
+    if type(value) is int:
+        return value
+    if type(value) is str:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -220,7 +220,11 @@ def _write_int_rows(rows, inner, newline, out):
     widths = set(map(len, rows))
     if len(widths) != 1 or 0 in widths:
         return False
-    cells = tuple(itertools.chain.from_iterable(rows))
+    # through a list: tuple() of an iterator of unknown length allocates ten
+    # slots and resizes, so each call moves a tuple onto the interpreter's
+    # free list for another size, and those lists fill up and hold their
+    # memory until a full garbage collection
+    cells = tuple([*itertools.chain.from_iterable(rows)])
     if set(map(type, cells)) != {int}:
         return False
     cell = inner + "  "

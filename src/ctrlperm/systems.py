@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .liealg import ExactMatrix, LinearSpan, coupling_entries, lie_closure, rotation_entries
 from .monoid import OrbitPartition, UnionFind, partition_from_pairs
@@ -59,10 +58,6 @@ _ROTATION_FAMILIES = (SO_N, SPHERE)
 # but still a few seconds of work at the top end.
 ORACLE_MAX_ROTATION = 12
 ORACLE_MAX_AGENTS = 8
-
-# Largest subgroup the probe enumerates: all of S_9.  Every probe on at most
-# nine letters is enumerated in full; larger ones report a truncated count.
-PROBE_SUBGROUP_CAP = factorial(9)
 
 
 class OracleSizeError(ValueError):
@@ -116,6 +111,10 @@ class SystemSpec:
         if self.drift is None:
             return self.controls
         return self.controls | {self.drift}
+
+    def orbit_class(self):
+        """The permutation route's answer: :attr:`all_pairs` merged into an orbit partition."""
+        return partition_from_pairs(self.all_pairs, self.n)
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,6 @@ class NonstandardProbeResult:
     permutation_images: tuple
     subgroup_order: int
     subgroup_is_full_symmetric: bool
-    subgroup_truncated: bool
     larc_dim: int
     larc_controllable: bool
     experimental: bool = True
@@ -313,10 +311,10 @@ def analyze(spec, with_oracle=False, oracle_max_n=None):
     is irreducible, and ``orbits`` together with the singletons of
     ``fixed_points`` are its communication classes.
     """
-    method_class = partition_from_pairs(spec.all_pairs, spec.n)
+    method_class = spec.orbit_class()
     orbits = method_class.sorted_orbits()
     fixed_points = tuple(sorted(method_class.fixed_points()))
-    oracle = oracle_check(spec, max_n=oracle_max_n) if with_oracle else None
+    oracle = oracle_check(spec, method_class, max_n=oracle_max_n) if with_oracle else None
     return ControllabilityReport(
         spec=spec,
         controllable=method_class.is_full(),
@@ -347,16 +345,17 @@ def check_oracle_size(family, n, max_n=None):
         )
 
 
-def oracle_check(spec, max_n=None):
+def oracle_check(spec, method_class, max_n=None):
     """Settle controllability by exact Lie-bracket closure and rank.
 
     Builds the generator matrices for the spec's pairs, closes them under
     the bracket, and compares the closure dimension against the full algebra
     dimension.  The orbit structure is recovered independently of the
     permutation method: two letters belong together exactly when the basis
-    generator on that letter pair lies in the closure.  ``agrees`` is True
-    when both the verdict and the recovered orbit partition match the
-    permutation method's output.
+    generator on that letter pair lies in the closure.  ``method_class`` is
+    the permutation method's output, ``spec.orbit_class()``, and is read
+    only for ``agrees``: True when both the verdict and the recovered orbit
+    partition match it.
     """
     check_oracle_size(spec.family, spec.n, max_n)
     pairs = sorted(spec.all_pairs)
@@ -368,7 +367,6 @@ def oracle_check(spec, max_n=None):
         if closure.contains(_generator_entries(spec, (a, b))):
             uf.union(a, b)
     blocks = tuple(g for g in uf.groups() if len(g) >= 2)
-    method_class = partition_from_pairs(spec.all_pairs, spec.n)
     agrees = (controllable == method_class.is_full()) and (
         blocks == method_class.sorted_orbits()
     )
@@ -420,8 +418,8 @@ def probe_nonstandard(generators, max_n=None):
 
     All generators are n-by-n, n taken from the first one.  ``n`` must not
     exceed the rotation oracle guard (``max_n`` overrides it), checked before
-    any work; the subgroup enumeration stops after
-    :data:`PROBE_SUBGROUP_CAP` elements.
+    any work.  The subgroup order is exact at every size: it comes from a
+    stabilizer chain, so the guard is there for the closure alone.
     """
     generators = list(generators)
     if not generators:
@@ -434,14 +432,13 @@ def probe_nonstandard(generators, max_n=None):
             raise ValueError(f"generator size {g.n} != {n}")
         pairs = _disjoint_pair_decomposition(g)
         images.append(Permutation.from_cycles(n, pairs))
-    subgroup = generate_subgroup(images, n, cap=PROBE_SUBGROUP_CAP)
+    subgroup = generate_subgroup(images, n)
     closure = lie_closure(generators)
     return NonstandardProbeResult(
         n=n,
         permutation_images=tuple(images),
         subgroup_order=subgroup.order,
         subgroup_is_full_symmetric=subgroup.is_full_symmetric,
-        subgroup_truncated=subgroup.truncated,
         larc_dim=closure.dim,
         larc_controllable=closure.dim == n * (n - 1) // 2,
     )

@@ -195,3 +195,26 @@ def reference_closure_basis(generators):
     return tuple(
         ExactMatrix([row[i * n : (i + 1) * n] for i in range(n)]) for row in space.rows
     )
+
+
+# ------------------------------------------ reference subgroup order
+#
+# The subgroup order as it was found before the stabilizer chain: every
+# element listed, breadth first.  Exponential in n, so only for the small
+# groups the tests draw; it pins ``generate_subgroup``'s order exactly.
+
+
+def reference_subgroup_order(generators, n):
+    """Order of the subgroup of S_n generated by ``generators``, by listing it."""
+    seen = {tuple(range(1, n + 1))}
+    frontier = list(seen)
+    while frontier:
+        next_frontier = []
+        for img in frontier:
+            for g in generators:
+                prod = tuple(g.image[v - 1] for v in img)
+                if prod not in seen:
+                    seen.add(prod)
+                    next_frontier.append(prod)
+        frontier = next_frontier
+    return len(seen)

@@ -72,13 +72,13 @@ def instance_pool():
         for _ in range(100):
             m = 1 + int(rng.random() * (n * (n - 1) // 2))
             specs.append(SystemSpec("multi_agent", n, frozenset(sample_pairs(rng, n, m))))
-    return [(spec, _analyze_tracked(spec), oracle_check(spec)) for spec in specs]
+    return [(spec, _analyze_tracked(spec), oracle_check(spec, spec.orbit_class())) for spec in specs]
 
 
 def test_criterion_01_rotation_chain_on_five_letters():
     spec = SystemSpec("so_n", 5, frozenset([(1, 2), (2, 3), (3, 4), (4, 5)]))
     report = _analyze_tracked(spec)
-    oracle = oracle_check(spec)
+    oracle = oracle_check(spec, spec.orbit_class())
     failures = []
     if not report.controllable:
         failures.append("verdict not controllable")
@@ -94,7 +94,7 @@ def test_criterion_01_rotation_chain_on_five_letters():
 def test_criterion_02_split_chain_on_five_letters():
     spec = SystemSpec("so_n", 5, frozenset([(1, 2), (2, 3), (4, 5)]))
     report = _analyze_tracked(spec)
-    oracle = oracle_check(spec)
+    oracle = oracle_check(spec, spec.orbit_class())
     graph_parts = [c for c in components(control_graph(spec)) if len(c) >= 2]
     failures = []
     if report.controllable:
@@ -113,7 +113,7 @@ def test_criterion_03_redundant_pair_degeneracy():
     spec = SystemSpec("so_n", 4, frozenset(listed))
     ordered = transposition_product(listed, 4)
     report = _analyze_tracked(spec)
-    oracle = oracle_check(spec)
+    oracle = oracle_check(spec, spec.orbit_class())
     failures = []
     if ordered != Permutation.from_cycles(4, [(2, 3, 4)]):
         failures.append(f"ordered product {ordered}")

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,21 @@ def test_parse_probe():
         parse_probe('{"n": 4}')
     with pytest.raises(SpecFormatError):
         parse_probe('{"n": 2, "generators": [[["0"]]]}')
+
+
+def test_parse_probe_entry_types():
+    n, (g,) = parse_probe('{"n": 2, "generators": [[[0, 1], ["-1", "1/2"]]]}')
+    assert g.rows == ((0, 1), (-1, Fraction(1, 2)))
+    assert [type(x) for row in g.rows for x in row] == [int, int, int, Fraction]
+    for bad in ("true", "1.0", "null", "[1]"):
+        with pytest.raises(SpecFormatError) as err:
+            parse_probe('{"n": 1, "generators": [[[%s]]]}' % bad)
+        assert str(err.value) == (
+            "generator 0 entry must be an integer or a rational string, got "
+            + repr(json.loads(bad))
+        )
+    with pytest.raises(SpecFormatError, match="is not a rational: '1/0'"):
+        parse_probe('{"n": 1, "generators": [[["1/0"]]]}')
 
 
 # ---------------------------------------------------------- analyze
@@ -247,6 +263,26 @@ def test_compare_single_spec(write, capsys):
     assert "1/1 agree" in capsys.readouterr().out
 
 
+def test_compare_merges_once_and_builds_no_report(capsys, monkeypatch):
+    merges = []
+    real = systems.partition_from_pairs
+
+    def counting(pairs, n):
+        merges.append(n)
+        return real(pairs, n)
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("compare built a full report")
+
+    assert main(["compare", "--random", "6", "4", "3", "5"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(systems, "partition_from_pairs", counting)
+    monkeypatch.setattr(cli, "analyze", no_report)
+    assert main(["compare", "--random", "6", "4", "3", "5"]) == 0
+    assert capsys.readouterr().out == expected
+    assert merges == [6] * 5
+
+
 def test_compare_routes_probe_files_to_exit_2(write, capsys):
     assert main(["compare", write("g.json", PROBE4)]) == 2
     assert "probe subcommand" in capsys.readouterr().err
@@ -287,18 +323,18 @@ def test_compare_size_guard_refuses_before_the_header(write, capsys, monkeypatch
 
 def test_compare_random_draws_each_spec_before_its_row(capsys, monkeypatch):
     draws, seen = [], []
-    real_sample, real_analyze = cli._sample_pairs, cli.analyze
+    real_sample, real_oracle = cli._sample_pairs, cli.oracle_check
 
     def sample(*args):
         draws.append(args)
         return real_sample(*args)
 
-    def record(spec):
+    def record(spec, *args, **kwargs):
         seen.append(len(draws))
-        return real_analyze(spec)
+        return real_oracle(spec, *args, **kwargs)
 
     monkeypatch.setattr(cli, "_sample_pairs", sample)
-    monkeypatch.setattr(cli, "analyze", record)
+    monkeypatch.setattr(cli, "oracle_check", record)
     assert main(["compare", "--random", "5", "4", "1", "3"]) == 0
     assert seen == [1, 2, 3]
     assert capsys.readouterr().out.endswith("\n3/3 agree\n")
@@ -364,18 +400,25 @@ def test_probe_size_guard_refuses_before_any_work(write, capsys, monkeypatch):
     assert "size guard" in capsys.readouterr().err
 
 
-def test_probe_enumeration_is_capped(monkeypatch):
-    caps = []
-    real = systems.generate_subgroup
+def _path_probe(n):
+    """One rotation generator per pair (i, i+1): its permutations generate S_n."""
+    grids = []
+    for i in range(n - 1):
+        rows = [[0] * n for _ in range(n)]
+        rows[i][i + 1], rows[i + 1][i] = 1, -1
+        grids.append(rows)
+    return json.dumps({"n": n, "generators": grids})
 
-    def recording(generators, n, cap=None):
-        caps.append(cap)
-        return real(generators, n, cap=cap)
 
-    monkeypatch.setattr(systems, "generate_subgroup", recording)
-    _, gens = parse_probe(PROBE4)
-    systems.probe_nonstandard(gens)
-    assert caps == [362880]  # 9!: every probe on at most nine letters is exact
+def test_probe_reports_the_exact_order_of_long_paths(write, capsys):
+    # past nine letters the old listing stopped at 9! and printed
+    # "362880 (a proper subgroup) (enumeration truncated)"
+    for n, order in ((10, 3628800), (12, 479001600)):
+        assert main(["probe", write(f"path{n}.json", _path_probe(n))]) == 0
+        out = capsys.readouterr().out
+        assert f"subgroup order:  {order} (the full symmetric group)\n" in out
+        assert f"larc dimension:  {n * (n - 1) // 2} of {n * (n - 1) // 2}\n" in out
+        assert "truncated" not in out
 
 
 # ---------------------------------------------------------------- gen

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ctrlperm.permutation import (
     CycleDecomposition,
     Permutation,
+    SubgroupSummary,
     compose,
     cycle_decomposition,
     generate_subgroup,
@@ -17,7 +18,12 @@ from ctrlperm.permutation import (
     transposition,
     transposition_product,
 )
-from helpers import random_permutation, transposition_decomposition
+from helpers import (
+    random_permutation,
+    reference_subgroup_order,
+    shuffled,
+    transposition_decomposition,
+)
 
 
 def perms_of(n):
@@ -145,18 +151,30 @@ def test_generate_subgroup_dihedral_and_symmetric():
     a = Permutation.from_cycles(4, [(1, 2), (3, 4)])
     b = Permutation.from_cycles(4, [(2, 3)])
     small = generate_subgroup([a, b], 4)
-    assert (small.order, small.is_full_symmetric, small.truncated) == (8, False, False)
+    assert (small.order, small.is_full_symmetric) == (8, False)
     full = generate_subgroup([a, b, transposition(4, (1, 2))], 4)
-    assert (full.order, full.is_full_symmetric, full.truncated) == (24, True, False)
+    assert (full.order, full.is_full_symmetric) == (24, True)
     trivial = generate_subgroup([identity(3)], 3)
     assert trivial.order == 1 and not trivial.is_full_symmetric
 
 
-def test_generate_subgroup_cap_truncates():
-    gens = [transposition(5, (i, i + 1)) for i in range(1, 5)]
-    capped = generate_subgroup(gens, 5, cap=10)
-    assert capped.truncated
-    assert capped.order <= 10
+def test_generate_subgroup_is_exact_beyond_nine_letters():
+    # the listing this replaced stopped at 9! elements and called S_10 "proper"
+    for n in (10, 12, 30):
+        path = [transposition(n, (i, i + 1)) for i in range(1, n)]
+        assert generate_subgroup(path, n) == SubgroupSummary(factorial(n), True)
+        # a transposition and an n-cycle generate S_n; the n-cycle alone, Z_n
+        cycle = Permutation.from_cycles(n, [range(1, n + 1)])
+        assert generate_subgroup([path[0], cycle], n).order == factorial(n)
+        assert generate_subgroup([cycle], n).order == n
+        # the 3-cycles (1 2 k) generate the alternating group
+        threes = [Permutation.from_cycles(n, [(1, 2, k)]) for k in range(3, n + 1)]
+        assert generate_subgroup(threes, n) == SubgroupSummary(factorial(n) // 2, False)
+    # products of the transpositions (1 2), (3 4), ... on 24 letters: 2^12
+    pairs = [transposition(24, (i, i + 1)) for i in range(1, 24, 2)]
+    assert generate_subgroup(pairs, 24).order == 2**12
+    with pytest.raises(TypeError):
+        generate_subgroup(path, n, cap=10)
 
 
 def test_generate_subgroup_order_divides_factorial():
@@ -165,8 +183,51 @@ def test_generate_subgroup_order_divides_factorial():
         n = 3 + int(rng.random() * 3)
         gens = [random_permutation(rng, n) for _ in range(2)]
         summary = generate_subgroup(gens, n)
-        assert not summary.truncated
         assert factorial(n) % summary.order == 0
+
+
+def _disjoint_transpositions(rng, n):
+    """A product of disjoint transpositions, as the probe maps its generators."""
+    letters = shuffled(rng, range(1, n + 1))
+    k = int(rng.random() * (n // 2 + 1))
+    return Permutation.from_cycles(n, [letters[2 * i : 2 * i + 2] for i in range(k)])
+
+
+def test_generate_subgroup_matches_the_breadth_first_listing():
+    rng = random.Random(20261018)
+    kinds = {"empty": 0, "identity only": 0, "repeated": 0, "n=1": 0, "n=2": 0}
+    for case in range(600):
+        n = 1 + case % 7
+        gens = []
+        for _ in range(int(rng.random() * 5)):
+            draw = rng.random()
+            if draw < 0.4:
+                gens.append(_disjoint_transpositions(rng, n))
+            elif draw < 0.75:
+                gens.append(random_permutation(rng, n))
+            elif draw < 0.9 and gens:
+                gens.append(gens[int(rng.random() * len(gens))])
+            else:
+                gens.append(identity(n))
+        if case % 50 == 0:
+            gens = [identity(n)] * (1 + case % 3)
+        kinds["empty"] += not gens
+        kinds["identity only"] += bool(gens) and all(g == identity(n) for g in gens)
+        kinds["repeated"] += len(set(gens)) < len(gens)
+        kinds["n=1"] += n == 1
+        kinds["n=2"] += n == 2
+        order = reference_subgroup_order(gens, n)
+        assert generate_subgroup(gens, n) == SubgroupSummary(order, order == factorial(n)), (
+            n, [str(g) for g in gens],
+        )
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_generate_subgroup_rejects_bad_input():
+    with pytest.raises(ValueError):
+        generate_subgroup([identity(3), identity(4)], 3)
+    with pytest.raises(ValueError):
+        generate_subgroup([], 0)
 
 
 def test_render_and_parse_round_trip_examples():

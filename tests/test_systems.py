@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ctrlperm import systems
 from ctrlperm.liealg import coupling_generator, lie_closure, rotation_generator
 from ctrlperm.monoid import OrbitPartition
 from ctrlperm.systems import (
@@ -172,7 +173,8 @@ def test_generator_labels_match_their_definition():
 
 
 def test_oracle_split_chain_agreement():
-    result = oracle_check(so_spec(5, [(1, 2), (2, 3), (4, 5)]))
+    spec = so_spec(5, [(1, 2), (2, 3), (4, 5)])
+    result = oracle_check(spec, spec.orbit_class())
     assert result.dim == 4
     assert not result.controllable
     assert result.orbits == ((1, 2, 3), (4, 5))
@@ -180,25 +182,51 @@ def test_oracle_split_chain_agreement():
 
 
 def test_oracle_redundant_pair_still_controllable():
-    result = oracle_check(so_spec(4, [(1, 2), (2, 3), (1, 3), (3, 4)]))
+    spec = so_spec(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
+    result = oracle_check(spec, spec.orbit_class())
     assert result.dim == 6
     assert result.controllable
     assert result.agrees
 
 
 def test_oracle_multi_agent_triangle():
-    result = oracle_check(SystemSpec("multi_agent", 3, frozenset([(1, 2), (2, 3)])))
+    spec = SystemSpec("multi_agent", 3, frozenset([(1, 2), (2, 3)]))
+    result = oracle_check(spec, spec.orbit_class())
     assert result.dim == 4 == (3 - 1) ** 2
     assert result.controllable and result.agrees
+
+
+def test_analyze_with_oracle_merges_the_pairs_once(monkeypatch):
+    merges = []
+    real = systems.partition_from_pairs
+
+    def counting(pairs, n):
+        merges.append(n)
+        return real(pairs, n)
+
+    monkeypatch.setattr(systems, "partition_from_pairs", counting)
+    report = analyze(so_spec(5, [(1, 2), (2, 3), (4, 5)]), with_oracle=True)
+    assert merges == [5]
+    assert report.oracle.agrees and report.oracle.orbits == report.orbits
+
+
+def test_oracle_reads_the_partition_only_for_agreement():
+    spec = so_spec(5, [(1, 2), (2, 3), (4, 5)])
+    wrong = so_spec(5, [(1, 2), (3, 4), (4, 5)]).orbit_class()
+    honest, misled = oracle_check(spec, spec.orbit_class()), oracle_check(spec, wrong)
+    assert honest.agrees and not misled.agrees
+    assert (misled.dim, misled.controllable, misled.orbits) == (
+        honest.dim, honest.controllable, honest.orbits,
+    )
 
 
 def test_oracle_size_guard():
     big = so_spec(13, [(1, 2)])
     with pytest.raises(OracleSizeError):
-        oracle_check(big)
+        oracle_check(big, big.orbit_class())
     small_guard = so_spec(5, [(1, 2)])
     with pytest.raises(OracleSizeError):
-        oracle_check(small_guard, max_n=4)
+        oracle_check(small_guard, small_guard.orbit_class(), max_n=4)
 
 
 # -------------------------------------------------------- min controls
@@ -261,7 +289,7 @@ def test_uncontrollable_oracle_dim_matches_orbit_formula():
         if report.controllable:
             continue
         expected = sum(len(o) * (len(o) - 1) // 2 for o in report.orbits)
-        assert oracle_check(spec).dim == expected == report.submanifold.total_dim
+        assert oracle_check(spec, spec.orbit_class()).dim == expected == report.submanifold.total_dim
         checked += 1
 
 
