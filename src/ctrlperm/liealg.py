@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from .monoid import UnionFind
 from .permutation import check_pair
 
 __all__ = [
@@ -291,12 +292,21 @@ def _primitive(vec):
 
 
 def _integer_vector(exact_vec):
-    """A new integer map, the exact rational entry map times the lcm of its denominators."""
+    """The exact rational entry map times the lcm of its denominators.
+
+    A map whose values are all plain ints is returned as it is; any other
+    gives a new map.
+    """
     denom = 1
+    plain = True
     for x in exact_vec.values():
-        d = x.denominator
-        if d != 1:
-            denom = denom * d // gcd(denom, d)
+        if type(x) is not int:
+            plain = False
+            d = x.denominator
+            if d != 1:
+                denom = denom * d // gcd(denom, d)
+    if plain:
+        return exact_vec
     return {k: int(x * denom) for k, x in exact_vec.items()}
 
 
@@ -388,15 +398,20 @@ class LinearSpan:
 
     def insert(self, matrix):
         """Add a matrix to the span; True iff the dimension grew."""
-        return self._space.insert(_integer_vector(self._entries(matrix)))
+        return self._space.insert(self._vector(matrix))
 
     def contains(self, matrix):
         """Exact membership test."""
-        return self._space.contains(_integer_vector(self._entries(matrix)))
+        return self._space.contains(self._vector(matrix))
 
     @property
     def dim(self):
         return self._space.dim
+
+    @property
+    def pivots(self):
+        """The 0-based ``(row, col)`` of each basis matrix's first nonzero entry, in order."""
+        return tuple(sorted(self._space.rows))
 
     @property
     def basis(self):
@@ -404,7 +419,7 @@ class LinearSpan:
         n = self.n
         rows = self._space.rows
         basis = []
-        for pivot in sorted(rows):
+        for pivot in self.pivots:
             grid = [[0] * n for _ in range(n)]
             for (i, j), x in rows[pivot].items():
                 grid[i][j] = x
@@ -424,6 +439,10 @@ class LinearSpan:
             evaluated.insert(_integer_vector({i: y for i, y in image.items() if y}))
         return evaluated.dim
 
+    def _vector(self, matrix):
+        """A new integer entry map spanning what ``matrix`` spans, checked against n."""
+        return _integer_vector(self._entries(matrix))
+
     def _entries(self, matrix):
         """Entry map of an ExactMatrix or an entry map, checked against n."""
         n = self.n
@@ -435,7 +454,8 @@ class LinearSpan:
         for (i, j), x in matrix.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"entry index {(i, j)} outside a {n}x{n} matrix")
-            x = _as_exact(x)
+            if type(x) is not int:
+                x = _as_exact(x)
             if x:
                 entries[i, j] = x
         return entries
@@ -465,59 +485,138 @@ def _bracket_indexed(a, b_rows, b_cols):
     return {key: x for key, x in out.items() if x}
 
 
-def lie_closure(generators):
+def _is_skew(entries):
+    return all(entries.get((j, i)) == -x for (i, j), x in entries.items())
+
+
+def _has_zero_sums(entries):
+    """Every row sum and every column sum is zero."""
+    row_sums, col_sums = {}, {}
+    for (i, j), x in entries.items():
+        row_sums[i] = row_sums.get(i, 0) + x
+        col_sums[j] = col_sums.get(j, 0) + x
+    return not any(row_sums.values()) and not any(col_sums.values())
+
+
+# The ambient algebras of a block of b letters, tried in this order: the
+# first whose test every generator of the block passes bounds its closure.
+_AMBIENTS = (
+    ("skew-symmetric", _is_skew, lambda b: b * (b - 1) // 2),
+    ("zero row and column sums", _has_zero_sums, lambda b: (b - 1) ** 2),
+    ("any matrix", lambda entries: True, lambda b: b * b),
+)
+
+
+def _check_support(entries, block, block_of):
+    """Raise :class:`RuntimeError` unless every entry's row and column lie in ``block``."""
+    for i, j in entries:
+        if block_of[i] != block or block_of[j] != block:
+            raise RuntimeError(f"closure element has entry {(i, j)} outside its block")
+
+
+def _close_block(space, generators, block, block_of, size):
+    """Close one block's generators into ``space``, stopping once they span its ambient algebra.
+
+    ``block_of[i]`` names the block of the 0-based letter i, and the block
+    has ``size`` letters.  The ambient algebra is the first of
+    ``_AMBIENTS`` that holds every generator.  Every generator and every
+    kept bracket must have its support in the block, and every kept bracket
+    must lie in the ambient algebra; a failed check raises
+    :class:`RuntimeError`.
+    """
+    name, in_ambient, ambient_dim = next(
+        a for a in _AMBIENTS if all(a[1](g) for g in generators)
+    )
+    dim = ambient_dim(size)
+    for g in generators:
+        _check_support(g, block, block_of)
+    elements = list(generators)
+    k = len(elements)
+    indexed = [_index(g) for g in generators]
+    head = 0
+    while len(elements) < dim and head < len(elements):
+        x = elements[head]
+        head += 1
+        for b_rows, b_cols in indexed[head if head <= k else 0 :]:
+            b = _bracket_indexed(x, b_rows, b_cols)
+            if b and space.insert(dict(b)):
+                _check_support(b, block, block_of)
+                if not in_ambient(b):
+                    raise RuntimeError(
+                        f"closure element is not {name}, as its block's generators are"
+                    )
+                elements.append(b)
+                if len(elements) == dim:
+                    break
+
+
+def lie_closure(generators, n=None):
     """Smallest linear span containing the generators and closed under bracket.
 
-    Worklist over the independent generators g_1..g_k: every element that
-    enlarged the span is bracketed against each generator, and a bracket
-    that enlarges the span joins the worklist, until a fixpoint.  A
+    Generators are n-by-n :class:`ExactMatrix` values, or ``{(row, col):
+    value}`` entry maps (0-based) when ``n`` is given.
+
+    *Blocks.*  The letters of each independent generator's nonzero entries
+    are joined into one block, and generators that share a letter share a
+    block.  Matrices supported on disjoint blocks multiply to zero, so
+    brackets across blocks vanish and the closure is the direct sum of the
+    blocks' closures; each block is closed on its own generators.
+
+    *Worklist.*  Within a block over the generators g_1..g_k, every element
+    that enlarged the span is bracketed against each generator, and a
+    bracket that enlarges the span joins the worklist, until a fixpoint.  A
     generator g_i is bracketed only against g_(i+1)..g_k; the pairs before
     it were tried from the other side, and [g_i, g_i] = 0.  Bracketing
     against the generators alone is complete: at the fixpoint the span V
     contains the generators and [V, g_i] lies in V for every i, so V holds
     every left-normed bracket [...[[g_a, g_b], g_c], ..., g_z], and these
     span the Lie algebra generated by the g_i (Reutenauer, *Free Lie
-    Algebras*, 1993).  The dimension is bounded by n^2, so termination is
-    guaranteed.
+    Algebras*, 1993).  The dimension is bounded by n^2, so the worklist
+    terminates.
 
-    Storage is sparse and exact: elements are ``{(row, col): value}`` entry
-    maps, brackets cost time in their nonzeros rather than n^3, and the
-    span keeps primitive integer echelon rows, unique for the span, so the
-    basis does not depend on the order in which elements were found.
+    *Early stop.*  A block B of b letters has an ambient Lie algebra that
+    holds its whole closure: so(B), of dimension b(b-1)/2, when every
+    generator of the block is skew-symmetric; the B-by-B matrices with zero
+    row and column sums, of dimension (b-1)^2, when every generator has
+    them (**1** is then a left and right null vector of both factors of a
+    bracket); otherwise all B-by-B matrices, of dimension b^2.  Every
+    generator and every kept bracket is checked to lie in the ambient
+    algebra, and a failed check raises :class:`RuntimeError`.  Kept elements
+    are independent, so once a block has kept as many as its ambient
+    dimension they span the ambient algebra, which is closed under bracket:
+    the block is finished and stops without trying further brackets.  The
+    stop is exact, and a wrong block split fails a check rather than
+    returning a wrong span.
+
+    Storage is sparse and exact: elements are entry maps, brackets cost
+    time in their nonzeros rather than n^3, and the span keeps primitive
+    integer echelon rows, unique for the span, so the basis does not depend
+    on the order in which elements were found.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
-    n = generators[0].n
-    for g in generators:
-        if g.n != n:
-            raise ValueError(f"generator sizes differ: {g.n} != {n}")
+    if n is None:
+        if not isinstance(generators[0], ExactMatrix):
+            raise ValueError("generators given as entry maps need the matrix size n")
+        n = generators[0].n
     span = LinearSpan(n)
     space = span._space
-    elements = []
-    indexed = []
+    kept = []
+    letters = UnionFind(n)  # letter a + 1 stands for the 0-based index a
     for g in generators:
         # scaling a generator to integers leaves the generated algebra
         # unchanged, and makes every bracket an integer map
-        entries = _integer_vector(g.entries())
+        entries = span._vector(g)
         if space.insert(dict(entries)):
-            elements.append(entries)
-            indexed.append(_index(entries))
-    k = len(elements)
-    head = 0
-    while head < len(elements):
-        x = elements[head]
-        head += 1
-        for b_rows, b_cols in indexed[head if head <= k else 0 :]:
-            b = _bracket_indexed(x, b_rows, b_cols)
-            if b and space.insert(dict(b)):
-                elements.append(b)
-    skew = all(
-        e.get((j, i)) == -x for e in elements[:k] for (i, j), x in e.items()
-    )
-    if skew and span.dim > n * (n - 1) // 2:
-        # brackets of skew-symmetric matrices stay in so(n)
-        raise RuntimeError(
-            f"closure of skew-symmetric generators has dim {span.dim} > {n * (n - 1) // 2}"
-        )
+            kept.append(entries)
+            anchor, *others = {a + 1 for entry in entries for a in entry}
+            for a in others:
+                letters.union(anchor, a)
+    block_of = [letters.find(a) for a in range(1, n + 1)]
+    blocks = {}
+    for entries in kept:
+        blocks.setdefault(block_of[next(iter(entries))[0]], []).append(entries)
+    for block, block_generators in blocks.items():
+        _close_block(space, block_generators, block, block_of, letters.size[block])
     return span

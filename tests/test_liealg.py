@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, cycle, permutations
+from itertools import accumulate, combinations, cycle, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,13 @@ from ctrlperm.liealg import (
     rotation_entries,
     rotation_generator,
 )
-from helpers import reference_closure_basis, sample_pairs, shuffled
+from helpers import (
+    reference_closure_basis,
+    sample_pairs,
+    shuffled,
+    sorted_pair,
+    spanning_tree_pairs,
+)
 
 
 def rot(n, i, j):
@@ -305,6 +311,29 @@ def _random_generator_sets(seed):
                 builder = rotation_generator if rng.random() < 0.5 else coupling_generator
                 gens.append(builder(n, p).scaled(coefficient))
             sets.append((f"fraction n={n}", gens))
+    for n in range(4, 9):
+        # two or three disjoint blocks, sometimes an isolated letter; each block
+        # draws its own builder, so blocks of one set can have different ambients
+        for blocks in (2, 2, 3, 3) if n >= 6 else (2, 2):
+            free = int(n - 2 * blocks >= 1 and rng.random() < 0.5)
+            sizes = [2] * blocks
+            for _ in range(n - free - 2 * blocks):
+                sizes[int(rng.random() * blocks)] += 1
+            letters = shuffled(rng, range(1, n + 1))
+            gens = []
+            for at, size in zip(accumulate(sizes, initial=0), sizes):
+                block = letters[at : at + size]
+                builder = rotation_generator if rng.random() < 0.5 else coupling_generator
+                gens += [builder(n, p) for p in spanning_tree_pairs(rng, block)]
+                if size >= 3 and rng.random() < 0.5:
+                    gens.append(builder(n, sorted_pair(*rng.sample(block, 2))))
+            sets.append((f"{blocks} blocks n={n}", shuffled(rng, gens)))
+    for n in range(2, 9):
+        # complete graphs: the generators alone span the ambient algebra
+        pairs = list(combinations(range(1, n + 1), 2))
+        sets.append((f"complete rotation n={n}", [rotation_generator(n, p) for p in pairs]))
+        if n <= 6:
+            sets.append((f"complete coupling n={n}", [coupling_generator(n, p) for p in pairs]))
     return sets
 
 
@@ -333,12 +362,43 @@ def test_span_accepts_entry_maps():
     assert span.contains(rotation_entries(4, (1, 3)))
     assert span.contains({(0, 2): "1/2", (2, 0): Fraction(-1, 2), (1, 1): 0})
     assert not span.contains(rotation_entries(4, (1, 4)))
+    # membership reduces a copy, never the caller's map
+    probe = rotation_entries(4, (1, 3))
+    assert span.contains(probe) and probe == rotation_entries(4, (1, 3))
+    with pytest.raises(TypeError):
+        span.contains({(0, 2): 0.5})
     with pytest.raises(ValueError):
         span.contains({(0, 4): 1})
     other = LinearSpan(4)
     assert other.insert({(0, 1): Fraction(2, 3), (1, 0): Fraction(-2, 3)})
     assert not other.insert(rot(4, 1, 2))
     assert other.basis == (rot(4, 1, 2),)
+
+
+def test_closure_stops_each_block_at_its_ambient_algebra(monkeypatch):
+    tried = []
+    real = liealg._bracket_indexed
+
+    def counting(a, b_rows, b_cols):
+        tried.append(a)
+        return real(a, b_rows, b_cols)
+
+    monkeypatch.setattr(liealg, "_bracket_indexed", counting)
+
+    def dim_and_brackets(gens):
+        tried.clear()
+        return lie_closure(gens).dim, len(tried)
+
+    # one worklist over all generators, without a stop, tries 378, 255, 30,
+    # 50 and 30 brackets on these sets
+    complete = list(combinations(range(1, 9), 2))
+    assert dim_and_brackets([rotation_generator(8, p) for p in complete]) == (28, 0)
+    complete = list(combinations(range(1, 7), 2))
+    assert dim_and_brackets([coupling_generator(6, p) for p in complete]) == (25, 40)
+    two_paths = [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+    assert dim_and_brackets([rotation_generator(7, p) for p in two_paths]) == (3 + 6, 7)
+    assert dim_and_brackets([coupling_generator(7, p) for p in two_paths]) == (4 + 9, 14)
+    assert dim_and_brackets([rot(5, i, i + 1) for i in range(1, 5)]) == (10, 22)
 
 
 def test_closure_dimension_check_is_a_raised_error(monkeypatch):
@@ -355,11 +415,44 @@ def test_closure_dimension_check_is_a_raised_error(monkeypatch):
         lie_closure([rot(3, 1, 2), rot(3, 2, 3)])
 
 
+def test_closure_fault_outside_the_zero_sum_algebra_is_a_raised_error(monkeypatch):
+    # a bound alone would not see this: the broken closure stays below (3-1)^2
+    def broken_bracket(a, b_rows, b_cols):
+        return {(0, 0): 1}
+
+    monkeypatch.setattr(liealg, "_bracket_indexed", broken_bracket)
+    with pytest.raises(RuntimeError, match="zero row and column sums"):
+        lie_closure([coupling_generator(3, (1, 2)), coupling_generator(3, (2, 3))])
+
+
+def test_closure_fault_outside_the_block_is_a_raised_error(monkeypatch):
+    # the stray entry is skew, and the block {1, 2, 3} reaches dim so(3) = 3
+    # with it, so only the support check stops a wrong span from returning
+    real = liealg._bracket_indexed
+
+    def broken_bracket(a, b_rows, b_cols):
+        return {**real(a, b_rows, b_cols), (0, 3): 1, (3, 0): -1}
+
+    monkeypatch.setattr(liealg, "_bracket_indexed", broken_bracket)
+    with pytest.raises(RuntimeError, match="outside its block"):
+        lie_closure([rot(5, 1, 2), rot(5, 2, 3), rot(5, 4, 5)])
+
+
 def test_closure_rejects_empty_or_mismatched():
     with pytest.raises(ValueError):
         lie_closure([])
     with pytest.raises(ValueError):
         lie_closure([rot(3, 1, 2), rot(4, 1, 2)])
+    with pytest.raises(ValueError):
+        lie_closure([rotation_entries(3, (1, 2))])  # entry maps carry no size
+    with pytest.raises(ValueError):
+        lie_closure([rotation_entries(4, (1, 4))], 3)
+
+
+def test_closure_of_entry_maps_equals_closure_of_matrices():
+    for label, gens in _random_generator_sets(11):
+        n = gens[0].n
+        assert lie_closure([g.entries() for g in gens], n).basis == lie_closure(gens).basis, label
 
 
 # ----------------------------------------------------------- spans
@@ -376,6 +469,8 @@ def test_span_membership():
 def test_span_basis_is_reduced_and_spans():
     span = lie_closure([rot(4, 1, 2), rot(4, 2, 3)])
     assert len(span.basis) == span.dim == 3
+    # a pivot is the first nonzero entry of its basis matrix
+    assert span.pivots == tuple(min(m.entries()) for m in span.basis) == ((0, 1), (0, 2), (1, 2))
     rebuilt = LinearSpan(4)
     for m in span.basis:
         assert rebuilt.insert(m)

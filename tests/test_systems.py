@@ -8,6 +8,8 @@ from ctrlperm.liealg import coupling_generator, lie_closure, rotation_generator
 from ctrlperm.monoid import OrbitPartition
 from ctrlperm.systems import (
     FAMILIES,
+    ORACLE_MAX_AGENTS,
+    ORACLE_MAX_ROTATION,
     OracleSizeError,
     SystemSpec,
     _agent_labels,
@@ -311,7 +313,7 @@ def _random_spec(rng, family, n):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_methods_agree_on_random_specs_of_every_family(family):
     rng = random.Random(4040 + FAMILIES.index(family))
-    top = 9 if family in ("so_n", "sphere") else 7
+    top = ORACLE_MAX_ROTATION if family in ("so_n", "sphere") else ORACLE_MAX_AGENTS
     verdicts = set()
     for n in range(2, top + 1):
         for _ in range(50):
