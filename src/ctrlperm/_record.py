@@ -1,0 +1,63 @@
+"""Immutable value records with ``__slots__``.
+
+The library's small result types derive from :class:`Record` instead of
+being frozen dataclasses.  Importing :mod:`dataclasses` pulls in
+:mod:`inspect` and :mod:`ast`, and every decoration compiles its methods
+with ``exec``; together that was about a third of ``import ctrlperm.cli``.
+
+A subclass lists its fields in ``__slots__``, in constructor order, and
+writes its own ``__init__`` that validates its arguments and stores each
+field with :func:`setfield`.  The base derives from the slot names:
+
+* immutability: assignment and deletion raise :class:`AttributeError`;
+* equality with instances of the same class only, and a hash consistent
+  with it;
+* the repr ``Name(field=value, ...)``;
+* pickling and copying, which call the class again with the field values;
+* ``__match_args__``, the fields in constructor order.
+
+A subclass may set ``_compared`` to the fields that equality, hashing and
+the repr read; by default they read every field.  A subclass of a record
+that declares no fields of its own keeps its parent's.
+"""
+
+from operator import attrgetter
+
+# stores a field past the raising __setattr__; a global, so an __init__
+# pays one lookup per field, as a frozen dataclass's generated one does
+setfield = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("__slots__")
+        if fields:
+            cls.__match_args__ = fields
+            cls._compared = cls.__dict__.get("_compared", fields)
+            # a plain class attribute, not a method: called as self._key(self)
+            cls._key = attrgetter(*cls._compared)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # the default reduction restores slots with setattr, which raises here
+        return self.__class__, tuple([getattr(self, name) for name in self.__match_args__])

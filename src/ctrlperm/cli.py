@@ -161,6 +161,8 @@ def _cmd_analyze(args):
 
 def _cmd_compare(args):
     max_n = _oracle_max_n()
+    if args.random is not None and args.spec is not None:
+        raise SpecFormatError("compare takes a spec path or --random N M SEED COUNT, not both")
     if args.random is not None:
         n, m, seed, count = args.random
         if count < 1:

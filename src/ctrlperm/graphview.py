@@ -10,8 +10,7 @@ union-find, so the check stays a real cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .monoid import UnionFind
 from .permutation import check_pair
 
@@ -24,17 +23,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ControlGraph:
-    """Undirected simple graph on vertices 1..n with edges given as (i, j), i < j."""
+class ControlGraph(Record):
+    """Undirected simple graph on vertices 1..n with edges given as (i, j), i < j.
 
-    n: int
-    edges: frozenset
+    An immutable value record; ``edges`` is stored as a frozenset of
+    validated tuples.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", frozenset(check_pair(e, self.n) for e in self.edges)
-        )
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: frozenset) -> None:
+        setfield(self, "n", n)
+        setfield(self, "edges", frozenset(check_pair(e, n) for e in edges))
 
 
 def control_graph(spec):

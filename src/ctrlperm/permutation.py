@@ -9,8 +9,9 @@ so the module is safe for concurrent use without locking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import factorial
+
+from ._record import Record, setfield
 
 __all__ = [
     "Permutation",
@@ -118,17 +119,19 @@ class Permutation:
         return cls.from_cycles(n, cycles)
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(Record):
     """Disjoint cycles of length >= 2 plus the fixed letters.
 
-    Canonical form: every cycle is rotated to start at its smallest letter
-    and cycles are sorted by that letter, so equal permutations always
-    decompose to equal values.
+    An immutable value record.  Canonical form: every cycle is rotated to
+    start at its smallest letter and cycles are sorted by that letter, so
+    equal permutations always decompose to equal values.
     """
 
-    cycles: tuple
-    fixed_points: frozenset
+    __slots__ = ("cycles", "fixed_points")
+
+    def __init__(self, cycles: tuple, fixed_points: frozenset) -> None:
+        setfield(self, "cycles", cycles)
+        setfield(self, "fixed_points", fixed_points)
 
 
 def identity(n):
@@ -209,12 +212,17 @@ def is_k_cycle(sigma, k):
     return len(cycles) == 1 and len(cycles[0]) == k
 
 
-@dataclass(frozen=True)
-class SubgroupSummary:
-    """Exact order of a subgroup of S_n, and whether it is all of S_n."""
+class SubgroupSummary(Record):
+    """Exact order of a subgroup of S_n, and whether it is all of S_n.
 
-    order: int
-    is_full_symmetric: bool
+    An immutable value record; it equals only another summary, never a tuple.
+    """
+
+    __slots__ = ("order", "is_full_symmetric")
+
+    def __init__(self, order: int, is_full_symmetric: bool) -> None:
+        setfield(self, "order", order)
+        setfield(self, "is_full_symmetric", is_full_symmetric)
 
 
 class _Level:

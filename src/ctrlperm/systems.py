@@ -23,9 +23,9 @@ Families:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record, setfield
 from .liealg import LinearSpan, coupling_entries, lie_closure, rotation_entries
 from .monoid import OrbitPartition, UnionFind, partition_from_pairs
 from .permutation import Permutation, check_pair, generate_subgroup
@@ -66,46 +66,58 @@ class OracleSizeError(ValueError):
     """The instance is too large for the closure oracle's size guard."""
 
 
-@dataclass(frozen=True)
-class SystemSpec:
-    """Description of one bilinear system instance."""
+class SystemSpec(Record):
+    """Description of one bilinear system instance.
 
-    family: str
-    n: int
-    controls: frozenset
-    drift: tuple | None = None
-    agent_space_dim: int | None = None
-    initial_distribution: tuple | None = None
+    An immutable value record.  ``controls`` is stored as a frozenset of
+    validated ``(i, j)`` tuples, ``drift`` as a validated tuple and a markov
+    ``initial_distribution`` as a tuple of :class:`~fractions.Fraction`.
+    """
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.n < 2:
-            raise ValueError(f"need at least two letters, got n={self.n}")
-        controls = frozenset(check_pair(p, self.n) for p in self.controls)
-        object.__setattr__(self, "controls", controls)
-        if self.drift is not None:
-            object.__setattr__(self, "drift", check_pair(self.drift, self.n))
-        if not controls and self.drift is None and self.family != MARKOV:
+    __slots__ = ("family", "n", "controls", "drift", "agent_space_dim", "initial_distribution")
+
+    def __init__(
+        self,
+        family: str,
+        n: int,
+        controls: frozenset,
+        drift: tuple | None = None,
+        agent_space_dim: int | None = None,
+        initial_distribution: tuple | None = None,
+    ) -> None:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        if n < 2:
+            raise ValueError(f"need at least two letters, got n={n}")
+        controls = frozenset(check_pair(p, n) for p in controls)
+        if drift is not None:
+            drift = check_pair(drift, n)
+        if not controls and drift is None and family != MARKOV:
             # a markov chain with every rate frozen is still classifiable;
             # the other families need at least one field
             raise ValueError("controls may be empty only when a drift pair is present")
-        if self.agent_space_dim is not None:
-            if self.family != MULTI_AGENT:
+        if agent_space_dim is not None:
+            if family != MULTI_AGENT:
                 raise ValueError("agent_space_dim applies to the multi_agent family only")
-            if self.agent_space_dim < 1:
-                raise ValueError(f"agent_space_dim must be positive: {self.agent_space_dim}")
-        if self.initial_distribution is not None:
-            if self.family != MARKOV:
+            if agent_space_dim < 1:
+                raise ValueError(f"agent_space_dim must be positive: {agent_space_dim}")
+        if initial_distribution is not None:
+            if family != MARKOV:
                 raise ValueError("initial_distribution applies to the markov family only")
-            dist = tuple(Fraction(x) for x in self.initial_distribution)
-            if len(dist) != self.n:
-                raise ValueError(f"initial_distribution length {len(dist)} != n={self.n}")
+            dist = tuple(Fraction(x) for x in initial_distribution)
+            if len(dist) != n:
+                raise ValueError(f"initial_distribution length {len(dist)} != n={n}")
             if any(x < 0 for x in dist):
                 raise ValueError("initial_distribution entries must be nonnegative")
             if sum(dist) != 1:
                 raise ValueError(f"initial_distribution must sum to 1, got {sum(dist)}")
-            object.__setattr__(self, "initial_distribution", dist)
+            initial_distribution = dist
+        setfield(self, "family", family)
+        setfield(self, "n", n)
+        setfield(self, "controls", controls)
+        setfield(self, "drift", drift)
+        setfield(self, "agent_space_dim", agent_space_dim)
+        setfield(self, "initial_distribution", initial_distribution)
 
     @property
     def all_pairs(self):
@@ -119,76 +131,139 @@ class SystemSpec:
         return partition_from_pairs(self.all_pairs, self.n)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """Outcome of the exact rank-condition oracle on one spec.
 
-    ``closure`` is the bracket closure itself, kept so that callers needing
-    its basis or per-orbit dimensions do not close the algebra again.
+    An immutable value record.  ``closure`` is the bracket closure itself,
+    kept so that callers needing its basis or per-orbit dimensions do not
+    close the algebra again; equality, hashing and the repr leave it out.
     """
 
-    dim: int
-    controllable: bool
-    orbits: tuple
-    agrees: bool
-    closure: LinearSpan = field(compare=False, repr=False)
+    __slots__ = ("dim", "controllable", "orbits", "agrees", "closure")
+    _compared = ("dim", "controllable", "orbits", "agrees")
+
+    def __init__(
+        self, dim: int, controllable: bool, orbits: tuple, agrees: bool, closure: LinearSpan
+    ) -> None:
+        setfield(self, "dim", dim)
+        setfield(self, "controllable", controllable)
+        setfield(self, "orbits", orbits)
+        setfield(self, "agrees", agrees)
+        setfield(self, "closure", closure)
 
 
-@dataclass(frozen=True)
-class SubmanifoldComponent:
-    orbit: tuple
-    generators: tuple
-    dim: int | None
+class SubmanifoldComponent(Record):
+    """One orbit of a :class:`SubmanifoldDescription`; an immutable value record."""
+
+    __slots__ = ("orbit", "generators", "dim")
+
+    def __init__(self, orbit: tuple, generators: tuple, dim: int | None) -> None:
+        setfield(self, "orbit", orbit)
+        setfield(self, "generators", generators)
+        setfield(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class SubmanifoldDescription:
+class SubmanifoldDescription(Record):
     """Componentwise description of the controllable submanifold.
 
-    Each component carries one orbit, the labels of the vector fields
-    spanning the distribution on it, and that distribution's dimension when
-    a closed form or an oracle value is available.  For the markov family
-    with a known initial distribution, the conserved probability mass per
-    orbit and the frozen single states are listed as exact rationals.
+    An immutable value record.  Each component carries one orbit, the labels
+    of the vector fields spanning the distribution on it, and that
+    distribution's dimension when a closed form or an oracle value is
+    available.  For the markov family with a known initial distribution, the
+    conserved probability mass per orbit and the frozen single states are
+    listed as exact rationals.
     """
 
-    components: tuple
-    total_dim: int | None
-    state_space: str
-    conserved_sums: tuple | None = None
-    frozen_states: tuple | None = None
+    __slots__ = ("components", "total_dim", "state_space", "conserved_sums", "frozen_states")
+
+    def __init__(
+        self,
+        components: tuple,
+        total_dim: int | None,
+        state_space: str,
+        conserved_sums: tuple | None = None,
+        frozen_states: tuple | None = None,
+    ) -> None:
+        setfield(self, "components", components)
+        setfield(self, "total_dim", total_dim)
+        setfield(self, "state_space", state_space)
+        setfield(self, "conserved_sums", conserved_sums)
+        setfield(self, "frozen_states", frozen_states)
 
 
-@dataclass(frozen=True)
-class ControllabilityReport:
-    """Outcome of :func:`analyze` on ``spec``; see there for the markov reading."""
+class ControllabilityReport(Record):
+    """Outcome of :func:`analyze` on ``spec``; see there for the markov reading.
 
-    spec: SystemSpec
-    controllable: bool
-    method_class: OrbitPartition
-    orbits: tuple
-    fixed_points: tuple
-    min_controls_satisfied: bool
-    oracle: OracleResult | None
-    submanifold: SubmanifoldDescription
+    An immutable value record.
+    """
+
+    __slots__ = (
+        "spec",
+        "controllable",
+        "method_class",
+        "orbits",
+        "fixed_points",
+        "min_controls_satisfied",
+        "oracle",
+        "submanifold",
+    )
+
+    def __init__(
+        self,
+        spec: SystemSpec,
+        controllable: bool,
+        method_class: OrbitPartition,
+        orbits: tuple,
+        fixed_points: tuple,
+        min_controls_satisfied: bool,
+        oracle: OracleResult | None,
+        submanifold: SubmanifoldDescription,
+    ) -> None:
+        setfield(self, "spec", spec)
+        setfield(self, "controllable", controllable)
+        setfield(self, "method_class", method_class)
+        setfield(self, "orbits", orbits)
+        setfield(self, "fixed_points", fixed_points)
+        setfield(self, "min_controls_satisfied", min_controls_satisfied)
+        setfield(self, "oracle", oracle)
+        setfield(self, "submanifold", submanifold)
 
 
-@dataclass(frozen=True)
-class NonstandardProbeResult:
+class NonstandardProbeResult(Record):
     """Experimental diagnostic for generators outside the standard basis.
 
-    The subgroup statistic is a conjectured controllability indicator only;
-    the rank-condition verdict computed alongside is the trusted one, and
-    the two need not agree.
+    An immutable value record.  The subgroup statistic is a conjectured
+    controllability indicator only; the rank-condition verdict computed
+    alongside is the trusted one, and the two need not agree.
     """
 
-    n: int
-    permutation_images: tuple
-    subgroup_order: int
-    subgroup_is_full_symmetric: bool
-    larc_dim: int
-    larc_controllable: bool
-    experimental: bool = True
+    __slots__ = (
+        "n",
+        "permutation_images",
+        "subgroup_order",
+        "subgroup_is_full_symmetric",
+        "larc_dim",
+        "larc_controllable",
+        "experimental",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        permutation_images: tuple,
+        subgroup_order: int,
+        subgroup_is_full_symmetric: bool,
+        larc_dim: int,
+        larc_controllable: bool,
+        experimental: bool = True,
+    ) -> None:
+        setfield(self, "n", n)
+        setfield(self, "permutation_images", permutation_images)
+        setfield(self, "subgroup_order", subgroup_order)
+        setfield(self, "subgroup_is_full_symmetric", subgroup_is_full_symmetric)
+        setfield(self, "larc_dim", larc_dim)
+        setfield(self, "larc_controllable", larc_controllable)
+        setfield(self, "experimental", experimental)
 
 
 def min_controls_check(spec):
@@ -364,9 +439,16 @@ def oracle_check(spec, method_class, max_n=None):
     )
     controllable = closure.dim == _full_dim(spec)
     uf = UnionFind(spec.n)
-    for a, b in itertools.combinations(range(1, spec.n + 1), 2):
-        if closure.contains(_generator_entries(spec, (a, b))):
-            uf.union(a, b)
+    rotation = spec.family in _ROTATION_FAMILIES
+    # 0-based pairs a < b < n are in range, so each probe is the entry map
+    # of rotation_entries / coupling_entries without its pair check
+    for a, b in itertools.combinations(range(spec.n), 2):
+        if rotation:
+            probe = {(a, b): 1, (b, a): -1}
+        else:
+            probe = {(a, a): -1, (a, b): 1, (b, a): 1, (b, b): -1}
+        if closure.contains(probe):
+            uf.union(a + 1, b + 1)
     blocks = tuple(g for g in uf.groups() if len(g) >= 2)
     agrees = (controllable == method_class.is_full()) and (
         blocks == method_class.sorted_orbits()

@@ -292,6 +292,19 @@ def test_compare_without_source_errors(capsys):
     assert main(["compare"]) == 2
 
 
+def test_compare_refuses_a_spec_next_to_random(write, capsys, monkeypatch):
+    # alone this spec exits 2 at the size guard; it must not be dropped silently
+    monkeypatch.delenv("CTRLPERM_ORACLE_MAX_N", raising=False)
+    chain = ",".join(f"[{i},{i + 1}]" for i in range(1, 13))
+    path = write("big.json", f'{{"family": "so_n", "n": 13, "controls": [{chain}]}}')
+    assert main(["compare", path]) == 2
+    capsys.readouterr()
+    assert main(["compare", path, "--random", "4", "3", "1", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not both" in captured.err
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_compare_random_needs_a_positive_count(capsys, count):
     # "0/0 agree" with exit 0 would claim full agreement on nothing
@@ -561,6 +574,15 @@ def test_in_process_calls_match_fresh_processes(write, capsys, monkeypatch):
     assert in_process[: len(commands)] == in_process[len(commands):]
     fresh = [_python("-m", "ctrlperm.cli", *argv) for argv in commands]
     assert in_process[: len(commands)] == [(done.stdout, done.returncode) for done in fresh]
+
+
+@pytest.mark.parametrize("module", ["ctrlperm.cli", "ctrlperm"])
+def test_import_stays_off_the_slow_stdlib_modules(module):
+    # dataclasses pulls in inspect, ast, dis and tokenize: about a third of start-up
+    probe = f"import sys, {module}\nprint(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))\n"
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_import_builds_no_parser():
