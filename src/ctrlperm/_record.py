@@ -1,7 +1,8 @@
 """Immutable value records with ``__slots__``.
 
-The library's small result types derive from :class:`Record` instead of
-being frozen dataclasses.  Importing :mod:`dataclasses` pulls in
+Every immutable value type of the library derives from :class:`Record`
+instead of being a frozen dataclass or writing its own equality and
+hashing.  Importing :mod:`dataclasses` pulls in
 :mod:`inspect` and :mod:`ast`, and every decoration compiles its methods
 with ``exec``; together that was about a third of ``import ctrlperm.cli``.
 
@@ -12,7 +13,7 @@ field with :func:`setfield`.  The base derives from the slot names:
 * immutability: assignment and deletion raise :class:`AttributeError`;
 * equality with instances of the same class only, and a hash consistent
   with it;
-* the repr ``Name(field=value, ...)``;
+* the repr ``Name(field=value, ...)``, unless the subclass writes its own;
 * pickling and copying, which call the class again with the field values;
 * ``__match_args__``, the fields in constructor order.
 

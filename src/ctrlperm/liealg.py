@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from ._record import Record, setfield
 from .monoid import UnionFind
 from .permutation import check_pair
 
@@ -48,8 +49,8 @@ def _as_exact(x):
     raise TypeError(f"entries must be exact (int, Fraction, or rational string): {x!r}")
 
 
-class ExactMatrix:
-    """A square matrix with exact rational entries."""
+class ExactMatrix(Record):
+    """A square matrix with exact rational entries; an immutable value record."""
 
     __slots__ = ("rows",)
 
@@ -58,7 +59,7 @@ class ExactMatrix:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
-        self.rows = rows
+        setfield(self, "rows", rows)
 
     @property
     def n(self):
@@ -68,7 +69,7 @@ class ExactMatrix:
     def _trusted(cls, rows):
         """Wrap a square tuple-of-tuples grid of exact entries without re-validating it."""
         matrix = cls.__new__(cls)
-        matrix.rows = rows
+        setfield(matrix, "rows", rows)
         return matrix
 
     @classmethod
@@ -92,12 +93,6 @@ class ExactMatrix:
         return {
             (i, j): a for i, row in enumerate(self.rows) for j, a in enumerate(row) if a
         }
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __add__(self, other):
         self._check_same_size(other)
@@ -132,23 +127,14 @@ class ExactMatrix:
         return all(a == 0 for row in self.rows for a in row)
 
     def is_skew_symmetric(self):
-        return all(
-            self.rows[i][j] == -self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i, self.n)
-        )
+        return _is_skew(self.entries())
 
     def is_symmetric(self):
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        return self.rows == tuple(zip(*self.rows))
 
     def has_zero_row_sums(self):
-        return all(sum(row) == 0 for row in self.rows) and all(
-            sum(col) == 0 for col in zip(*self.rows)
-        )
+        """Every row sum and every column sum is zero."""
+        return _has_zero_sums(self.entries())
 
     def format_grid(self):
         """Dense rational grid, one row per line, entries space-separated."""
@@ -258,17 +244,10 @@ def circulation_generator(n, i, j, k):
     for a in (i, j, k):
         if not 1 <= a <= n:
             raise ValueError(f"index out of range 1..{n}: {a}")
-    rows = [[0] * n for _ in range(n)]
-    for (a, b), v in (
-        ((i, k), 1),
-        ((k, i), -1),
-        ((i, j), -1),
-        ((j, i), 1),
-        ((j, k), -1),
-        ((k, j), 1),
-    ):
-        rows[a - 1][b - 1] += v
-    return ExactMatrix(rows)
+    i, j, k = i - 1, j - 1, k - 1
+    return ExactMatrix.from_entries(
+        n, {(i, k): 1, (k, i): -1, (i, j): -1, (j, i): 1, (j, k): -1, (k, j): 1}
+    )
 
 
 def _primitive(vec):
@@ -416,15 +395,8 @@ class LinearSpan:
     @property
     def basis(self):
         """Basis matrices, the reduced echelon rows in pivot order."""
-        n = self.n
         rows = self._space.rows
-        basis = []
-        for pivot in self.pivots:
-            grid = [[0] * n for _ in range(n)]
-            for (i, j), x in rows[pivot].items():
-                grid[i][j] = x
-            basis.append(ExactMatrix._trusted(tuple(map(tuple, grid))))
-        return tuple(basis)
+        return tuple([ExactMatrix.from_entries(self.n, rows[pivot]) for pivot in self.pivots])
 
     def rank_at(self, point):
         """Rank of the span evaluated at a point: dim of {M @ point}."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 
+from ._record import Record, setfield
 from .permutation import (
     check_pair,
     compose,
@@ -69,11 +70,14 @@ class UnionFind:
         return tuple([tuple(sorted(g)) for g in sorted(members.values())])
 
 
-class OrbitPartition:
+class OrbitPartition(Record):
     """A set of disjoint orbits of {1, ..., n}, each with >= 2 letters.
 
-    The empty orbit set is the class of the identity.  Letters outside every
-    orbit are fixed points.
+    An immutable value record; it equals only another partition.  The
+    orbits may be given as any iterables of letters, and equal orbits
+    collapse into one.  ``orbits`` holds them in canonical form: a tuple of
+    sorted tuples, ordered by smallest letter.  The empty orbit set is the
+    class of the identity.  Letters outside every orbit are fixed points.
     """
 
     __slots__ = ("n", "orbits")
@@ -92,42 +96,29 @@ class OrbitPartition:
                 if a in seen:
                     raise ValueError(f"orbits are not disjoint at letter {a}")
                 seen.add(a)
-        self.n = n
-        self.orbits = orbits
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrbitPartition)
-            and self.n == other.n
-            and self.orbits == other.orbits
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.orbits))
+        setfield(self, "n", n)
+        setfield(self, "orbits", tuple(sorted([tuple(sorted(o)) for o in orbits])))
 
     def __str__(self):
         if not self.orbits:
             return "{}"
-        return "".join(
-            "{" + ",".join(str(a) for a in orbit) + "}"
-            for orbit in self.sorted_orbits()
-        )
+        return "".join("{" + ",".join(map(str, orbit)) + "}" for orbit in self.orbits)
 
     def __repr__(self):
         return f"OrbitPartition.parse({str(self)!r}, n={self.n})"
 
     def sorted_orbits(self):
-        """Orbits as sorted tuples, ordered by smallest letter."""
-        return tuple(sorted((tuple(sorted(o)) for o in self.orbits)))
+        """Orbits as sorted tuples, ordered by smallest letter: :attr:`orbits`."""
+        return self.orbits
 
     def fixed_points(self):
         """Letters contained in no orbit."""
-        moved = set().union(*self.orbits) if self.orbits else set()
-        return frozenset(range(1, self.n + 1)) - moved
+        return frozenset(range(1, self.n + 1)).difference(*self.orbits)
 
     def is_full(self):
         """True iff the partition is the single orbit {1, ..., n}."""
-        return self.n >= 2 and self.orbits == frozenset({frozenset(range(1, self.n + 1))})
+        # a comparison, not a count: the letters are not checked to be integers
+        return len(self.orbits) == 1 and self.orbits[0] == tuple(range(1, self.n + 1))
 
     def merge(self, other):
         """Combine two partitions, merging every pair of intersecting orbits.
@@ -140,9 +131,8 @@ class OrbitPartition:
         if self.n != other.n:
             raise ValueError(f"letter counts differ: {self.n} != {other.n}")
         pairs = []
-        for orbit in self.orbits | other.orbits:
-            first = min(orbit)
-            pairs.extend((first, a) for a in orbit if a != first)
+        for first, *rest in self.orbits + other.orbits:
+            pairs.extend((first, a) for a in rest)
         return partition_from_pairs(pairs, self.n)
 
     @classmethod

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from math import factorial
+from operator import index
 
 from ._record import Record, setfield
 
@@ -32,16 +33,17 @@ __all__ = [
 def check_pair(pair, n):
     """Validate an index pair and return it as a plain tuple.
 
-    A valid pair satisfies ``1 <= i < j <= n``.
+    A valid pair satisfies ``1 <= i < j <= n``; a letter that is not an
+    integer raises :class:`TypeError`.
     """
     i, j = pair
     if not (1 <= i < j <= n):
         raise ValueError(f"index pair must satisfy 1 <= i < j <= {n}, got {(i, j)!r}")
-    return (int(i), int(j))
+    return (index(i), index(j))
 
 
-class Permutation:
-    """A bijection of {1, ..., n}."""
+class Permutation(Record):
+    """A bijection of {1, ..., n}; an immutable value record."""
 
     __slots__ = ("image",)
 
@@ -49,7 +51,7 @@ class Permutation:
         image = tuple(image)
         if sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError(f"not a bijection of 1..{len(image)}: {image!r}")
-        self.image = image
+        setfield(self, "image", image)
 
     @property
     def n(self):
@@ -60,12 +62,6 @@ class Permutation:
         if not 1 <= k <= self.n:
             raise ValueError(f"letter out of range 1..{self.n}: {k}")
         return self.image[k - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.image == other.image
-
-    def __hash__(self):
-        return hash(self.image)
 
     def __mul__(self, other):
         return compose(self, other)

@@ -11,7 +11,6 @@ rather than the file bytes.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -64,15 +63,25 @@ def _as_rational(value, what):
     raise SpecFormatError(f"{what} must be an integer or a rational string, got {value!r}")
 
 
-def parse_spec(text):
-    """Parse a spec JSON document into a :class:`SystemSpec`."""
+def _load_object(text, what):
+    """The JSON object that ``text`` holds; ``what`` names the document in errors.
+
+    Its values have exact built-in types, so ``type(x) is int`` tests for an
+    integer and rejects a bool.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SpecFormatError("JSON document is nested too deeply") from exc
-    _require(isinstance(doc, dict), "spec document must be a JSON object")
+    _require(isinstance(doc, dict), f"{what} document must be a JSON object")
+    return doc
+
+
+def parse_spec(text):
+    """Parse a spec JSON document into a :class:`SystemSpec`."""
+    doc = _load_object(text, "spec")
     if "generators" in doc:
         raise SpecFormatError(
             "this document carries matrix generators: use the probe subcommand"
@@ -82,19 +91,13 @@ def parse_spec(text):
     for key in ("family", "n", "controls"):
         _require(key in doc, f"missing required spec key {key!r}")
     _require(doc["family"] in FAMILIES, f"family must be one of {list(FAMILIES)}")
-    _require(
-        isinstance(doc["n"], int) and not isinstance(doc["n"], bool),
-        "n must be an integer",
-    )
+    _require(type(doc["n"]) is int, "n must be an integer")
     _require(isinstance(doc["controls"], list), "controls must be a list of pairs")
     controls = [_as_pair(p, "control pair") for p in doc["controls"]]
     drift = _as_pair(doc["drift"], "drift pair") if doc.get("drift") is not None else None
     agent_space_dim = doc.get("agent_space_dim")
     if agent_space_dim is not None:
-        _require(
-            isinstance(agent_space_dim, int) and not isinstance(agent_space_dim, bool),
-            "agent_space_dim must be an integer",
-        )
+        _require(type(agent_space_dim) is int, "agent_space_dim must be an integer")
     dist = doc.get("initial_distribution")
     if dist is not None:
         _require(isinstance(dist, list), "initial_distribution must be a list")
@@ -239,6 +242,8 @@ def spec_digest(spec):
 
 
 def _digest(spec_doc):
+    import hashlib  # here, not at start-up: only analyze reports need it
+
     return hashlib.sha256(canonical_json(spec_doc).encode()).hexdigest()
 
 
@@ -247,19 +252,10 @@ def parse_probe(text):
 
     Each grid is a list of rows of integers or rational strings.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise SpecFormatError("JSON document is nested too deeply") from exc
-    _require(isinstance(doc, dict), "probe document must be a JSON object")
+    doc = _load_object(text, "probe")
     unknown = set(doc) - {"n", "generators"}
     _require(not unknown, f"unknown probe keys: {sorted(unknown)}")
-    _require(
-        isinstance(doc.get("n"), int) and not isinstance(doc.get("n"), bool),
-        "probe document needs an integer n",
-    )
+    _require(type(doc.get("n")) is int, "probe document needs an integer n")
     gens = doc.get("generators")
     _require(isinstance(gens, list) and gens, "probe document needs a nonempty generators list")
     n = doc["n"]
@@ -275,10 +271,6 @@ def parse_probe(text):
         ]
         matrices.append(ExactMatrix(entries))
     return n, matrices
-
-
-def _fraction_str(x):
-    return str(Fraction(x))
 
 
 def report_to_dict(report):
@@ -330,12 +322,12 @@ def report_to_dict(report):
         }
     if sub.conserved_sums is not None:
         doc["submanifold"]["conserved_sums"] = [
-            {"orbit": list(orbit), "value": _fraction_str(value)}
+            {"orbit": list(orbit), "value": str(value)}
             for orbit, value in sub.conserved_sums
         ]
     if sub.frozen_states is not None:
         doc["submanifold"]["frozen_states"] = [
-            {"state": state, "value": _fraction_str(value)}
+            {"state": state, "value": str(value)}
             for state, value in sub.frozen_states
         ]
     return doc

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import index
 
 from ._record import Record, setfield
-from .liealg import LinearSpan, coupling_entries, lie_closure, rotation_entries
+from .liealg import LinearSpan, lie_closure
 from .monoid import OrbitPartition, UnionFind, partition_from_pairs
 from .permutation import Permutation, check_pair, generate_subgroup
 
@@ -87,6 +88,7 @@ class SystemSpec(Record):
     ) -> None:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        n = index(n)
         if n < 2:
             raise ValueError(f"need at least two letters, got n={n}")
         controls = frozenset(check_pair(p, n) for p in controls)
@@ -281,10 +283,11 @@ def _full_dim(spec):
     return (spec.n - 1) ** 2
 
 
-def _generator_entries(spec, pair):
-    if spec.family in _ROTATION_FAMILIES:
-        return rotation_entries(spec.n, pair)
-    return coupling_entries(spec.n, pair)
+def _pair_entries(rotation, a, b):
+    """Unchecked ``rotation_entries`` (else ``coupling_entries``) of 0-based letters a < b."""
+    if rotation:
+        return {(a, b): 1, (b, a): -1}
+    return {(a, a): -1, (a, b): 1, (b, a): 1, (b, b): -1}
 
 
 def _pair_rows(letters, head=""):
@@ -384,7 +387,7 @@ def analyze(spec, with_oracle=False, oracle_max_n=None):
     ``fixed_points`` are its communication classes.
     """
     method_class = spec.orbit_class()
-    orbits = method_class.sorted_orbits()
+    orbits = method_class.orbits
     fixed_points = tuple(sorted(method_class.fixed_points()))
     oracle = oracle_check(spec, method_class, max_n=oracle_max_n) if with_oracle else None
     return ControllabilityReport(
@@ -430,29 +433,22 @@ def oracle_check(spec, method_class, max_n=None):
     partition match it.
     """
     check_oracle_size(spec.family, spec.n, max_n)
+    rotation = spec.family in _ROTATION_FAMILIES
+    # SystemSpec has checked the pairs, and lie_closure checks every entry index
     pairs = sorted(spec.all_pairs)
     # a markov chain with every rate frozen has no generators: the zero algebra
     closure = (
-        lie_closure([_generator_entries(spec, p) for p in pairs], spec.n)
+        lie_closure([_pair_entries(rotation, i - 1, j - 1) for i, j in pairs], spec.n)
         if pairs
         else LinearSpan(spec.n)
     )
     controllable = closure.dim == _full_dim(spec)
     uf = UnionFind(spec.n)
-    rotation = spec.family in _ROTATION_FAMILIES
-    # 0-based pairs a < b < n are in range, so each probe is the entry map
-    # of rotation_entries / coupling_entries without its pair check
     for a, b in itertools.combinations(range(spec.n), 2):
-        if rotation:
-            probe = {(a, b): 1, (b, a): -1}
-        else:
-            probe = {(a, a): -1, (a, b): 1, (b, a): 1, (b, b): -1}
-        if closure.contains(probe):
+        if closure.contains(_pair_entries(rotation, a, b)):
             uf.union(a + 1, b + 1)
     blocks = tuple(g for g in uf.groups() if len(g) >= 2)
-    agrees = (controllable == method_class.is_full()) and (
-        blocks == method_class.sorted_orbits()
-    )
+    agrees = controllable == method_class.is_full() and blocks == method_class.orbits
     return OracleResult(
         dim=closure.dim, controllable=controllable, orbits=blocks, agrees=agrees,
         closure=closure,

@@ -578,8 +578,10 @@ def test_in_process_calls_match_fresh_processes(write, capsys, monkeypatch):
 
 @pytest.mark.parametrize("module", ["ctrlperm.cli", "ctrlperm"])
 def test_import_stays_off_the_slow_stdlib_modules(module):
-    # dataclasses pulls in inspect, ast, dis and tokenize: about a third of start-up
-    probe = f"import sys, {module}\nprint(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))\n"
+    # dataclasses pulls in inspect, ast, dis and tokenize: about a third of start-up;
+    # hashlib loads OpenSSL, which only the spec digest of an analyze report needs
+    slow = "{'dataclasses', 'inspect', 'hashlib'}"
+    probe = f"import sys, {module}\nprint(sorted({slow} & set(sys.modules)))\n"
     done = _python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

@@ -488,3 +488,27 @@ def test_rank_at_points():
     assert single.rank_at([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]) == 1
     with pytest.raises(ValueError):
         full.rank_at([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "rows, skew, symmetric, zero_sums",
+    [
+        ([[1, 0], [0, 0]], False, True, False),  # a nonzero diagonal entry
+        ([[0, 1], [-1, 1]], False, False, False),
+        ([[0, 1], [1, 0]], False, True, False),
+        ([[1, -1], [1, -1]], False, False, False),  # zero row sums, nonzero column sums
+        ([[1, 1], [-1, -1]], False, False, False),  # the transpose of the row above
+        ([[0, 0], [0, 0]], True, True, True),
+        ([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]], True, False, False),
+        ([[Fraction(-1, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(-1, 3)]], False, True, True),
+        ([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], True, False, True),
+        ([[0, Fraction(1, 2), 0], [Fraction(-1, 2), 0, 0], [0, 0, 0]], True, False, False),
+    ],
+)
+def test_shape_tests_on_edge_cases(rows, skew, symmetric, zero_sums):
+    m = ExactMatrix(rows)
+    assert m.is_skew_symmetric() is skew
+    assert m.is_symmetric() is symmetric
+    assert m.has_zero_row_sums() is zero_sums
+    assert m.transpose().is_skew_symmetric() is skew
+    assert m.transpose().has_zero_row_sums() is zero_sums

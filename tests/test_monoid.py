@@ -232,3 +232,20 @@ def test_empty_image_only_for_empty_set(data):
     n, pairs = data
     p = partition_from_pairs(pairs, n)
     assert (p == OrbitPartition(n, ())) == (len(pairs) == 0)
+
+
+def test_orbits_are_stored_in_canonical_form():
+    part = OrbitPartition(5, [{5, 4}, {3, 1, 2}])
+    assert part.orbits == ((1, 2, 3), (4, 5))
+    assert part.sorted_orbits() is part.orbits
+    # equal orbits given as any iterables collapse into one
+    assert OrbitPartition(5, [(2, 1), [1, 2], {1, 2}, frozenset({4, 5})]).orbits == (
+        (1, 2),
+        (4, 5),
+    )
+    assert OrbitPartition(3, []).orbits == ()
+    assert str(part) == "{1,2,3}{4,5}"
+    assert part.fixed_points() == frozenset()
+    assert OrbitPartition(4, [(4, 3)]).fixed_points() == frozenset({1, 2})
+    assert [p.is_full() for p in (part, OrbitPartition(3, [(3, 1, 2)]))] == [False, True]
+    assert not OrbitPartition(2, [{1, 1.5}]).is_full()

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -9,6 +10,7 @@ from ctrlperm.permutation import (
     CycleDecomposition,
     Permutation,
     SubgroupSummary,
+    check_pair,
     compose,
     cycle_decomposition,
     generate_subgroup,
@@ -285,3 +287,15 @@ def test_cycles_recompose_to_sigma(sigma):
 def test_transposition_decomposition_reconstructs(sigma):
     pairs = transposition_decomposition(sigma)
     assert transposition_product(pairs, sigma.n) == sigma
+
+
+def test_check_pair_rejects_non_integral_letters():
+    for pair in [(1.0, 2.5), (1, 2.0), (1.5, 2), (Fraction(1), 2)]:
+        with pytest.raises(TypeError):
+            check_pair(pair, 3)
+    # out of range is still a ValueError, whatever the type
+    with pytest.raises(ValueError, match="index pair"):
+        check_pair((2.5, 1), 3)
+    for pair in [(1, 2), (True, 2), [1, 3]]:
+        result = check_pair(pair, 3)
+        assert result == tuple(pair) and [type(a) for a in result] == [int, int]

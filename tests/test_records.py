@@ -4,9 +4,12 @@ Each record type constructs positionally and by keyword with its defaults,
 refuses assignment and deletion, equals only instances of its own class,
 hashes consistently with that equality, prints as ``Name(field=value, ...)``
 and survives pickle, copy and deepcopy.  The repr strings are the text the
-records printed when they were frozen dataclasses.
+records printed when they were frozen dataclasses.  The three value types
+that keep their own repr (``Permutation``, ``OrbitPartition`` and
+``ExactMatrix``) derive from the same base and are checked at the end.
 """
 
+import contextlib
 import copy
 import inspect
 import pickle
@@ -18,9 +21,11 @@ from ctrlperm import (
     ControlGraph,
     ControllabilityReport,
     CycleDecomposition,
+    ExactMatrix,
     LinearSpan,
     NonstandardProbeResult,
     OracleResult,
+    OrbitPartition,
     Permutation,
     SubgroupSummary,
     SubmanifoldComponent,
@@ -240,3 +245,66 @@ def test_records_normalize_their_pairs():
 def test_records_do_not_iterate():
     with pytest.raises(TypeError):
         iter(SubgroupSummary(2, False))
+
+
+
+# The three value types that keep their own repr: (a factory, a field name);
+# a factory, so that no test sees what another did to its instance
+VALUES = [
+    (lambda: Permutation.parse("(1 2 3)", 4), "image"),
+    (lambda: OrbitPartition(5, [{5, 4}, {3, 1, 2}]), "orbits"),
+    (lambda: ExactMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]), "rows"),
+]
+VALUE_IDS = ["Permutation", "OrbitPartition", "ExactMatrix"]
+values = pytest.mark.parametrize("make, name", VALUES, ids=VALUE_IDS)
+
+
+@values
+def test_value_types_refuse_assignment_and_deletion(make, name):
+    value = make()
+    kept = getattr(value, name)
+    for action in (
+        lambda: setattr(value, name, kept[:1]),
+        lambda: delattr(value, name),
+        lambda: setattr(value, "extra", 1),
+    ):
+        with pytest.raises(AttributeError) as exc:
+            action()
+        assert type(exc.value) is AttributeError
+    assert getattr(value, name) is kept
+
+
+@values
+def test_value_types_stay_findable_in_a_set(make, name):
+    value = make()
+    held = {value}
+    with contextlib.suppress(AttributeError):
+        setattr(value, name, getattr(value, name)[:1])
+    assert value in held
+    assert make() in held
+
+
+@values
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_value_types_pickle_and_copy(make, name, round_trip):
+    value = make()
+    again = round_trip(value)
+    assert type(again) is type(value)
+    assert again == value and hash(again) == hash(value)
+    assert repr(again) == repr(value)
+
+
+@values
+def test_value_types_equal_only_their_own_class(make, name):
+    value = make()
+
+    class Lookalike(type(value)):
+        __slots__ = ()
+
+    lookalike = Lookalike(*[getattr(value, f) for f in type(value).__match_args__])
+    assert lookalike != value and value != lookalike
+    assert value != getattr(value, name)

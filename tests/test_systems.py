@@ -1,10 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from ctrlperm import systems
-from ctrlperm.liealg import coupling_generator, lie_closure, rotation_generator
+from ctrlperm.liealg import (
+    coupling_entries,
+    coupling_generator,
+    lie_closure,
+    rotation_entries,
+    rotation_generator,
+)
 from ctrlperm.monoid import OrbitPartition
 from ctrlperm.systems import (
     FAMILIES,
@@ -422,3 +429,25 @@ def test_drift_neutrality():
         assert as_controls.orbits == as_drift.orbits
         assert as_controls.min_controls_satisfied == as_drift.min_controls_satisfied
         assert as_controls.submanifold == as_drift.submanifold
+
+
+def test_oracle_builder_matches_the_public_entry_maps():
+    for n in range(2, 7):
+        for i, j in combinations(range(1, n + 1), 2):
+            assert systems._pair_entries(True, i - 1, j - 1) == rotation_entries(n, (i, j))
+            assert systems._pair_entries(False, i - 1, j - 1) == coupling_entries(n, (i, j))
+
+
+def test_spec_rejects_non_integral_letters():
+    with pytest.raises(TypeError):
+        SystemSpec("so_n", 3, [(1, 2.7)])
+    with pytest.raises(TypeError):
+        SystemSpec("so_n", 3, [(1, 2)], drift=(2.0, 3))
+    with pytest.raises(TypeError):
+        SystemSpec("so_n", 2.5, [(1, 2)])
+    with pytest.raises(TypeError):
+        SystemSpec("so_n", Fraction(3), [(1, 2)])
+    # ints and bools stay accepted, stored as plain ints
+    spec = SystemSpec("so_n", 3, [(True, 2)], drift=(2, 3))
+    assert spec.controls == frozenset({(1, 2)})
+    assert [type(a) for pair in spec.all_pairs for a in pair] == [int] * 4
