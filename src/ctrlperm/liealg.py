@@ -2,10 +2,13 @@
 
 Everything here is exact: matrix entries are Python ints or Fractions, rank
 and membership decisions are made by integer row reduction, and there is no
-floating point anywhere.  The module provides the skew-symmetric rotation
-generators spanning so(n), the zero-row-sum coupling/circulation generators
-of the agent-interaction algebra, Lie brackets, and the bracket-closure
-computation behind the rank-condition oracle.
+floating point anywhere.  The one computation modulo a prime, the mod-3
+screen of the bracket closure, can only prove that a closure is as large as
+it can be, so it never changes an answer.  The module provides the
+skew-symmetric rotation generators spanning so(n), the zero-row-sum
+coupling/circulation generators of the agent-interaction algebra, Lie
+brackets, and the bracket-closure computation behind the rank-condition
+oracle.
 
 :class:`ExactMatrix` is the dense form used at the public boundary.  The
 closure engine works on *entry maps*: ``{(row, col): value}`` dicts holding
@@ -472,6 +475,7 @@ def _has_zero_sums(entries):
 
 # The ambient algebras of a block of b letters, tried in this order: the
 # first whose test every generator of the block passes bounds its closure.
+# ``_mod3.AMBIENTS`` holds the test mod 3 and the basis of each, by name.
 _AMBIENTS = (
     ("skew-symmetric", _is_skew, lambda b: b * (b - 1) // 2),
     ("zero row and column sums", _has_zero_sums, lambda b: (b - 1) ** 2),
@@ -494,7 +498,9 @@ def _close_block(space, generators, block, block_of, size):
     ``_AMBIENTS`` that holds every generator.  Every generator and every
     kept bracket must have its support in the block, and every kept bracket
     must lie in the ambient algebra; a failed check raises
-    :class:`RuntimeError`.
+    :class:`RuntimeError`.  The mod-3 screen runs first; when it proves the
+    closure is the ambient algebra, the block's rows become that algebra's
+    basis and no exact bracket is tried.
     """
     name, in_ambient, ambient_dim = next(
         a for a in _AMBIENTS if all(a[1](g) for g in generators)
@@ -502,6 +508,19 @@ def _close_block(space, generators, block, block_of, size):
     dim = ambient_dim(size)
     for g in generators:
         _check_support(g, block, block_of)
+    if len(generators) < dim:
+        # loaded by the first block that needs brackets, so that commands
+        # without a closure do not compile it
+        from . import _mod3
+
+        letters = sorted({a for g in generators for entry in g for a in entry})
+        basis = _mod3.certified_basis(generators, letters, name, dim)
+        if basis is not None:
+            # the block's rows span part of the ambient algebra, so their
+            # pivots are among its basis's pivots: this replaces exactly the
+            # rows whose pivot lies in the block
+            space.rows.update(basis)
+            return
     elements = list(generators)
     k = len(elements)
     indexed = [_index(g) for g in generators]
@@ -559,6 +578,29 @@ def lie_closure(generators, n=None):
     the block is finished and stops without trying further brackets.  The
     stop is exact, and a wrong block split fails a check rather than
     returning a wrong span.
+
+    *Certificate.*  Before its exact worklist, a block that needs brackets
+    runs the same worklist mod 3 (``ctrlperm._mod3``): the same bracket
+    order, on b-by-b matrices over GF(3) in the block's own coordinates.  Every kept element
+    is checked to lie in the ambient algebra mod 3 (X = -X^T for so(B),
+    row and column sums 0 for the zero-sum algebra), and a failed check
+    raises the same :class:`RuntimeError`.  Reduction mod 3 commutes with
+    the bracket, so each kept element is the image of an integer element of
+    the closure.  Independence mod 3 implies independence over the
+    rationals: a rational dependence, cleared of denominators and divided
+    by its content, reduces to a nonzero dependence mod 3.  The generators
+    are checked exactly to lie in the ambient algebra, and that algebra is
+    closed under bracket, so the closure lies in it.  Hence, once as many
+    elements as the ambient dimension are kept mod 3, the closure *is* the
+    ambient algebra.  Its reduced echelon basis is written in closed form
+    (with ``last`` the block's largest letter): ``{(a, c): 1, (c, a): -1}``
+    for a < c in so(B); ``{(i, j): 1, (i, last): -1, (last, j): -1,
+    (last, last): 1}`` for i, j != last in the zero-sum algebra; the unit
+    matrices otherwise.  The reduced echelon form is unique for the span,
+    so ``basis`` and ``pivots`` are those the exact worklist would give.
+    When the mod-3 closure falls short, it proves nothing and the exact
+    worklist decides.  That happens whenever every generator entry is a
+    multiple of 3, and may happen otherwise.
 
     Storage is sparse and exact: elements are entry maps, brackets cost
     time in their nonzeros rather than n^3, and the span keeps primitive

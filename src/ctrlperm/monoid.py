@@ -18,6 +18,7 @@ for the other.
 from __future__ import annotations
 
 import re
+from operator import index
 
 from ._record import Record, setfield
 from .permutation import (
@@ -75,7 +76,9 @@ class OrbitPartition(Record):
 
     An immutable value record; it equals only another partition.  The
     orbits may be given as any iterables of letters, and equal orbits
-    collapse into one.  ``orbits`` holds them in canonical form: a tuple of
+    collapse into one.  ``n`` and every letter must be integers (anything
+    ``operator.index`` accepts, stored as a plain int), else
+    :class:`TypeError`.  ``orbits`` holds them in canonical form: a tuple of
     sorted tuples, ordered by smallest letter.  The empty orbit set is the
     class of the identity.  Letters outside every orbit are fixed points.
     """
@@ -83,9 +86,10 @@ class OrbitPartition(Record):
     __slots__ = ("n", "orbits")
 
     def __init__(self, n, orbits):
+        n = index(n)
         if n < 1:
             raise ValueError(f"need at least one letter, got n={n}")
-        orbits = frozenset(frozenset(o) for o in orbits)
+        orbits = frozenset(frozenset(map(index, o)) for o in orbits)
         seen = set()
         for orbit in orbits:
             if len(orbit) < 2:
@@ -117,8 +121,8 @@ class OrbitPartition(Record):
 
     def is_full(self):
         """True iff the partition is the single orbit {1, ..., n}."""
-        # a comparison, not a count: the letters are not checked to be integers
-        return len(self.orbits) == 1 and self.orbits[0] == tuple(range(1, self.n + 1))
+        # a count suffices: the orbits hold distinct integer letters in 1..n
+        return len(self.orbits) == 1 and len(self.orbits[0]) == self.n
 
     def merge(self, other):
         """Combine two partitions, merging every pair of intersecting orbits.

@@ -55,10 +55,12 @@ FAMILIES = (SO_N, MULTI_AGENT, MARKOV, SPHERE)
 
 _ROTATION_FAMILIES = (SO_N, SPHERE)
 
-# Size guards for the bracket-closure oracle.  At the guards a complete
-# control graph, the dearest standard case, costs about 1.2 ms of
-# oracle_check for so_n (n=12) and 2.9 ms for multi_agent (n=8) (CPython
-# 3.11.7, shared 2-core x86_64 host).
+# Size guards for the bracket-closure oracle.  At the guards the dearest
+# standard case is a sparse connected control graph: over five draws of a
+# path plus random edges (2n pairs), oracle_check costs at most about
+# 1.8 ms for so_n (n=12) and 3.0 ms for multi_agent (n=8); a complete graph
+# costs 1.0 and 1.7 ms (best of 7, CPython 3.11.7, shared 2-core x86_64
+# host).
 ORACLE_MAX_ROTATION = 12
 ORACLE_MAX_AGENTS = 8
 

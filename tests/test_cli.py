@@ -587,6 +587,20 @@ def test_import_stays_off_the_slow_stdlib_modules(module):
     assert done.stdout == "[]\n"
 
 
+def test_mod3_screen_loads_with_the_first_closure():
+    # the screen is compiled only by a run that closes a block with brackets
+    probe = (
+        "import sys, ctrlperm, ctrlperm.cli\n"
+        "print('ctrlperm._mod3' in sys.modules)\n"
+        "from ctrlperm.liealg import lie_closure, rotation_entries\n"
+        "lie_closure([rotation_entries(3, (1, 2)), rotation_entries(3, (2, 3))], 3)\n"
+        "print('ctrlperm._mod3' in sys.modules)\n"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\nTrue\n"
+
+
 def test_import_builds_no_parser():
     probe = (
         "import argparse\n"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrlperm import liealg
+from ctrlperm import _mod3, liealg
 from ctrlperm.liealg import (
     ExactMatrix,
     LinearSpan,
@@ -375,7 +375,13 @@ def test_span_accepts_entry_maps():
     assert other.basis == (rot(4, 1, 2),)
 
 
+def _decline_screen(monkeypatch):
+    """Make the mod-3 screen decline, so every block runs the exact worklist."""
+    monkeypatch.setattr(_mod3, "certified_basis", lambda *args: None)
+
+
 def test_closure_stops_each_block_at_its_ambient_algebra(monkeypatch):
+    _decline_screen(monkeypatch)
     tried = []
     real = liealg._bracket_indexed
 
@@ -404,6 +410,7 @@ def test_closure_stops_each_block_at_its_ambient_algebra(monkeypatch):
 def test_closure_dimension_check_is_a_raised_error(monkeypatch):
     # a skew generator set closing beyond so(n) is an engine fault; the check
     # must survive python -O, so it cannot be an assert
+    _decline_screen(monkeypatch)
     diagonal = cycle(range(3))
 
     def broken_bracket(a, b_rows, b_cols):
@@ -417,6 +424,8 @@ def test_closure_dimension_check_is_a_raised_error(monkeypatch):
 
 def test_closure_fault_outside_the_zero_sum_algebra_is_a_raised_error(monkeypatch):
     # a bound alone would not see this: the broken closure stays below (3-1)^2
+    _decline_screen(monkeypatch)
+
     def broken_bracket(a, b_rows, b_cols):
         return {(0, 0): 1}
 
@@ -428,6 +437,7 @@ def test_closure_fault_outside_the_zero_sum_algebra_is_a_raised_error(monkeypatc
 def test_closure_fault_outside_the_block_is_a_raised_error(monkeypatch):
     # the stray entry is skew, and the block {1, 2, 3} reaches dim so(3) = 3
     # with it, so only the support check stops a wrong span from returning
+    _decline_screen(monkeypatch)
     real = liealg._bracket_indexed
 
     def broken_bracket(a, b_rows, b_cols):
@@ -436,6 +446,166 @@ def test_closure_fault_outside_the_block_is_a_raised_error(monkeypatch):
     monkeypatch.setattr(liealg, "_bracket_indexed", broken_bracket)
     with pytest.raises(RuntimeError, match="outside its block"):
         lie_closure([rot(5, 1, 2), rot(5, 2, 3), rot(5, 4, 5)])
+
+
+def _signed_sum(n, rng):
+    """Probe style: a signed sum of rotation generators on 1..n/2 disjoint pairs."""
+    letters = list(range(n))
+    rng.shuffle(letters)
+    entries = {}
+    for at in range(0, 2 * rng.randint(1, n // 2), 2):
+        i, j = sorted(letters[at : at + 2])
+        sign = rng.choice((1, -1))
+        entries[i, j], entries[j, i] = sign, -sign
+    return entries
+
+
+def _screen_sets(seed):
+    """Seeded sets up to n=10: (label, generators, every image mod 3 is zero)."""
+    rng = random.Random(seed)
+    sets = []
+    for n in range(3, 11):
+        for kind, builder in (("rotation", rotation_generator), ("coupling", coupling_generator)):
+            tree = [builder(n, p) for p in spanning_tree_pairs(rng, range(1, n + 1))]
+            sets.append((f"{kind} tree n={n}", tree, False))
+            sets.append((f"{kind} tree times 3 n={n}", [g.scaled(3) for g in tree], True))
+        for _ in range(2):
+            gens = [_signed_sum(n, rng) for _ in range(3)]
+            sets.append((f"signed sums n={n}", [ExactMatrix.from_entries(n, g) for g in gens], False))
+            scale = rng.choice((3, -6, Fraction(3, 2)))
+            sets.append(
+                (f"signed sums times {scale} n={n}",
+                 [ExactMatrix.from_entries(n, g).scaled(scale) for g in gens], True)
+            )
+    for label, gens in _random_generator_sets(seed):
+        if label.startswith(("complete", "fraction", "2 blocks", "3 blocks")):
+            sets.append((label, gens, False))
+    return sets
+
+
+def test_screen_and_exact_worklist_give_one_basis(monkeypatch):
+    real = _mod3.certified_basis
+    verdicts = []
+
+    def recording(*args):
+        basis = real(*args)
+        verdicts.append(basis is not None)
+        return basis
+
+    certified = 0
+    for label, gens, degenerate in _screen_sets(20261018):
+        verdicts.clear()
+        monkeypatch.setattr(_mod3, "certified_basis", recording)
+        screened = lie_closure(gens)
+        _decline_screen(monkeypatch)
+        exact = lie_closure(gens)
+        assert screened.pivots == exact.pivots and screened.basis == exact.basis, label
+        if degenerate:
+            # an image that is zero mod 3 proves nothing: the exact worklist
+            # decides, on the span of a set the loop has already compared
+            assert not any(verdicts), label
+        elif gens[0].n <= 8 or "coupling" not in label:
+            # the dense reference takes about 2 s on a coupling tree at n=10
+            assert screened.basis == reference_closure_basis(gens), label
+        certified += sum(verdicts)
+    # every tree, and the full blocks of the signed-sum, fraction and block
+    # sets, but one: a fraction block whose generator 3/4 rot(1,2) vanishes
+    # mod 3 is left to the exact worklist, as are all degenerate sets
+    assert certified == 43
+
+
+def test_dense_probe_set_closes_without_exact_brackets(monkeypatch):
+    # this set cost the exact worklist alone over a minute: 666 brackets,
+    # each kept one back-substituted into hundreds of dense rows
+    tried = []
+    real = liealg._bracket_indexed
+    monkeypatch.setattr(
+        liealg, "_bracket_indexed", lambda *args: tried.append(1) or real(*args)
+    )
+    rng = random.Random(100 * 3 + 32)
+    span = lie_closure([_signed_sum(32, rng) for _ in range(3)], 32)
+    assert (span.dim, len(tried)) == (496, 0)
+    assert span.basis == tuple(rotation_generator(32, p) for p in combinations(range(1, 33), 2))
+
+
+def test_screen_stops_each_block_at_its_ambient_algebra(monkeypatch):
+    tried = []
+    real = _mod3.bracket
+
+    def counting(plus, minus, layers):
+        tried.append(plus)
+        return real(plus, minus, layers)
+
+    monkeypatch.setattr(_mod3, "bracket", counting)
+
+    def dim_and_brackets(gens):
+        tried.clear()
+        return lie_closure(gens).dim, len(tried)
+
+    # the exact worklist tries 0, 40, 7, 14 and 22 brackets on these sets;
+    # the screen skips brackets that must vanish
+    complete = list(combinations(range(1, 9), 2))
+    assert dim_and_brackets([rotation_generator(8, p) for p in complete]) == (28, 0)
+    complete = list(combinations(range(1, 7), 2))
+    assert dim_and_brackets([coupling_generator(6, p) for p in complete]) == (25, 22)
+    two_paths = [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+    assert dim_and_brackets([rotation_generator(7, p) for p in two_paths]) == (3 + 6, 6)
+    assert dim_and_brackets([coupling_generator(7, p) for p in two_paths]) == (4 + 9, 13)
+    assert dim_and_brackets([rot(5, i, i + 1) for i in range(1, 5)]) == (10, 16)
+
+
+def test_screen_fault_outside_so_n_is_a_raised_error(monkeypatch):
+    # the screen checks what it keeps just as the exact worklist does, with
+    # the same message; local entry (i, i) of a 3-letter block is bit 4i
+    diagonal = cycle(range(3))
+
+    def broken_bracket(plus, minus, layers):
+        return 1 << 4 * next(diagonal), 0
+
+    monkeypatch.setattr(_mod3, "bracket", broken_bracket)
+    with pytest.raises(RuntimeError, match="skew-symmetric"):
+        lie_closure([rot(3, 1, 2), rot(3, 2, 3)])
+
+
+def test_screen_fault_outside_the_zero_sum_algebra_is_a_raised_error(monkeypatch):
+    def broken_bracket(plus, minus, layers):
+        return 1, 0  # +1 at local (0, 0)
+
+    monkeypatch.setattr(_mod3, "bracket", broken_bracket)
+    with pytest.raises(RuntimeError, match="zero row and column sums"):
+        lie_closure([coupling_generator(3, (1, 2)), coupling_generator(3, (2, 3))])
+
+
+def test_bracket_mod3_matches_exact_bracket():
+    rng = random.Random(3)
+    for _ in range(300):
+        b = rng.randint(1, 7)
+        letters = sorted(rng.sample(range(9), b))
+        local = {a: r for r, a in enumerate(letters)}
+        grid = _mod3.grid_for(b)
+
+        def draw(density):
+            return {
+                (i, j): rng.randint(-4, 4) for i in letters for j in letters
+                if rng.random() < density
+            }
+
+        x, g = draw(rng.random()), draw(rng.random() / 2)
+        signed, _, _ = _mod3.image(g, local, b)
+        reach, layers = _mod3.bracket_terms(signed, grid, b)
+        _, x_plus, x_minus = _mod3.image(x, local, b)
+        expected = _mod3.image(_bracket_indexed(x, *_index(g)), local, b)[1:]
+        assert _mod3.bracket(x_plus, x_minus, layers) == expected
+        if not (x_plus | x_minus) & reach:
+            assert expected == (0, 0)
+        # the ambient tests mod 3 agree with the exact tests on entries reduced to -1, 0, 1
+        reduced = {k: (v + 1) % 3 - 1 for k, v in x.items() if v % 3}
+        assert _mod3.is_skew(x_plus, x_minus, grid) == liealg._is_skew(reduced)
+        assert _mod3.has_zero_sums(x_plus, x_minus, grid) == all(
+            sum(reduced.get((i, j), 0) for j in letters) % 3 == 0
+            and sum(reduced.get((j, i), 0) for j in letters) % 3 == 0
+            for i in letters
+        )
 
 
 def test_closure_rejects_empty_or_mismatched():

@@ -248,4 +248,22 @@ def test_orbits_are_stored_in_canonical_form():
     assert part.fixed_points() == frozenset()
     assert OrbitPartition(4, [(4, 3)]).fixed_points() == frozenset({1, 2})
     assert [p.is_full() for p in (part, OrbitPartition(3, [(3, 1, 2)]))] == [False, True]
-    assert not OrbitPartition(2, [{1, 1.5}]).is_full()
+
+
+def test_partition_rejects_non_integral_letters():
+    # a letter 1.5 once read as a letter, and a size 2.5 failed only later,
+    # in fixed_points
+    with pytest.raises(TypeError):
+        OrbitPartition(2, [{1, 1.5}])
+    with pytest.raises(TypeError):
+        OrbitPartition(3, [(1.0, 2)])
+    with pytest.raises(TypeError):
+        OrbitPartition(2.5, [{1, 2}])
+    with pytest.raises(TypeError):
+        OrbitPartition(2, ["12"])
+    # integral letters of other types are stored as plain ints, so the
+    # length count in is_full sees exactly the letters 1..n
+    part = OrbitPartition(3, [(True, 2, 3)])
+    assert part.orbits == ((1, 2, 3),) and type(part.orbits[0][0]) is int
+    assert part.is_full() and str(part) == "{1,2,3}"
+    assert type(OrbitPartition(True, []).n) is int
