@@ -599,8 +599,9 @@ def lie_closure(generators, n=None):
     matrices otherwise.  The reduced echelon form is unique for the span,
     so ``basis`` and ``pivots`` are those the exact worklist would give.
     When the mod-3 closure falls short, it proves nothing and the exact
-    worklist decides.  That happens whenever every generator entry is a
-    multiple of 3, and may happen otherwise.
+    worklist decides.  Each generator is made primitive first, so none
+    vanishes mod 3, but the brackets a full closure needs may still be
+    dependent mod 3.
 
     Storage is sparse and exact: elements are entry maps, brackets cost
     time in their nonzeros rather than n^3, and the span keeps primitive
@@ -619,9 +620,9 @@ def lie_closure(generators, n=None):
     kept = []
     letters = UnionFind(n)  # letter a + 1 stands for the 0-based index a
     for g in generators:
-        # scaling a generator to integers leaves the generated algebra
-        # unchanged, and makes every bracket an integer map
-        entries = span._vector(g)
+        # a generator's primitive integer multiple generates the same algebra,
+        # makes every bracket an integer map, and does not vanish mod 3
+        entries = _primitive(span._vector(g))
         if space.insert(dict(entries)):
             kept.append(entries)
             anchor, *others = {a + 1 for entry in entries for a in entry}

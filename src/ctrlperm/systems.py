@@ -9,12 +9,12 @@ the orbits describe the controllable submanifold componentwise.
 :func:`oracle_check` independently settles the same question by exact
 Lie-bracket closure and rank, and reports whether the two methods agree.
 
-Families:
+Families, each one row of the private table ``_FAMILIES`` that holds every
+fact the analyzers know about it:
 
-* ``so_n`` - rotations; state space SO(n), full algebra dimension n(n-1)/2.
+* ``so_n`` - rotations of R^n.
 * ``sphere`` - the induced action on the sphere in R^n; same generators.
-* ``multi_agent`` - N interacting agents with symmetric couplings; the
-  algebra of zero-row-sum matrices has dimension (N-1)^2.
+* ``multi_agent`` - N interacting agents with symmetric couplings.
 * ``markov`` - symmetric continuous-time Markov chains with tunable rates;
   a single-agent instance of the multi-agent family on the probability
   simplex, with conserved probability mass per orbit.
@@ -46,14 +46,6 @@ __all__ = [
     "min_controls_check",
     "probe_nonstandard",
 ]
-
-SO_N = "so_n"
-MULTI_AGENT = "multi_agent"
-MARKOV = "markov"
-SPHERE = "sphere"
-FAMILIES = (SO_N, MULTI_AGENT, MARKOV, SPHERE)
-
-_ROTATION_FAMILIES = (SO_N, SPHERE)
 
 # Size guards for the bracket-closure oracle.  At the guards the dearest
 # standard case is a sparse connected control graph: over five draws of a
@@ -88,25 +80,26 @@ class SystemSpec(Record):
         agent_space_dim: int | None = None,
         initial_distribution: tuple | None = None,
     ) -> None:
+        # a tuple, so an unhashable family is refused here too
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        optional, pairless = _FAMILIES[family][3:]
         n = index(n)
         if n < 2:
             raise ValueError(f"need at least two letters, got n={n}")
         controls = frozenset(check_pair(p, n) for p in controls)
         if drift is not None:
             drift = check_pair(drift, n)
-        if not controls and drift is None and family != MARKOV:
-            # a markov chain with every rate frozen is still classifiable;
-            # the other families need at least one field
+        if not controls and drift is None and not pairless:
             raise ValueError("controls may be empty only when a drift pair is present")
         if agent_space_dim is not None:
-            if family != MULTI_AGENT:
+            if optional != "agent_space_dim":
                 raise ValueError("agent_space_dim applies to the multi_agent family only")
+            agent_space_dim = index(agent_space_dim)
             if agent_space_dim < 1:
                 raise ValueError(f"agent_space_dim must be positive: {agent_space_dim}")
         if initial_distribution is not None:
-            if family != MARKOV:
+            if optional != "initial_distribution":
                 raise ValueError("initial_distribution applies to the markov family only")
             dist = tuple(Fraction(x) for x in initial_distribution)
             if len(dist) != n:
@@ -279,19 +272,6 @@ def min_controls_check(spec):
     return len(spec.all_pairs) >= spec.n - 1
 
 
-def _full_dim(spec):
-    if spec.family in _ROTATION_FAMILIES:
-        return spec.n * (spec.n - 1) // 2
-    return (spec.n - 1) ** 2
-
-
-def _pair_entries(rotation, a, b):
-    """Unchecked ``rotation_entries`` (else ``coupling_entries``) of 0-based letters a < b."""
-    if rotation:
-        return {(a, b): 1, (b, a): -1}
-    return {(a, a): -1, (a, b): 1, (b, a): 1, (b, b): -1}
-
-
 def _pair_rows(letters, head=""):
     """``head + i,j)`` for each pair i < j of ``letters``: one space-separated row per i."""
     return [
@@ -327,49 +307,63 @@ def _agent_labels(orbit):
     return tuple(text.split(" "))
 
 
-def _state_space(spec):
-    if spec.family == SO_N:
-        return f"SO({spec.n})"
-    if spec.family == SPHERE:
-        return f"S^{spec.n - 1}"
-    if spec.family == MARKOV:
-        return f"Delta^{spec.n - 1}"
-    if spec.agent_space_dim is not None:
-        return f"(Delta^{spec.agent_space_dim - 1})^{spec.n}"
-    return f"(Delta^(n-1))^{spec.n}"
+# Oracle facts, shared by the families of one generator type: the unchecked
+# ``rotation_entries`` (else ``coupling_entries``) of 0-based letters a < b,
+# the full algebra dimension for n letters, and the size guard.
+_ROTATION_ORACLE = (
+    lambda a, b: {(a, b): 1, (b, a): -1}, lambda n: n * (n - 1) // 2, ORACLE_MAX_ROTATION
+)
+_AGENT_ORACLE = (
+    lambda a, b: {(a, a): -1, (a, b): 1, (b, a): 1, (b, b): -1},
+    lambda n: (n - 1) ** 2,
+    ORACLE_MAX_AGENTS,
+)
+# Report facts, shared the same way: the generator labels of an orbit, and its
+# closed-form dimension.  No closed form is asserted for the agent algebra
+# restricted to an orbit; there the dimension is read off the oracle's closure.
+_ROTATION_REPORT = (_rotation_labels, lambda orbit: len(orbit) * (len(orbit) - 1) // 2)
+_AGENT_REPORT = (_agent_labels, None)
+
+# family: (oracle facts, report facts, state-space text, the one optional spec
+# field the family accepts, whether a spec may have no pairs at all: a markov
+# chain with every rate frozen is still classifiable).  The text is formatted
+# with n, m = n - 1 and d, the agent simplex dimension.
+_FAMILIES = {
+    "so_n": (_ROTATION_ORACLE, _ROTATION_REPORT, "SO({n})", None, False),
+    "multi_agent": (_AGENT_ORACLE, _AGENT_REPORT, "(Delta^{d})^{n}", "agent_space_dim", False),
+    "markov": (_AGENT_ORACLE, _AGENT_REPORT, "Delta^{m}", "initial_distribution", True),
+    "sphere": (_ROTATION_ORACLE, _ROTATION_REPORT, "S^{m}", None, False),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 def _submanifold(spec, orbits, fixed_points, closure):
-    # Generators on disjoint letter sets have disjoint support and commute, so
-    # the closure is a direct sum of orbit blocks: each reduced echelon basis
-    # matrix lies in the block holding the letter of its first nonzero row,
-    # which is the row of its pivot.
-    first_rows = None
-    if closure is not None and spec.family not in _ROTATION_FAMILIES:
+    (labels, orbit_dim), state_space = _FAMILIES[spec.family][1:3]
+    if orbit_dim is None and closure is not None:
+        # Generators on disjoint letter sets have disjoint support and commute,
+        # so the closure is a direct sum of orbit blocks: each reduced echelon
+        # basis matrix lies in the block holding the letter of its first
+        # nonzero row, which is the row of its pivot.
         first_rows = [i + 1 for i, _ in closure.pivots]
-    components = []
-    for orbit in orbits:
-        size = len(orbit)
-        if spec.family in _ROTATION_FAMILIES:
-            labels = _rotation_labels(orbit)
-            dim = size * (size - 1) // 2
-        else:
-            labels = _agent_labels(orbit)
-            # no closed form is asserted for the agent algebra restricted to
-            # an orbit; the dimension is read off the oracle's closure
-            dim = None if first_rows is None else sum(r in orbit for r in first_rows)
-        components.append(SubmanifoldComponent(orbit, labels, dim))
+
+        def orbit_dim(orbit):
+            return sum(r in orbit for r in first_rows)
+
+    components = tuple(
+        SubmanifoldComponent(orbit, labels(orbit), orbit_dim and orbit_dim(orbit))
+        for orbit in orbits
+    )
     dims = [c.dim for c in components]
-    total = sum(dims) if all(d is not None for d in dims) else None
     conserved = frozen = None
-    if spec.family == MARKOV and spec.initial_distribution is not None:
+    if spec.initial_distribution is not None:
         dist = spec.initial_distribution
         conserved = tuple((orbit, sum(dist[i - 1] for i in orbit)) for orbit in orbits)
         frozen = tuple((j, dist[j - 1]) for j in fixed_points)
+    d = "(n-1)" if spec.agent_space_dim is None else spec.agent_space_dim - 1
     return SubmanifoldDescription(
-        components=tuple(components),
-        total_dim=total,
-        state_space=_state_space(spec),
+        components=components,
+        total_dim=None if None in dims else sum(dims),
+        state_space=state_space.format(n=spec.n, m=spec.n - 1, d=d),
         conserved_sums=conserved,
         frozen_states=frozen,
     )
@@ -412,9 +406,7 @@ def check_oracle_size(family, n, max_n=None):
     needs only the family and the letter count, so callers can refuse an
     instance before building it.
     """
-    guard = max_n
-    if guard is None:
-        guard = ORACLE_MAX_ROTATION if family in _ROTATION_FAMILIES else ORACLE_MAX_AGENTS
+    guard = _FAMILIES[family][0][2] if max_n is None else max_n
     if n > guard:
         raise OracleSizeError(
             f"n={n} exceeds the oracle size guard {guard}; "
@@ -435,19 +427,19 @@ def oracle_check(spec, method_class, max_n=None):
     partition match it.
     """
     check_oracle_size(spec.family, spec.n, max_n)
-    rotation = spec.family in _ROTATION_FAMILIES
+    pair_entries, full_dim, _ = _FAMILIES[spec.family][0]
     # SystemSpec has checked the pairs, and lie_closure checks every entry index
     pairs = sorted(spec.all_pairs)
     # a markov chain with every rate frozen has no generators: the zero algebra
     closure = (
-        lie_closure([_pair_entries(rotation, i - 1, j - 1) for i, j in pairs], spec.n)
+        lie_closure([pair_entries(i - 1, j - 1) for i, j in pairs], spec.n)
         if pairs
         else LinearSpan(spec.n)
     )
-    controllable = closure.dim == _full_dim(spec)
+    controllable = closure.dim == full_dim(spec.n)
     uf = UnionFind(spec.n)
     for a, b in itertools.combinations(range(spec.n), 2):
-        if closure.contains(_pair_entries(rotation, a, b)):
+        if closure.contains(pair_entries(a, b)):
             uf.union(a + 1, b + 1)
     blocks = tuple(g for g in uf.groups() if len(g) >= 2)
     agrees = controllable == method_class.is_full() and blocks == method_class.orbits
@@ -506,7 +498,7 @@ def probe_nonstandard(generators, max_n=None):
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].n
-    check_oracle_size(SO_N, n, max_n)
+    check_oracle_size("so_n", n, max_n)
     images = []
     for g in generators:
         if g.n != n:
@@ -521,5 +513,5 @@ def probe_nonstandard(generators, max_n=None):
         subgroup_order=subgroup.order,
         subgroup_is_full_symmetric=subgroup.is_full_symmetric,
         larc_dim=closure.dim,
-        larc_controllable=closure.dim == n * (n - 1) // 2,
+        larc_controllable=closure.dim == _FAMILIES["so_n"][0][1](n),
     )

@@ -461,7 +461,7 @@ def _signed_sum(n, rng):
 
 
 def _screen_sets(seed):
-    """Seeded sets up to n=10: (label, generators, every image mod 3 is zero)."""
+    """Seeded sets up to n=10: (label, generators, a scaled copy of the set before it)."""
     rng = random.Random(seed)
     sets = []
     for n in range(3, 11):
@@ -493,25 +493,25 @@ def test_screen_and_exact_worklist_give_one_basis(monkeypatch):
         return basis
 
     certified = 0
-    for label, gens, degenerate in _screen_sets(20261018):
+    for label, gens, scaled in _screen_sets(20261018):
         verdicts.clear()
         monkeypatch.setattr(_mod3, "certified_basis", recording)
         screened = lie_closure(gens)
         _decline_screen(monkeypatch)
         exact = lie_closure(gens)
         assert screened.pivots == exact.pivots and screened.basis == exact.basis, label
-        if degenerate:
-            # an image that is zero mod 3 proves nothing: the exact worklist
-            # decides, on the span of a set the loop has already compared
-            assert not any(verdicts), label
+        if scaled:
+            # each generator is made primitive first, so a factor of 3 hides
+            # nothing from the screen: the twin's verdicts and basis
+            assert (verdicts, screened.basis) == twin, label
         elif gens[0].n <= 8 or "coupling" not in label:
             # the dense reference takes about 2 s on a coupling tree at n=10
             assert screened.basis == reference_closure_basis(gens), label
+        twin = (list(verdicts), screened.basis)
         certified += sum(verdicts)
-    # every tree, and the full blocks of the signed-sum, fraction and block
-    # sets, but one: a fraction block whose generator 3/4 rot(1,2) vanishes
-    # mod 3 is left to the exact worklist, as are all degenerate sets
-    assert certified == 43
+    # every tree and the full blocks of the signed-sum, fraction and block
+    # sets, each scaled set as often as its twin
+    assert certified == 66
 
 
 def test_dense_probe_set_closes_without_exact_brackets(monkeypatch):

@@ -13,6 +13,7 @@ from ctrlperm.liealg import (
     rotation_generator,
 )
 from ctrlperm.monoid import OrbitPartition
+from ctrlperm.specio import canonical_json, parse_spec, spec_to_dict
 from ctrlperm.systems import (
     FAMILIES,
     ORACLE_MAX_AGENTS,
@@ -52,6 +53,8 @@ def test_spec_validation():
         SystemSpec("so_n", 5, frozenset())  # no controls, no drift
     with pytest.raises(ValueError):
         SystemSpec("bogus", 5, frozenset([(1, 2)]))
+    with pytest.raises(ValueError):
+        SystemSpec(["so_n"], 5, frozenset([(1, 2)]))  # unhashable
     with pytest.raises(ValueError):
         SystemSpec("so_n", 5, frozenset([(1, 2)]), agent_space_dim=3)
     with pytest.raises(ValueError):
@@ -432,10 +435,15 @@ def test_drift_neutrality():
 
 
 def test_oracle_builder_matches_the_public_entry_maps():
-    for n in range(2, 7):
-        for i, j in combinations(range(1, n + 1), 2):
-            assert systems._pair_entries(True, i - 1, j - 1) == rotation_entries(n, (i, j))
-            assert systems._pair_entries(False, i - 1, j - 1) == coupling_entries(n, (i, j))
+    for family in FAMILIES:
+        pair_entries, full_dim, _ = systems._FAMILIES[family][0]
+        public = rotation_entries if family in ("so_n", "sphere") else coupling_entries
+        for n in range(2, 7):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for i, j in pairs:
+                assert pair_entries(i - 1, j - 1) == public(n, (i, j)), family
+            # the complete graph generates the full algebra
+            assert full_dim(n) == lie_closure([public(n, p) for p in pairs], n).dim, family
 
 
 def test_spec_rejects_non_integral_letters():
@@ -447,6 +455,13 @@ def test_spec_rejects_non_integral_letters():
         SystemSpec("so_n", 2.5, [(1, 2)])
     with pytest.raises(TypeError):
         SystemSpec("so_n", Fraction(3), [(1, 2)])
+    for dim in (2.5, "2", Fraction(2)):
+        with pytest.raises(TypeError):
+            SystemSpec("multi_agent", 3, [(1, 2)], agent_space_dim=dim)
+    # a bool is stored as a plain int, so the spec survives a JSON round trip
+    spec = SystemSpec("multi_agent", 3, [(1, 2)], agent_space_dim=True)
+    assert type(spec.agent_space_dim) is int
+    assert parse_spec(canonical_json(spec_to_dict(spec))) == spec
     # ints and bools stay accepted, stored as plain ints
     spec = SystemSpec("so_n", 3, [(True, 2)], drift=(2, 3))
     assert spec.controls == frozenset({(1, 2)})
