@@ -45,8 +45,7 @@ def control_graph(spec):
 def components(graph):
     """Connected components as sorted tuples (singletons included), by minimum."""
     uf = UnionFind(graph.n)
-    for i, j in graph.edges:
-        uf.union(i, j)
+    uf.union_pairs(graph.edges)
     return uf.groups()
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import NamedTuple
 
 from ._record import Record, setfield
@@ -50,6 +51,14 @@ def _as_exact(x):
     if isinstance(x, str):
         return _as_exact(Fraction(x))
     raise TypeError(f"entries must be exact (int, Fraction, or rational string): {x!r}")
+
+
+def _entry_index(i, j, value):
+    """The indices of the entry ``(i, j): value`` as plain ints, or :class:`TypeError`."""
+    try:
+        return index(i), index(j)
+    except TypeError:
+        raise TypeError(f"entry {(i, j)!r}: {value!r} needs integer indices") from None
 
 
 class ExactMatrix(Record):
@@ -86,6 +95,8 @@ class ExactMatrix(Record):
             raise ValueError("matrix must be square and nonempty")
         rows = [[0] * n for _ in range(n)]
         for (i, j), value in entries.items():
+            if type(i) is not int or type(j) is not int:
+                i, j = _entry_index(i, j, value)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"entry index {(i, j)} outside a {n}x{n} matrix")
             rows[i][j] = _as_exact(value)
@@ -415,25 +426,30 @@ class LinearSpan:
         return evaluated.dim
 
     def _vector(self, matrix):
-        """A new integer entry map spanning what ``matrix`` spans, checked against n."""
-        return _integer_vector(self._entries(matrix))
+        """A new integer entry map spanning what ``matrix`` spans, checked against n.
 
-    def _entries(self, matrix):
-        """Entry map of an ExactMatrix or an entry map, checked against n."""
+        An entry map is read in one pass: each index is checked, zero values
+        are dropped, and when every value is a plain int the new map is the
+        vector itself.
+        """
         n = self.n
         if isinstance(matrix, ExactMatrix):
             if matrix.n != n:
                 raise ValueError(f"matrix size {matrix.n} != span size {n}")
-            return matrix.entries()
+            return _integer_vector(matrix.entries())
         entries = {}
+        plain = True
         for (i, j), x in matrix.items():
+            if type(i) is not int or type(j) is not int:
+                i, j = _entry_index(i, j, x)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"entry index {(i, j)} outside a {n}x{n} matrix")
             if type(x) is not int:
                 x = _as_exact(x)
+                plain = plain and type(x) is int
             if x:
                 entries[i, j] = x
-        return entries
+        return entries if plain else _integer_vector(entries)
 
 
 def _index(entries):

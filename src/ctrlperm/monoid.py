@@ -54,21 +54,35 @@ class UnionFind:
         return a
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+        self.union_pairs(((a, b),))
+
+    def union_pairs(self, pairs):
+        """Merge the classes of ``a`` and ``b`` for every pair ``(a, b)``, in one loop."""
+        parent, size = self.parent, self.size
+        for a, b in pairs:
+            # find, inlined: each step halves the path
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
 
     def groups(self):
-        """All classes as tuples sorted by smallest member, singletons included."""
+        """All classes as sorted tuples, ordered by smallest member, singletons included.
+
+        The letters are visited in increasing order, so each class is
+        filled in order and the classes appear in order of their smallest
+        member: nothing needs sorting.
+        """
         members = {}
         for a in range(1, len(self.parent)):
             members.setdefault(self.find(a), []).append(a)
         # a list, not a generator: see specio._write_int_rows
-        return tuple([tuple(sorted(g)) for g in sorted(members.values())])
+        return tuple([tuple(g) for g in members.values()])
 
 
 class OrbitPartition(Record):
@@ -102,6 +116,14 @@ class OrbitPartition(Record):
                 seen.add(a)
         setfield(self, "n", n)
         setfield(self, "orbits", tuple(sorted([tuple(sorted(o)) for o in orbits])))
+
+    @classmethod
+    def _trusted(cls, n, orbits):
+        """Wrap an int ``n`` >= 1 and canonical, disjoint orbits without re-validating them."""
+        partition = cls.__new__(cls)
+        setfield(partition, "n", n)
+        setfield(partition, "orbits", orbits)
+        return partition
 
     def __str__(self):
         if not self.orbits:
@@ -201,7 +223,10 @@ def partition_from_pairs(pairs, n):
     n))`` for every ordering of the set.  The empty set maps to the empty
     partition and nothing else does.
     """
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"need at least one letter, got n={n}")
     uf = UnionFind(n)
-    for pair in pairs:
-        uf.union(*check_pair(pair, n))
-    return OrbitPartition(n, (g for g in uf.groups() if len(g) >= 2))
+    uf.union_pairs([check_pair(pair, n) for pair in pairs])
+    # the groups are canonical, and disjoint sets of letters in 1..n
+    return OrbitPartition._trusted(n, tuple([g for g in uf.groups() if len(g) >= 2]))

@@ -147,13 +147,18 @@ def canonical_json(doc):
 
     Report-sized lists take bulk paths, each one ``join`` or ``%`` in C:
 
-    * a list of only ``int``s, or only ``str``s, is joined in one go;
-    * a list of plain ``str``s whose concatenation is printable ASCII without
+    * a list or tuple whose first item is a ``str`` is tried with one
+      ``"".join``, which is also its type check: a ``TypeError`` from it sends
+      the value to the paths below;
+    * a list of ``str``s whose concatenation is printable ASCII without
       ``"`` or ``\\`` needs no escaping, so each item is quoted as it is;
+      otherwise each item is escaped in one ``join``;
+    * a list of only plain ``int``s is joined in one go;
     * a list of equal-length, nonempty lists or tuples of plain ``int``s (the
       control pairs) is written through one ``%d`` row template.
 
-    Bools and other ``int`` or ``str`` subclasses take the item-by-item path.
+    A ``str`` subclass is written as its text, as ``json.dumps`` writes it;
+    bools and other ``int`` subclasses take the item-by-item path.
     """
     out = []
     _write(doc, "\n", out)
@@ -178,15 +183,21 @@ def _write(value, newline, out):
             out.append("[]")
             return
         inner = newline + "  "
-        kinds = set(map(type, value))
-        if kinds == {str}:
-            text = "".join(value)
-            if text.isascii() and not text.encode().translate(None, _VERBATIM):
-                # no item needs an escape, so each is its own JSON string body
-                out += ("[", inner, '"', ('",' + inner + '"').join(value), '"', newline, "]")
+        if isinstance(value[0], str):
+            # the join is the type check: it raises TypeError at any item
+            # that is not a str
+            try:
+                text = "".join(value)
+            except TypeError:
+                pass
             else:
-                out += ("[", inner, ("," + inner).join(map(_encode_str, value)), newline, "]")
-            return
+                if text.isascii() and not text.encode().translate(None, _VERBATIM):
+                    # no item needs an escape, so each is its own JSON string body
+                    out += ("[", inner, '"', ('",' + inner + '"').join(value), '"', newline, "]")
+                else:
+                    out += ("[", inner, ("," + inner).join(map(_encode_str, value)), newline, "]")
+                return
+        kinds = set(map(type, value))
         if kinds == {int}:
             out += ("[", inner, ("," + inner).join(map(int.__repr__, value)), newline, "]")
             return

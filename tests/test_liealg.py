@@ -375,6 +375,34 @@ def test_span_accepts_entry_maps():
     assert other.basis == (rot(4, 1, 2),)
 
 
+@pytest.mark.parametrize("bad", [0.5, "0", None, Fraction(1, 1)], ids=repr)
+def test_entry_indices_must_be_integers(bad):
+    # a float index once became a pivot, and the error came later from basis
+    entry = {(bad, 1): 1}
+    for call in (
+        lambda: LinearSpan(3).insert(entry),
+        lambda: LinearSpan(3).contains(entry),
+        lambda: lie_closure([{(bad, 1): 1, (1, bad): -1}], 3),
+        lambda: ExactMatrix.from_entries(3, entry),
+        lambda: ExactMatrix.from_entries(3, {(1, bad): 1}),
+    ):
+        with pytest.raises(TypeError, match=r"entry \(.*\): -?1 needs integer indices"):
+            call()
+
+
+def test_integral_entry_indices_are_stored_as_ints():
+    span = LinearSpan(3)
+    assert span.insert({(True, 1): 1, (2, True): 0})
+    assert span.pivots == ((1, 1),) and all(type(i) is int for i in span.pivots[0])
+    assert span.contains({(1, True): 2})
+    assert span.basis == (ExactMatrix.from_entries(3, {(1, 1): 1}),)
+    assert ExactMatrix.from_entries(3, {(False, True): 1}) == ExactMatrix.from_entries(
+        3, {(0, 1): 1}
+    )
+    closure = lie_closure([{(0, True): 1, (True, 0): -1}], 3)
+    assert closure.pivots == ((0, 1),)
+
+
 def _decline_screen(monkeypatch):
     """Make the mod-3 screen decline, so every block runs the exact worklist."""
     monkeypatch.setattr(_mod3, "certified_basis", lambda *args: None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ctrlperm.monoid import (
     OrbitPartition,
+    UnionFind,
     absorbing_compose,
     absorbing_product,
     orbit_partition,
@@ -267,3 +268,75 @@ def test_partition_rejects_non_integral_letters():
     assert part.orbits == ((1, 2, 3),) and type(part.orbits[0][0]) is int
     assert part.is_full() and str(part) == "{1,2,3}"
     assert type(OrbitPartition(True, []).n) is int
+
+
+def _components(pairs, n):
+    """Letter sets of the connected components of the graph on 1..n, by search."""
+    neighbours = {a: set() for a in range(1, n + 1)}
+    for a, b in pairs:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen, components = set(), []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        component, todo = {start}, [start]
+        while todo:
+            for b in neighbours[todo.pop()] - component:
+                component.add(b)
+                todo.append(b)
+        seen |= component
+        components.append(component)
+    return components
+
+
+def _seeded_pair_sets():
+    """Pair sets on n = 1..40 letters: empty, one pair, sparse, dense, and every pair."""
+    rng = random.Random(1313)
+    for n in range(1, 41):
+        pool = list(combinations(range(1, n + 1), 2))
+        sizes = {0, min(1, len(pool)), n // 2, n, rng.randint(0, len(pool)), len(pool)}
+        for m in sorted(size for size in sizes if size <= len(pool)):
+            yield n, rng.sample(pool, m)
+
+
+def test_partition_from_pairs_is_what_the_validating_constructor_builds():
+    for n, pairs in _seeded_pair_sets():
+        got = partition_from_pairs(pairs, n)
+        components = _components(pairs, n)
+        validated = OrbitPartition(n, [c for c in components if len(c) >= 2])
+        assert got == validated and got.orbits == validated.orbits, (n, pairs)
+        assert type(got.n) is int and type(got.orbits) is tuple
+        assert all(type(orbit) is tuple for orbit in got.orbits)
+        assert got.fixed_points() == {a for c in components if len(c) == 1 for a in c}
+        assert got == orbit_partition(absorbing_product(pairs, n)), (n, pairs)
+
+
+def test_union_find_groups_come_out_sorted():
+    for n, pairs in _seeded_pair_sets():
+        bulk, one_by_one = UnionFind(n), UnionFind(n)
+        bulk.union_pairs(pairs)
+        for a, b in reversed(pairs):
+            one_by_one.union(b, a)
+        groups = bulk.groups()
+        assert groups == tuple(sorted(tuple(sorted(g)) for g in groups)), (n, pairs)
+        assert groups == one_by_one.groups()
+        assert sorted(map(frozenset, groups), key=min) == sorted(
+            map(frozenset, _components(pairs, n)), key=min
+        )
+
+
+def test_partition_from_pairs_checks_its_letter_count():
+    # n goes through operator.index, as OrbitPartition's does
+    one = partition_from_pairs([], True)
+    assert one == OrbitPartition(1, ()) and type(one.n) is int
+    with pytest.raises(ValueError, match="at least one letter"):
+        partition_from_pairs([], 0)
+    with pytest.raises(ValueError):
+        partition_from_pairs([(1, 2)], 0)
+    with pytest.raises(TypeError):
+        partition_from_pairs([(1, 2)], 2.5)
+    with pytest.raises(ValueError):
+        partition_from_pairs([(1, 3)], 2)
+    with pytest.raises(TypeError):
+        partition_from_pairs([(1, 1.5)], 3)

@@ -128,6 +128,21 @@ def test_canonical_json_is_json_dumps(doc):
         ["é", "a"],
         [Tag('"'), "a"],
         ["rot(1,2)", "rot(1,10)", "", " "],
+        # str subclasses take the joined path, written as their text
+        [Tag("c"), Tag("d")],
+        (Tag("x"), "y"),
+        [Tag("é"), Tag("\n"), "z"],
+        # a failed join sends a list to the item-by-item path
+        ["a", 1],
+        ["a", True],
+        ["a", None],
+        ["a", [1, 2]],
+        ("a", "b"),
+        # items that need an escape or are not ASCII
+        ["tab\t", "quote\"", "nul\x00"],
+        ("\\", "/"),
+        ["ü", "€", "😀"],
+        ["a", "\u2028"],
         [[1, 2], [True, 3]],
         [(1, 2), [3, Level.LOW]],
         [[1, 2], []],
@@ -150,7 +165,15 @@ def test_canonical_json_edge_cases(doc):
 
 @pytest.mark.parametrize(
     "doc",
-    [{1, 2}, {"a": [1, b"bytes"]}, [Fraction(1, 2)], {"k": {(1, 2): 3}}, {"a": 1, 2: "b"}],
+    [
+        {1, 2},
+        {"a": [1, b"bytes"]},
+        [Fraction(1, 2)],
+        {"k": {(1, 2): 3}},
+        {"a": 1, 2: "b"},
+        ["a", b"x"],
+        ("a", "b", {1, 2}),
+    ],
     ids=repr,
 )
 def test_canonical_json_rejects_what_json_dumps_rejects(doc):

@@ -222,6 +222,33 @@ def test_analyze_with_oracle_merges_the_pairs_once(monkeypatch):
     assert report.oracle.agrees and report.oracle.orbits == report.orbits
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SystemSpec("so_n", 5, frozenset([(1, 2), (2, 3), (4, 5)])),
+        SystemSpec("sphere", 6, frozenset([(1, 6)]), drift=(2, 3)),
+        SystemSpec("multi_agent", 4, frozenset([(1, 2), (2, 3), (3, 4)])),
+        SystemSpec("markov", 3, frozenset()),
+    ],
+    ids=lambda spec: f"{spec.family}-{spec.n}",
+)
+def test_oracle_checks_every_letter_pair(monkeypatch, spec):
+    # the recovered orbits rest on one membership check per letter pair;
+    # deducing some of them from the orbits found so far would make the
+    # oracle lean on the union-find route it is meant to check
+    calls = []
+    real = systems.LinearSpan.contains
+
+    def counting(span, matrix):
+        calls.append(matrix)
+        return real(span, matrix)
+
+    monkeypatch.setattr(systems.LinearSpan, "contains", counting)
+    result = oracle_check(spec, spec.orbit_class())
+    assert len(calls) == spec.n * (spec.n - 1) // 2
+    assert result.agrees
+
+
 def test_oracle_reads_the_partition_only_for_agreement():
     spec = so_spec(5, [(1, 2), (2, 3), (4, 5)])
     wrong = so_spec(5, [(1, 2), (3, 4), (4, 5)]).orbit_class()
