@@ -8,100 +8,91 @@ verdict can be cross-checked against an exact-arithmetic Lie-algebra rank
 oracle, and the orbit structure doubles as a componentwise description of
 the controllable submanifold and as the connected components of the control
 graph.
+
+``import ctrlperm`` loads only ``_version``.  Each public name, and each
+of the submodules ``graphview``, ``liealg``, ``monoid``, ``permutation``
+and ``systems``, is imported on first access, so a program that only
+merges orbits never compiles the oracle (``liealg``) or loads
+``fractions``.
 """
 
-from ._version import __version__
-from .graphview import ControlGraph, components, control_graph, is_connected, to_dot
-from .liealg import (
-    ExactMatrix,
-    LinearSpan,
-    SignedBasisTerm,
-    basis_bracket,
-    bracket,
-    circulation_generator,
-    coupling_generator,
-    lie_closure,
-    rotation_generator,
-)
-from .monoid import (
-    OrbitPartition,
-    UnionFind,
-    absorbing_compose,
-    absorbing_product,
-    orbit_partition,
-    partition_from_pairs,
-)
-from .permutation import (
-    CycleDecomposition,
-    Permutation,
-    SubgroupSummary,
-    compose,
-    cycle_decomposition,
-    generate_subgroup,
-    identity,
-    is_k_cycle,
-    nontrivial_orbits,
-    transposition,
-    transposition_product,
-)
-from .systems import (
-    FAMILIES,
-    ControllabilityReport,
-    NonstandardProbeResult,
-    OracleResult,
-    OracleSizeError,
-    SubmanifoldComponent,
-    SubmanifoldDescription,
-    SystemSpec,
-    analyze,
-    min_controls_check,
-    oracle_check,
-    probe_nonstandard,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "CycleDecomposition",
-    "Permutation",
-    "SubgroupSummary",
-    "compose",
-    "cycle_decomposition",
-    "generate_subgroup",
-    "identity",
-    "is_k_cycle",
-    "nontrivial_orbits",
-    "transposition",
-    "transposition_product",
-    "OrbitPartition",
-    "UnionFind",
-    "absorbing_compose",
-    "absorbing_product",
-    "orbit_partition",
-    "partition_from_pairs",
-    "ExactMatrix",
-    "LinearSpan",
-    "SignedBasisTerm",
-    "basis_bracket",
-    "bracket",
-    "circulation_generator",
-    "coupling_generator",
-    "lie_closure",
-    "rotation_generator",
-    "FAMILIES",
-    "ControllabilityReport",
-    "NonstandardProbeResult",
-    "OracleResult",
-    "OracleSizeError",
-    "SubmanifoldComponent",
-    "SubmanifoldDescription",
-    "SystemSpec",
-    "analyze",
-    "min_controls_check",
-    "oracle_check",
-    "probe_nonstandard",
-    "ControlGraph",
-    "components",
-    "control_graph",
-    "is_connected",
-    "to_dot",
-]
+from ._version import __version__
+
+# every public name once, under the submodule that defines it
+_OWNERS = {
+    "permutation": (
+        "CycleDecomposition",
+        "Permutation",
+        "SubgroupSummary",
+        "compose",
+        "cycle_decomposition",
+        "generate_subgroup",
+        "identity",
+        "is_k_cycle",
+        "nontrivial_orbits",
+        "transposition",
+        "transposition_product",
+    ),
+    "monoid": (
+        "OrbitPartition",
+        "UnionFind",
+        "absorbing_compose",
+        "absorbing_product",
+        "orbit_partition",
+        "partition_from_pairs",
+    ),
+    "liealg": (
+        "ExactMatrix",
+        "LinearSpan",
+        "SignedBasisTerm",
+        "basis_bracket",
+        "bracket",
+        "circulation_generator",
+        "coupling_generator",
+        "lie_closure",
+        "rotation_generator",
+    ),
+    "systems": (
+        "FAMILIES",
+        "ControllabilityReport",
+        "NonstandardProbeResult",
+        "OracleResult",
+        "OracleSizeError",
+        "SubmanifoldComponent",
+        "SubmanifoldDescription",
+        "SystemSpec",
+        "analyze",
+        "min_controls_check",
+        "oracle_check",
+        "probe_nonstandard",
+    ),
+    "graphview": (
+        "ControlGraph",
+        "components",
+        "control_graph",
+        "is_connected",
+        "to_dot",
+    ),
+}
+_OWNER_OF = {name: module for module, names in _OWNERS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER_OF]
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not yet in the module's namespace
+    if name in _OWNERS:
+        # importing a submodule binds it here as well
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _OWNER_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_OWNERS})

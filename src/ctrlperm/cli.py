@@ -136,7 +136,8 @@ def _render_text(report):
 
 def _cmd_analyze(args):
     spec = parse_spec(_read(args.spec))
-    max_n = _oracle_max_n()
+    # only the oracle and the basis dump are guarded, so only they read the override
+    max_n = _oracle_max_n() if args.oracle or args.dump_basis else None
     report = analyze(spec, with_oracle=args.oracle, oracle_max_n=max_n)
     if args.dump_basis:
         oracle = report.oracle or oracle_check(spec, report.method_class, max_n=max_n)

@@ -78,9 +78,14 @@ class UnionFind:
         filled in order and the classes appear in order of their smallest
         member: nothing needs sorting.
         """
+        parent = self.parent
         members = {}
-        for a in range(1, len(self.parent)):
-            members.setdefault(self.find(a), []).append(a)
+        for a in range(1, len(parent)):
+            # find, inlined as in union_pairs
+            root = a
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            members.setdefault(root, []).append(a)
         # a list, not a generator: see specio._write_int_rows
         return tuple([tuple(g) for g in members.values()])
 

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 
 from ._version import __version__
-from .liealg import ExactMatrix
 from .systems import FAMILIES, SystemSpec
 
 __all__ = [
@@ -50,17 +48,30 @@ def _as_pair(value, what):
     raise SpecFormatError(f"{what} must be a pair of integers, got {value!r}")
 
 
-def _as_rational(value, what):
-    # json.loads yields exact types; an int stays an int, which ExactMatrix
-    # keeps as it is, and only a string is parsed as a Fraction
-    if type(value) is int:
-        return value
-    if type(value) is str:
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecFormatError(f"{what} is not a rational: {value!r}") from exc
-    raise SpecFormatError(f"{what} must be an integer or a rational string, got {value!r}")
+def _as_rationals(values, what):
+    """``values`` as a tuple of exact numbers; ``what`` names an entry in errors.
+
+    json.loads yields exact types; an int stays an int, which ExactMatrix
+    keeps as it is, and only a string is parsed as a Fraction.  ``fractions``
+    is imported once, and only for values that hold a string.
+    """
+    values = tuple(values)
+    if str in set(map(type, values)):
+        from fractions import Fraction
+    out = []
+    for value in values:
+        if type(value) is int:
+            out.append(value)
+        elif type(value) is str:
+            try:
+                out.append(Fraction(value))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise SpecFormatError(f"{what} is not a rational: {value!r}") from exc
+        else:
+            raise SpecFormatError(
+                f"{what} must be an integer or a rational string, got {value!r}"
+            )
+    return tuple(out)
 
 
 def _load_object(text, what):
@@ -101,7 +112,7 @@ def parse_spec(text):
     dist = doc.get("initial_distribution")
     if dist is not None:
         _require(isinstance(dist, list), "initial_distribution must be a list")
-        dist = tuple(_as_rational(x, "initial_distribution entry") for x in dist)
+        dist = _as_rationals(dist, "initial_distribution entry")
     try:
         return SystemSpec(
             family=doc["family"],
@@ -263,6 +274,8 @@ def parse_probe(text):
 
     Each grid is a list of rows of integers or rational strings.
     """
+    from .liealg import ExactMatrix  # the oracle route loads on first use
+
     doc = _load_object(text, "probe")
     unknown = set(doc) - {"n", "generators"}
     _require(not unknown, f"unknown probe keys: {sorted(unknown)}")
@@ -277,10 +290,8 @@ def parse_probe(text):
             and all(isinstance(row, list) and len(row) == n for row in grid),
             f"generator {idx} must be an {n}x{n} grid",
         )
-        entries = [
-            [_as_rational(x, f"generator {idx} entry") for x in row] for row in grid
-        ]
-        matrices.append(ExactMatrix(entries))
+        flat = _as_rationals(itertools.chain.from_iterable(grid), f"generator {idx} entry")
+        matrices.append(ExactMatrix([flat[at : at + n] for at in range(0, n * n, n)]))
     return n, matrices
 
 

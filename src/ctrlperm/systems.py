@@ -23,11 +23,9 @@ fact the analyzers know about it:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import index
 
 from ._record import Record, setfield
-from .liealg import LinearSpan, lie_closure
 from .monoid import OrbitPartition, UnionFind, partition_from_pairs
 from .permutation import Permutation, check_pair, generate_subgroup
 
@@ -101,6 +99,8 @@ class SystemSpec(Record):
         if initial_distribution is not None:
             if optional != "initial_distribution":
                 raise ValueError("initial_distribution applies to the markov family only")
+            from fractions import Fraction
+
             dist = tuple(Fraction(x) for x in initial_distribution)
             if len(dist) != n:
                 raise ValueError(f"initial_distribution length {len(dist)} != n={n}")
@@ -398,6 +398,21 @@ def analyze(spec, with_oracle=False, oracle_max_n=None):
     )
 
 
+def lie_closure(generators, n=None):
+    """Stand-in for :func:`ctrlperm.liealg.lie_closure` until the first closure.
+
+    The oracle route loads on first use, so a command that only merges
+    orbits never compiles ``liealg``.  The first call rebinds this global
+    to the real function, which serves every later call directly; it stays
+    a global of this module because ``perfbench/tracing.py`` wraps it here.
+    """
+    global lie_closure
+    from . import liealg
+
+    lie_closure = liealg.lie_closure
+    return lie_closure(generators, n)
+
+
 def check_oracle_size(family, n, max_n=None):
     """Raise :class:`OracleSizeError` if ``n`` letters are beyond the oracle size guard.
 
@@ -430,12 +445,13 @@ def oracle_check(spec, method_class, max_n=None):
     pair_entries, full_dim, _ = _FAMILIES[spec.family][0]
     # SystemSpec has checked the pairs, and lie_closure checks every entry index
     pairs = sorted(spec.all_pairs)
-    # a markov chain with every rate frozen has no generators: the zero algebra
-    closure = (
-        lie_closure([pair_entries(i - 1, j - 1) for i, j in pairs], spec.n)
-        if pairs
-        else LinearSpan(spec.n)
-    )
+    if pairs:
+        closure = lie_closure([pair_entries(i - 1, j - 1) for i, j in pairs], spec.n)
+    else:
+        # a markov chain with every rate frozen has no generators: the zero algebra
+        from .liealg import LinearSpan
+
+        closure = LinearSpan(spec.n)
     controllable = closure.dim == full_dim(spec.n)
     uf = UnionFind(spec.n)
     for a, b in itertools.combinations(range(spec.n), 2):

@@ -2,6 +2,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import ctrlperm
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -15,6 +17,20 @@ def test_public_names_are_pinned():
     # a markov report from analyze already is the classification
     assert "markov_classify" not in names
     assert "MarkovClassification" not in names
+
+
+def test_package_namespace_lists_the_public_names():
+    namespace = {}
+    exec("from ctrlperm import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ctrlperm.__all__)
+    listed = dir(ctrlperm)
+    assert set(ctrlperm.__all__) <= set(listed)
+    assert {"graphview", "liealg", "monoid", "permutation", "systems"} <= set(listed)
+    # a name resolves to the submodule's own object
+    assert ctrlperm.lie_closure is ctrlperm.liealg.lie_closure
+    assert ctrlperm.SystemSpec is ctrlperm.systems.SystemSpec
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ctrlperm.no_such_name
 
 
 def test_bench_tracing_hooks_exist(monkeypatch):

@@ -201,6 +201,25 @@ def test_oracle_guard_env_override(write, capsys, monkeypatch):
     assert main(["analyze", path, "--oracle"]) == 2
 
 
+def test_only_guarded_commands_read_the_oracle_override(write, capsys, monkeypatch):
+    # the override sizes the oracle guard, so a command that never meets the
+    # guard runs as it does without it, even when the value is malformed
+    path = write("split.json", SPLIT5)
+    plain = [["analyze", path], ["analyze", path, "--text"], ["analyze", path, "--dot"]]
+    monkeypatch.delenv("CTRLPERM_ORACLE_MAX_N", raising=False)
+    expected = []
+    for argv in plain:
+        code = main(argv)
+        expected.append((capsys.readouterr().out, code))
+    monkeypatch.setenv("CTRLPERM_ORACLE_MAX_N", "many")
+    for argv, before in zip(plain, expected):
+        code = main(argv)
+        assert (capsys.readouterr().out, code) == before
+    for flag in ("--oracle", "--dump-basis"):
+        assert main(["analyze", path, flag]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+
 def test_dump_basis_applies_the_oracle_size_guard(write, capsys, monkeypatch):
     monkeypatch.delenv("CTRLPERM_ORACLE_MAX_N", raising=False)
     path = write("big.json", '{"family": "so_n", "n": 13, "controls": [[1, 2]]}')
@@ -585,6 +604,61 @@ def test_import_stays_off_the_slow_stdlib_modules(module):
     done = _python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+_ORACLE_MODULES = "['ctrlperm.liealg', 'ctrlperm._mod3', 'fractions', 'decimal']"
+
+
+@pytest.mark.parametrize("module", ["ctrlperm.cli", "ctrlperm"])
+def test_import_leaves_the_oracle_unloaded(module):
+    # the oracle route and exact rationals load on first use; the package
+    # still reaches every submodule by name
+    probe = (
+        f"import sys, {module}\n"
+        f"print([m for m in {_ORACLE_MODULES} if m in sys.modules])\n"
+        "import ctrlperm\n"
+        "print(ctrlperm.liealg.ExactMatrix.__name__)\n"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\nExactMatrix\n"
+
+
+def test_commands_load_the_oracle_only_when_they_close(write):
+    so = write("split.json", SPLIT5)
+    markov = write(
+        "m.json",
+        json.dumps(
+            {"family": "markov", "n": 3, "controls": [[1, 2]], "initial_distribution": ["1/3"] * 3}
+        ),
+    )
+    steps = [
+        ["analyze", so],
+        ["analyze", so, "--text", "--dot"],
+        ["gen", "so_n", "5", "4", "7"],
+        ["analyze", markov],
+        ["analyze", so, "--oracle"],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from ctrlperm import cli\n"
+        f"for argv in {steps!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(argv)\n"
+        f"    print([m for m in {_ORACLE_MODULES} if m in sys.modules])\n"
+        "from ctrlperm import liealg, systems\n"
+        "print(systems.lie_closure is liealg.lie_closure)\n"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]",
+        "[]",
+        "[]",
+        "['fractions', 'decimal']",
+        "['ctrlperm.liealg', 'ctrlperm._mod3', 'fractions', 'decimal']",
+        "True",
+    ]
 
 
 def test_mod3_screen_loads_with_the_first_closure():

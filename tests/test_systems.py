@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from ctrlperm import systems
+from ctrlperm import liealg, systems
 from ctrlperm.liealg import (
     coupling_entries,
     coupling_generator,
@@ -237,13 +237,13 @@ def test_oracle_checks_every_letter_pair(monkeypatch, spec):
     # deducing some of them from the orbits found so far would make the
     # oracle lean on the union-find route it is meant to check
     calls = []
-    real = systems.LinearSpan.contains
+    real = liealg.LinearSpan.contains
 
     def counting(span, matrix):
         calls.append(matrix)
         return real(span, matrix)
 
-    monkeypatch.setattr(systems.LinearSpan, "contains", counting)
+    monkeypatch.setattr(liealg.LinearSpan, "contains", counting)
     result = oracle_check(spec, spec.orbit_class())
     assert len(calls) == spec.n * (spec.n - 1) // 2
     assert result.agrees
