@@ -3,7 +3,8 @@
 :func:`ctrlperm.liealg.lie_closure` runs :func:`certified_basis` on each
 block that needs brackets, before its exact worklist; the argument that a
 full mod-3 closure proves the exact closure full is in its docstring.
-``liealg`` imports this module on first use.
+``liealg`` imports this module, and its ``_AMBIENTS`` table holds each
+ambient algebra's test mod 3 next to its exact test.
 
 The screen works in block-local coordinates: the block's letters in
 increasing order are 0..b-1, and entry (r, c) of a b-by-b matrix is bit
@@ -161,53 +162,21 @@ def insert(rows, plus, minus):
     return False
 
 
-def _skew_basis(letters):
-    """Reduced echelon rows of so(B) by pivot: the rotation generators."""
-    return {
-        (a, c): {(a, c): 1, (c, a): -1}
-        for at, a in enumerate(letters)
-        for c in letters[at + 1 :]
-    }
-
-
-def _zero_sum_basis(letters):
-    """Reduced echelon rows of the zero-row-and-column-sum B-by-B matrices by pivot."""
-    *rest, last = letters
-    return {
-        (i, j): {(i, j): 1, (i, last): -1, (last, j): -1, (last, last): 1}
-        for i in rest
-        for j in rest
-    }
-
-
-def _full_basis(letters):
-    """Reduced echelon rows of all B-by-B matrices by pivot: the unit matrices."""
-    return {(i, j): {(i, j): 1} for i in letters for j in letters}
-
-
-# Each of liealg's ambient algebras, by its name: its test mod 3 and its
-# reduced echelon basis on a block's letters, ``last`` the largest.
-AMBIENTS = {
-    "skew-symmetric": (is_skew, _skew_basis),
-    "zero row and column sums": (has_zero_sums, _zero_sum_basis),
-    "any matrix": (lambda plus, minus, grid: True, _full_basis),
-}
-
-
-def certified_basis(generators, letters, name, dim):
+def certified_basis(generators, letters, ambient):
     """The block's closure as echelon rows by pivot, if the mod-3 closure proves it full; else None.
 
     ``generators`` are the block's integer entry maps, ``letters`` its
-    0-based letters in increasing order, and ``name`` and ``dim`` name its
-    ambient algebra and give that algebra's dimension.  The screen follows
-    the exact worklist's bracket order.  Every kept bracket must lie in the
-    ambient algebra mod 3, else :class:`RuntimeError`.  When ``dim``
-    elements are kept, the closure is the ambient algebra, and the result is
-    that algebra's reduced echelon basis on ``letters``.  None means the
-    screen proves nothing, and the exact worklist decides.
+    0-based letters in increasing order, and ``ambient`` its ambient
+    algebra's row of ``liealg._AMBIENTS``.  The screen follows the exact
+    worklist's bracket order.  Every kept bracket must lie in the ambient
+    algebra mod 3, else :class:`RuntimeError`.  When as many elements as the
+    ambient dimension are kept, the closure is the ambient algebra, and the
+    result is that algebra's reduced echelon basis on ``letters``.  None
+    means the screen proves nothing, and the exact worklist decides.
     """
-    in_ambient, basis = AMBIENTS[name]
+    name, _, ambient_dim, in_ambient, basis = ambient
     b = len(letters)
+    dim = ambient_dim(b)
     grid = grid_for(b)
     local = {a: r for r, a in enumerate(letters)}
     rows = {}

@@ -19,10 +19,12 @@ their brackets have a handful of nonzeros out of n^2.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from operator import index
 from typing import NamedTuple
 
+from . import _mod3
 from ._record import Record, setfield
 from .monoid import UnionFind
 from .permutation import check_pair
@@ -43,9 +45,11 @@ __all__ = [
 
 
 def _as_exact(x):
-    """Coerce to an exact number: int stays int, Fractions reduce to int when whole."""
-    if isinstance(x, int):
+    """Coerce to an exact number: a plain int, or a Fraction that is not whole."""
+    if type(x) is int:
         return x
+    if isinstance(x, int):
+        return int(x)
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
@@ -386,7 +390,7 @@ class LinearSpan:
     __slots__ = ("n", "_space")
 
     def __init__(self, n):
-        self.n = n
+        self.n = index(n)
         self._space = _RowSpace()
 
     def insert(self, matrix):
@@ -489,54 +493,67 @@ def _has_zero_sums(entries):
     return not any(row_sums.values()) and not any(col_sums.values())
 
 
-# The ambient algebras of a block of b letters, tried in this order: the
-# first whose test every generator of the block passes bounds its closure.
-# ``_mod3.AMBIENTS`` holds the test mod 3 and the basis of each, by name.
+def _skew_basis(letters):
+    """Reduced echelon rows of so(B) by pivot: the maps :func:`rotation_entries` gives."""
+    return {(a, c): {(a, c): 1, (c, a): -1} for a, c in combinations(letters, 2)}
+
+
+def _zero_sum_basis(letters):
+    """Reduced echelon rows of the zero-row-and-column-sum B-by-B matrices by pivot."""
+    *rest, last = letters
+    return {
+        (i, j): {(i, j): 1, (i, last): -1, (last, j): -1, (last, last): 1}
+        for i in rest
+        for j in rest
+    }
+
+
+def _full_basis(letters):
+    """Reduced echelon rows of all B-by-B matrices by pivot: the unit matrices."""
+    return {(i, j): {(i, j): 1} for i in letters for j in letters}
+
+
+# The ambient algebras of a block of b letters, tried in this order: the first
+# whose exact test every generator of the block passes bounds its closure.  A
+# row holds its name, exact test of an entry map, dimension, test mod 3 of a
+# ``_mod3`` element, and reduced echelon basis on the block's sorted letters.
 _AMBIENTS = (
-    ("skew-symmetric", _is_skew, lambda b: b * (b - 1) // 2),
-    ("zero row and column sums", _has_zero_sums, lambda b: (b - 1) ** 2),
-    ("any matrix", lambda entries: True, lambda b: b * b),
+    ("skew-symmetric", _is_skew, lambda b: b * (b - 1) // 2, _mod3.is_skew, _skew_basis),
+    ("zero row and column sums", _has_zero_sums, lambda b: (b - 1) ** 2,
+     _mod3.has_zero_sums, _zero_sum_basis),
+    ("any matrix", lambda entries: True, lambda b: b * b, lambda *element: True, _full_basis),
 )
 
 
-def _check_support(entries, block, block_of):
+def _check_support(entries, block):
     """Raise :class:`RuntimeError` unless every entry's row and column lie in ``block``."""
     for i, j in entries:
-        if block_of[i] != block or block_of[j] != block:
+        if i not in block or j not in block:
             raise RuntimeError(f"closure element has entry {(i, j)} outside its block")
 
 
-def _close_block(space, generators, block, block_of, size):
+def _close_block(space, generators):
     """Close one block's generators into ``space``, stopping once they span its ambient algebra.
 
-    ``block_of[i]`` names the block of the 0-based letter i, and the block
-    has ``size`` letters.  The ambient algebra is the first of
-    ``_AMBIENTS`` that holds every generator.  Every generator and every
-    kept bracket must have its support in the block, and every kept bracket
-    must lie in the ambient algebra; a failed check raises
-    :class:`RuntimeError`.  The mod-3 screen runs first; when it proves the
-    closure is the ambient algebra, the block's rows become that algebra's
-    basis and no exact bracket is tried.
+    The block, returned, is the set of 0-based letters the generators touch,
+    and its ambient algebra the first row of ``_AMBIENTS`` that holds every
+    generator.  Every kept bracket must lie in the block and the ambient
+    algebra, else :class:`RuntimeError`.  The mod-3 screen runs first; when
+    it proves the closure is the ambient algebra, the block's rows become
+    that algebra's basis and no exact bracket is tried.
     """
-    name, in_ambient, ambient_dim = next(
-        a for a in _AMBIENTS if all(a[1](g) for g in generators)
-    )
-    dim = ambient_dim(size)
-    for g in generators:
-        _check_support(g, block, block_of)
+    block = {a for g in generators for entry in g for a in entry}
+    ambient = next(a for a in _AMBIENTS if all(a[1](g) for g in generators))
+    name, in_ambient, ambient_dim, _, _ = ambient
+    dim = ambient_dim(len(block))
     if len(generators) < dim:
-        # loaded by the first block that needs brackets, so that commands
-        # without a closure do not compile it
-        from . import _mod3
-
-        letters = sorted({a for g in generators for entry in g for a in entry})
-        basis = _mod3.certified_basis(generators, letters, name, dim)
+        basis = _mod3.certified_basis(generators, sorted(block), ambient)
         if basis is not None:
             # the block's rows span part of the ambient algebra, so their
             # pivots are among its basis's pivots: this replaces exactly the
             # rows whose pivot lies in the block
             space.rows.update(basis)
-            return
+            return block
     elements = list(generators)
     k = len(elements)
     indexed = [_index(g) for g in generators]
@@ -547,7 +564,7 @@ def _close_block(space, generators, block, block_of, size):
         for b_rows, b_cols in indexed[head if head <= k else 0 :]:
             b = _bracket_indexed(x, b_rows, b_cols)
             if b and space.insert(dict(b)):
-                _check_support(b, block, block_of)
+                _check_support(b, block)
                 if not in_ambient(b):
                     raise RuntimeError(
                         f"closure element is not {name}, as its block's generators are"
@@ -555,6 +572,7 @@ def _close_block(space, generators, block, block_of, size):
                 elements.append(b)
                 if len(elements) == dim:
                     break
+    return block
 
 
 def lie_closure(generators, n=None):
@@ -567,7 +585,9 @@ def lie_closure(generators, n=None):
     are joined into one block, and generators that share a letter share a
     block.  Matrices supported on disjoint blocks multiply to zero, so
     brackets across blocks vanish and the closure is the direct sum of the
-    blocks' closures; each block is closed on its own generators.
+    blocks' closures; each block is closed on its own generators.  A block
+    is the set of letters its generators touch, and blocks that share a
+    letter raise :class:`RuntimeError`.
 
     *Worklist.*  Within a block over the generators g_1..g_k, every element
     that enlarged the span is bracketed against each generator, and a
@@ -608,16 +628,12 @@ def lie_closure(generators, n=None):
     are checked exactly to lie in the ambient algebra, and that algebra is
     closed under bracket, so the closure lies in it.  Hence, once as many
     elements as the ambient dimension are kept mod 3, the closure *is* the
-    ambient algebra.  Its reduced echelon basis is written in closed form
-    (with ``last`` the block's largest letter): ``{(a, c): 1, (c, a): -1}``
-    for a < c in so(B); ``{(i, j): 1, (i, last): -1, (last, j): -1,
-    (last, last): 1}`` for i, j != last in the zero-sum algebra; the unit
-    matrices otherwise.  The reduced echelon form is unique for the span,
-    so ``basis`` and ``pivots`` are those the exact worklist would give.
-    When the mod-3 closure falls short, it proves nothing and the exact
-    worklist decides.  Each generator is made primitive first, so none
-    vanishes mod 3, but the brackets a full closure needs may still be
-    dependent mod 3.
+    ambient algebra, and its row of ``_AMBIENTS`` writes its reduced
+    echelon basis in closed form.  That form is unique for the span, so
+    ``basis`` and ``pivots`` are those the exact worklist would give.  When
+    the mod-3 closure falls short, it proves nothing and the exact worklist
+    decides.  Each generator is made primitive first, so none vanishes mod
+    3, but the brackets a full closure needs may still be dependent mod 3.
 
     Storage is sparse and exact: elements are entry maps, brackets cost
     time in their nonzeros rather than n^3, and the span keeps primitive
@@ -644,10 +660,13 @@ def lie_closure(generators, n=None):
             anchor, *others = {a + 1 for entry in entries for a in entry}
             for a in others:
                 letters.union(anchor, a)
-    block_of = [letters.find(a) for a in range(1, n + 1)]
     blocks = {}
     for entries in kept:
-        blocks.setdefault(block_of[next(iter(entries))[0]], []).append(entries)
-    for block, block_generators in blocks.items():
-        _close_block(space, block_generators, block, block_of, letters.size[block])
+        blocks.setdefault(letters.find(next(iter(entries))[0] + 1), []).append(entries)
+    claimed = set()
+    for block_generators in blocks.values():
+        block = _close_block(space, block_generators)
+        if not claimed.isdisjoint(block):
+            raise RuntimeError(f"closure blocks share letters {sorted(claimed & block)}")
+        claimed |= block
     return span

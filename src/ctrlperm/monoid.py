@@ -168,15 +168,12 @@ class OrbitPartition(Record):
 
     @classmethod
     def parse(cls, text, n):
-        """Parse the rendering produced by ``str``, e.g. ``{1,2,3}{4,5}``."""
-        stripped = re.sub(r"\s+", "", text)
-        if stripped == "{}":
-            return cls(n, ())
-        if not re.fullmatch(r"(\{[^{}]*\})+", stripped):
+        """Parse the rendering of ``str``, e.g. ``{1,2,3}{4,5}``; spaces may not split a letter."""
+        if not re.fullmatch(r"\s*(\{[^{}]*\}\s*)+", text):
             raise ValueError(f"not an orbit partition rendering: {text!r}")
         orbits = []
-        for body in re.findall(r"\{([^{}]*)\}", stripped):
-            if body:
+        for body in re.findall(r"\{([^{}]*)\}", text):
+            if body.strip():
                 orbits.append([int(tok) for tok in body.split(",")])
         return cls(n, orbits)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 from ._version import __version__
 from .systems import FAMILIES, SystemSpec
@@ -28,6 +29,11 @@ __all__ = [
 ]
 
 _SPEC_KEYS = {"family", "n", "controls", "drift", "agent_space_dim", "initial_distribution"}
+
+# Fraction("1e-10000000") computes 10**10000000 before anything else, so a
+# larger exponent than this (Python's default integer-string limit) is refused
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 class SpecFormatError(ValueError):
@@ -52,7 +58,8 @@ def _as_rationals(values, what):
     """``values`` as a tuple of exact numbers; ``what`` names an entry in errors.
 
     json.loads yields exact types; an int stays an int, which ExactMatrix
-    keeps as it is, and only a string is parsed as a Fraction.  ``fractions``
+    keeps as it is, and only a string is parsed as a Fraction, once its
+    exponent, if any, is at most ``_MAX_EXPONENT`` in size.  ``fractions``
     is imported once, and only for values that hold a string.
     """
     values = tuple(values)
@@ -63,6 +70,10 @@ def _as_rationals(values, what):
         if type(value) is int:
             out.append(value)
         elif type(value) is str:
+            exponent = _EXPONENT.search(value)
+            digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+            if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
+                raise SpecFormatError(f"{what} has an exponent beyond {_MAX_EXPONENT}: {value!r}")
             try:
                 out.append(Fraction(value))
             except (ValueError, ZeroDivisionError) as exc:

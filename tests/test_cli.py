@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -118,6 +119,27 @@ def test_parse_probe_entry_types():
         )
     with pytest.raises(SpecFormatError, match="is not a rational: '1/0'"):
         parse_probe('{"n": 1, "generators": [[["1/0"]]]}')
+
+
+@pytest.mark.parametrize("entry", ["0e5000", "1e-5000", "1E+4301", "2e1_0000"])
+def test_rational_exponents_beyond_the_bound_are_refused(entry, write, capsys):
+    # Fraction would compute 10**exponent first: "0e10000000" took 10 s to
+    # read as 0; the bound is checked before Fraction sees the string
+    message = f"entry has an exponent beyond 4300: {entry!r}"
+    spec = {"family": "markov", "n": 2, "controls": [[1, 2]], "initial_distribution": [entry, "1"]}
+    with pytest.raises(SpecFormatError, match=re.escape("initial_distribution " + message)):
+        parse_spec(json.dumps(spec))
+    probe = {"n": 2, "generators": [[["0", "1"], ["-1", entry]]]}
+    with pytest.raises(SpecFormatError, match=re.escape("generator 0 " + message)):
+        parse_probe(json.dumps(probe))
+    assert main(["analyze", "--text", write("m.json", json.dumps(spec))]) == 2
+    assert main(["probe", write("p.json", json.dumps(probe))]) == 2
+    assert capsys.readouterr().err.count(message) == 2
+
+
+def test_rational_exponents_within_the_bound_are_read():
+    n, (g,) = parse_probe('{"n": 2, "generators": [[["1/5", "0.25"], ["3e2", "-1e-4300"]]]}')
+    assert g.rows == ((Fraction(1, 5), Fraction(1, 4)), (300, Fraction(-1, 10**4300)))
 
 
 # ---------------------------------------------------------- analyze
@@ -662,7 +684,8 @@ def test_commands_load_the_oracle_only_when_they_close(write):
 
 
 def test_mod3_screen_loads_with_the_first_closure():
-    # the screen is compiled only by a run that closes a block with brackets
+    # liealg imports the screen, so it loads with the oracle, on the first
+    # closure, and never with the orbit route
     probe = (
         "import sys, ctrlperm, ctrlperm.cli\n"
         "print('ctrlperm._mod3' in sys.modules)\n"

@@ -63,6 +63,15 @@ def test_grid_render_parse_round_trip():
     assert ExactMatrix.parse_grid(m.format_grid()) == m
 
 
+def test_integral_entries_are_stored_as_plain_ints():
+    # bool entries were kept as they were, and format_grid wrote "True False"
+    m = ExactMatrix([[True, False], [False, True]])
+    assert [type(x) for row in m.rows for x in row] == [int] * 4
+    assert m.format_grid() == "1 0\n0 1"
+    assert ExactMatrix.parse_grid(m.format_grid()) == m
+    assert type(ExactMatrix.from_entries(2, {(0, 1): True}).rows[0][1]) is int
+
+
 def test_rotation_generator_shape():
     m = rot(3, 1, 2)
     assert m.rows == ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
@@ -476,6 +485,18 @@ def test_closure_fault_outside_the_block_is_a_raised_error(monkeypatch):
         lie_closure([rot(5, 1, 2), rot(5, 2, 3), rot(5, 4, 5)])
 
 
+def test_closure_fault_in_the_block_split_is_a_raised_error(monkeypatch):
+    # a union-find that joins nothing splits {1, 2, 3} into two blocks that
+    # share letter 2, and closing them apart would miss [g_1, g_2]
+    class Unjoined(liealg.UnionFind):
+        def union(self, a, b):
+            pass
+
+    monkeypatch.setattr(liealg, "UnionFind", Unjoined)
+    with pytest.raises(RuntimeError, match=r"closure blocks share letters \[1\]"):
+        lie_closure([rot(3, 1, 2), rot(3, 2, 3)])
+
+
 def _signed_sum(n, rng):
     """Probe style: a signed sum of rotation generators on 1..n/2 disjoint pairs."""
     letters = list(range(n))
@@ -636,6 +657,25 @@ def test_bracket_mod3_matches_exact_bracket():
         )
 
 
+@pytest.mark.parametrize("ambient", liealg._AMBIENTS, ids=lambda row: row[0])
+def test_each_ambient_row_writes_its_algebra_in_reduced_echelon_form(ambient):
+    name, holds, dim, holds_mod3, basis_of = ambient
+    for b in range(1, 7):
+        letters = [1, 4, 5, 9, 14, 20][:b]
+        local = {a: r for r, a in enumerate(letters)}
+        grid = _mod3.grid_for(b)
+        basis = basis_of(letters)
+        assert len(basis) == dim(b), b
+        for pivot, row in basis.items():
+            assert pivot == min(row) and row[pivot] > 0, (b, pivot)
+            assert {a for entry in row for a in entry} <= set(letters), (b, pivot)
+            assert holds(row), (b, pivot)
+            _, plus, minus = _mod3.image(row, local, b)
+            assert holds_mod3(plus, minus, grid), (b, pivot)
+            # the screen's space.rows.update(basis) relies on reduced rows
+            assert not any(other in row for other in basis if other != pivot), (b, pivot)
+
+
 def test_closure_rejects_empty_or_mismatched():
     with pytest.raises(ValueError):
         lie_closure([])
@@ -662,6 +702,14 @@ def test_span_membership():
     assert not span.contains(rot(4, 1, 4))
     with pytest.raises(ValueError):
         span.contains(rot(5, 1, 2))
+
+
+def test_span_size_must_be_an_integer():
+    # LinearSpan(2.5) was accepted, and its insert returned True
+    for bad in (2.5, "3", None):
+        with pytest.raises(TypeError):
+            LinearSpan(bad)
+    assert type(LinearSpan(True).n) is int
 
 
 def test_span_basis_is_reduced_and_spans():

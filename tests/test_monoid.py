@@ -79,6 +79,15 @@ def test_partition_render_parse():
         OrbitPartition.parse("{1,2", 3)
 
 
+def test_partition_parse_reads_letters_as_written():
+    # whitespace was once stripped before the split, so "2 3" read as 23
+    assert OrbitPartition.parse(" {1 , 2}\n{ 3,4 } ", 30) == part(30, {1, 2}, {3, 4})
+    assert OrbitPartition.parse("{ }", 3) == part(3)
+    for text in ("{1,2 3}", "{1 2}{4,5}", "{1,2\t3}"):
+        with pytest.raises(ValueError):
+            OrbitPartition.parse(text, 30)
+
+
 # ---------------------------------------------------- absorbing product
 
 
