@@ -10,6 +10,13 @@ coupling/circulation generators of the agent-interaction algebra, Lie
 brackets, and the bracket-closure computation behind the rank-condition
 oracle.
 
+Each ambient algebra a closure can fill is one row of ``_AMBIENTS``: its
+name, exact test, dimension, test mod 3 and closed-form basis.  Each
+standard generator, rotation and coupling, has one unchecked builder; the
+public ``rotation_entries`` and ``coupling_entries`` check their pair and
+call it, and the oracle in ``systems`` reaches it, with the row of the
+algebra it spans, through ``_GENERATORS``.
+
 :class:`ExactMatrix` is the dense form used at the public boundary.  The
 closure engine works on *entry maps*: ``{(row, col): value}`` dicts holding
 only the nonzero entries, with 0-based indices, because the generators and
@@ -174,10 +181,19 @@ class ExactMatrix(Record):
             raise ValueError(f"matrix sizes differ: {self.n} != {other.n}")
 
 
+# The one builder of each standard generator: its entry map on 0-based a < b, unchecked
+def _rotation(a, b):
+    return {(a, b): 1, (b, a): -1}
+
+
+def _coupling(a, b):
+    return {(a, a): -1, (a, b): 1, (b, a): 1, (b, b): -1}
+
+
 def rotation_entries(n, pair):
     """Entry map of :func:`rotation_generator`: ``{(i-1, j-1): 1, (j-1, i-1): -1}``."""
     i, j = check_pair(pair, n)
-    return {(i - 1, j - 1): 1, (j - 1, i - 1): -1}
+    return _rotation(i - 1, j - 1)
 
 
 def rotation_generator(n, pair):
@@ -235,12 +251,8 @@ def basis_bracket(p, q, n):
 
 def coupling_entries(n, pair):
     """Entry map of :func:`coupling_generator`, 0-based."""
-    i, j = pair
-    if i > j:
-        i, j = j, i
-    i, j = check_pair((i, j), n)
-    i, j = i - 1, j - 1
-    return {(i, i): -1, (i, j): 1, (j, i): 1, (j, j): -1}
+    i, j = check_pair(sorted(pair), n)
+    return _coupling(i - 1, j - 1)
 
 
 def coupling_generator(n, pair):
@@ -494,8 +506,8 @@ def _has_zero_sums(entries):
 
 
 def _skew_basis(letters):
-    """Reduced echelon rows of so(B) by pivot: the maps :func:`rotation_entries` gives."""
-    return {(a, c): {(a, c): 1, (c, a): -1} for a, c in combinations(letters, 2)}
+    """Reduced echelon rows of so(B) by pivot: the rotation generators."""
+    return {(a, c): _rotation(a, c) for a, c in combinations(letters, 2)}
 
 
 def _zero_sum_basis(letters):
@@ -523,6 +535,8 @@ _AMBIENTS = (
      _mod3.has_zero_sums, _zero_sum_basis),
     ("any matrix", lambda entries: True, lambda b: b * b, lambda *element: True, _full_basis),
 )
+# standard generator type: (its builder, the row of the algebra it spans on n letters)
+_GENERATORS = {"rotation": (_rotation, _AMBIENTS[0]), "coupling": (_coupling, _AMBIENTS[1])}
 
 
 def _check_support(entries, block):

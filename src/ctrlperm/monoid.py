@@ -168,8 +168,11 @@ class OrbitPartition(Record):
 
     @classmethod
     def parse(cls, text, n):
-        """Parse the rendering of ``str``, e.g. ``{1,2,3}{4,5}``; spaces may not split a letter."""
-        if not re.fullmatch(r"\s*(\{[^{}]*\}\s*)+", text):
+        """Parse the rendering of ``str``, e.g. ``{1,2,3}{4,5}``; spaces may not split a letter.
+
+        Letters are ASCII decimal digits only, as ``str`` writes them.
+        """
+        if not re.fullmatch(r"\s*(\{[0-9,\s]*\}\s*)+", text):
             raise ValueError(f"not an orbit partition rendering: {text!r}")
         orbits = []
         for body in re.findall(r"\{([^{}]*)\}", text):

@@ -101,11 +101,12 @@ class Permutation(Record):
         """Parse cycle notation such as ``(1 2 3)(4 5)``; ``()`` is the identity.
 
         Inverse of :func:`format_cycles`: ``Permutation.parse(str(p), p.n) == p``.
+        Letters are ASCII decimal digits only, as :func:`format_cycles` writes them.
         """
         stripped = re.sub(r"\s+", " ", text.strip())
         if stripped in ("()", ""):
             return identity(n)
-        if not re.fullmatch(r"(\([^()]*\)\s*)+", stripped):
+        if not re.fullmatch(r"(\([0-9,\s]*\)\s*)+", stripped):
             raise ValueError(f"not cycle notation: {text!r}")
         cycles = []
         for body in re.findall(r"\(([^()]*)\)", stripped):

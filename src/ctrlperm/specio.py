@@ -124,6 +124,14 @@ def parse_spec(text):
     if dist is not None:
         _require(isinstance(dist, list), "initial_distribution must be a list")
         dist = _as_rationals(dist, "initial_distribution entry")
+        for at, value in enumerate(dist):
+            # spec_to_dict writes each entry back with str
+            try:
+                str(value)
+            except ValueError:
+                raise SpecFormatError(
+                    f"initial_distribution entry {at} has more digits than can be written"
+                ) from None
     try:
         return SystemSpec(
             family=doc["family"],

@@ -10,14 +10,19 @@ the orbits describe the controllable submanifold componentwise.
 Lie-bracket closure and rank, and reports whether the two methods agree.
 
 Families, each one row of the private table ``_FAMILIES`` that holds every
-fact the analyzers know about it:
+fact the analyzers know about it.  A row names the family's standard
+generator type, ``rotation`` or ``coupling``: the oracle finds that
+generator's one builder and the dimension of the algebra it spans in
+``liealg``, and the report finds the orbit labels and closed-form orbit
+dimension here.
 
-* ``so_n`` - rotations of R^n.
+* ``so_n`` - rotations of R^n; rotation generators.
 * ``sphere`` - the induced action on the sphere in R^n; same generators.
-* ``multi_agent`` - N interacting agents with symmetric couplings.
+* ``multi_agent`` - N interacting agents with symmetric couplings; coupling
+  generators.
 * ``markov`` - symmetric continuous-time Markov chains with tunable rates;
   a single-agent instance of the multi-agent family on the probability
-  simplex, with conserved probability mass per orbit.
+  simplex, with conserved probability mass per orbit; coupling generators.
 """
 
 from __future__ import annotations
@@ -107,7 +112,11 @@ class SystemSpec(Record):
             if any(x < 0 for x in dist):
                 raise ValueError("initial_distribution entries must be nonnegative")
             if sum(dist) != 1:
-                raise ValueError(f"initial_distribution must sum to 1, got {sum(dist)}")
+                try:
+                    got = f", got {sum(dist)}"
+                except ValueError:  # more digits than Python writes an integer with
+                    got = ""
+                raise ValueError(f"initial_distribution must sum to 1{got}")
             initial_distribution = dist
         setfield(self, "family", family)
         setfield(self, "n", n)
@@ -307,38 +316,29 @@ def _agent_labels(orbit):
     return tuple(text.split(" "))
 
 
-# Oracle facts, shared by the families of one generator type: the unchecked
-# ``rotation_entries`` (else ``coupling_entries``) of 0-based letters a < b,
-# the full algebra dimension for n letters, and the size guard.
-_ROTATION_ORACLE = (
-    lambda a, b: {(a, b): 1, (b, a): -1}, lambda n: n * (n - 1) // 2, ORACLE_MAX_ROTATION
-)
-_AGENT_ORACLE = (
-    lambda a, b: {(a, a): -1, (a, b): 1, (b, a): 1, (b, b): -1},
-    lambda n: (n - 1) ** 2,
-    ORACLE_MAX_AGENTS,
-)
-# Report facts, shared the same way: the generator labels of an orbit, and its
-# closed-form dimension.  No closed form is asserted for the agent algebra
-# restricted to an orbit; there the dimension is read off the oracle's closure.
-_ROTATION_REPORT = (_rotation_labels, lambda orbit: len(orbit) * (len(orbit) - 1) // 2)
-_AGENT_REPORT = (_agent_labels, None)
+# Report facts by generator type: an orbit's generator labels and its closed-form
+# dimension, which is the permutation route's answer and so is not read from the
+# oracle.  None is asserted for the agent algebra; the oracle's closure gives it.
+_REPORTS = {
+    "rotation": (_rotation_labels, lambda orbit: len(orbit) * (len(orbit) - 1) // 2),
+    "coupling": (_agent_labels, None),
+}
 
-# family: (oracle facts, report facts, state-space text, the one optional spec
-# field the family accepts, whether a spec may have no pairs at all: a markov
-# chain with every rate frozen is still classifiable).  The text is formatted
-# with n, m = n - 1 and d, the agent simplex dimension.
+# family: (generator type, the key of ``_REPORTS`` and ``liealg._GENERATORS``;
+# oracle size guard; state-space text, formatted with n, m = n - 1 and d, the
+# agent simplex dimension; the one optional spec field; whether a spec may have
+# no pairs at all: a markov chain with every rate frozen is classifiable).
 _FAMILIES = {
-    "so_n": (_ROTATION_ORACLE, _ROTATION_REPORT, "SO({n})", None, False),
-    "multi_agent": (_AGENT_ORACLE, _AGENT_REPORT, "(Delta^{d})^{n}", "agent_space_dim", False),
-    "markov": (_AGENT_ORACLE, _AGENT_REPORT, "Delta^{m}", "initial_distribution", True),
-    "sphere": (_ROTATION_ORACLE, _ROTATION_REPORT, "S^{m}", None, False),
+    "so_n": ("rotation", ORACLE_MAX_ROTATION, "SO({n})", None, False),
+    "multi_agent": ("coupling", ORACLE_MAX_AGENTS, "(Delta^{d})^{n}", "agent_space_dim", False),
+    "markov": ("coupling", ORACLE_MAX_AGENTS, "Delta^{m}", "initial_distribution", True),
+    "sphere": ("rotation", ORACLE_MAX_ROTATION, "S^{m}", None, False),
 }
 FAMILIES = tuple(_FAMILIES)
 
 
 def _submanifold(spec, orbits, fixed_points, closure):
-    (labels, orbit_dim), state_space = _FAMILIES[spec.family][1:3]
+    labels, orbit_dim = _REPORTS[_FAMILIES[spec.family][0]]
     if orbit_dim is None and closure is not None:
         # Generators on disjoint letter sets have disjoint support and commute,
         # so the closure is a direct sum of orbit blocks: each reduced echelon
@@ -363,7 +363,7 @@ def _submanifold(spec, orbits, fixed_points, closure):
     return SubmanifoldDescription(
         components=components,
         total_dim=None if None in dims else sum(dims),
-        state_space=state_space.format(n=spec.n, m=spec.n - 1, d=d),
+        state_space=_FAMILIES[spec.family][2].format(n=spec.n, m=spec.n - 1, d=d),
         conserved_sums=conserved,
         frozen_states=frozen,
     )
@@ -421,7 +421,7 @@ def check_oracle_size(family, n, max_n=None):
     needs only the family and the letter count, so callers can refuse an
     instance before building it.
     """
-    guard = _FAMILIES[family][0][2] if max_n is None else max_n
+    guard = _FAMILIES[family][1] if max_n is None else max_n
     if n > guard:
         raise OracleSizeError(
             f"n={n} exceeds the oracle size guard {guard}; "
@@ -442,15 +442,15 @@ def oracle_check(spec, method_class, max_n=None):
     partition match it.
     """
     check_oracle_size(spec.family, spec.n, max_n)
-    pair_entries, full_dim, _ = _FAMILIES[spec.family][0]
+    from .liealg import _GENERATORS, LinearSpan
+
+    pair_entries, (_, _, full_dim, _, _) = _GENERATORS[_FAMILIES[spec.family][0]]
     # SystemSpec has checked the pairs, and lie_closure checks every entry index
     pairs = sorted(spec.all_pairs)
     if pairs:
         closure = lie_closure([pair_entries(i - 1, j - 1) for i, j in pairs], spec.n)
     else:
         # a markov chain with every rate frozen has no generators: the zero algebra
-        from .liealg import LinearSpan
-
         closure = LinearSpan(spec.n)
     controllable = closure.dim == full_dim(spec.n)
     uf = UnionFind(spec.n)
@@ -515,6 +515,8 @@ def probe_nonstandard(generators, max_n=None):
         raise ValueError("need at least one generator")
     n = generators[0].n
     check_oracle_size("so_n", n, max_n)
+    from .liealg import _GENERATORS
+
     images = []
     for g in generators:
         if g.n != n:
@@ -529,5 +531,5 @@ def probe_nonstandard(generators, max_n=None):
         subgroup_order=subgroup.order,
         subgroup_is_full_symmetric=subgroup.is_full_symmetric,
         larc_dim=closure.dim,
-        larc_controllable=closure.dim == _FAMILIES["so_n"][0][1](n),
+        larc_controllable=closure.dim == _GENERATORS["rotation"][1][2](n),  # dim so(n)
     )

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import random
@@ -6,8 +9,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrlperm import cli, systems
 from ctrlperm.cli import main
@@ -19,7 +25,7 @@ from ctrlperm.specio import (
     spec_digest,
     spec_to_dict,
 )
-from ctrlperm.systems import SystemSpec, analyze
+from ctrlperm.systems import SystemSpec, analyze, oracle_check, probe_nonstandard
 from helpers import sample_pairs
 
 CHAIN5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[3,4],[4,5]]}'
@@ -140,6 +146,28 @@ def test_rational_exponents_beyond_the_bound_are_refused(entry, write, capsys):
 def test_rational_exponents_within_the_bound_are_read():
     n, (g,) = parse_probe('{"n": 2, "generators": [[["1/5", "0.25"], ["3e2", "-1e-4300"]]]}')
     assert g.rows == ((Fraction(1, 5), Fraction(1, 4)), (300, Fraction(-1, 10**4300)))
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        # the sum's denominator, (10**4299 + 1)(10**4299 + 3), has 8599 digits
+        ([f"1/{10**4299 + 1}", f"1/{10**4299 + 3}"], "initial_distribution must sum to 1"),
+        # sums to 1, but 10**4300 has 4301 digits, one more than str writes: the
+        # JSON report, which writes the entries back, once failed where --text passed
+        (
+            ["1e-4300", "9" * 4300 + "e-4300"],
+            "initial_distribution entry 0 has more digits than can be written",
+        ),
+    ],
+    ids=["unwritable sum", "unwritable entry"],
+)
+def test_distributions_the_report_cannot_write_are_refused(dist, message, write, capsys):
+    spec = {"family": "markov", "n": 2, "controls": [[1, 2]], "initial_distribution": dist}
+    path = write("m.json", json.dumps(spec))
+    for fmt in ([], ["--text"]):
+        assert main(["analyze", path, *fmt]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # ---------------------------------------------------------- analyze
@@ -713,3 +741,96 @@ def test_import_builds_no_parser():
     done = _python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0\n"
+
+
+# ------------------------------------------------------- exit-code fuzz
+
+_FUZZ_SPECS = (
+    {"family": "so_n", "n": 4, "controls": [[1, 2], [2, 3]], "drift": [3, 4]},
+    {"family": "sphere", "n": 3, "controls": [[1, 2], [2, 3]]},
+    {"family": "multi_agent", "n": 3, "controls": [[1, 3]], "agent_space_dim": 2},
+    {"family": "markov", "n": 3, "controls": [[1, 2]], "initial_distribution": ["1/2", "0", "1/2"]},
+)
+_FUZZ_PROBES = (
+    {
+        "n": 3,
+        "generators": [
+            [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+            [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]],
+        ],
+    },
+)
+# what a mutation writes; every letter count stays at most 50, so no run
+# allocates much
+_FUZZ_POOL = (
+    None, True, 0, 1, 2, 3, 5, 9, 13, 50, -1, 2.5, "", "x", "so_n", "markov", "1/2", "-1",
+    "1/0", "1e-4301", [], [1], [1, 2], [2, 1], [0, 1], [1, 3], [3, 4], [[1, 2]],
+    [[1, 2], [2, 3]], ["1/2", "1/2"], {},
+)
+_FUZZ_COMMANDS = ("analyze", "analyze --text", "analyze --oracle", "compare", "probe")
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A command and a valid document of its kind, changed in up to three places."""
+    command = draw(st.sampled_from(_FUZZ_COMMANDS))
+    bases = _FUZZ_PROBES if command == "probe" else _FUZZ_SPECS
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while True:
+            values = node.values() if isinstance(node, dict) else node
+            inner = [v for v in values if v and isinstance(v, (dict, list))]
+            if not inner or draw(st.booleans()):
+                break
+            node = draw(st.sampled_from(inner))
+        value = copy.deepcopy(draw(st.sampled_from(_FUZZ_POOL)))
+        if isinstance(node, dict):
+            keys = set(node) | {"n", "family", "controls", "generators", "x"}
+            key = draw(st.sampled_from(sorted(keys)))
+            if key in node and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = value
+        elif node and draw(st.booleans()):
+            node[draw(st.integers(0, len(node) - 1))] = value
+        else:
+            node.append(value)
+    return command, json.dumps(doc)
+
+
+def _expected_exit(command, text):
+    """2 when parsing, validation or a size guard refuses the document, else the verdict's code."""
+    try:
+        if command == "probe":
+            _, generators = parse_probe(text)
+            return 0 if probe_nonstandard(generators).larc_controllable else 1
+        spec = parse_spec(text)
+        if command == "compare":
+            return 0 if oracle_check(spec, spec.orbit_class()).agrees else 1
+        return 0 if analyze(spec, with_oracle=command.endswith("--oracle")).controllable else 1
+    except ValueError:
+        return 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_exit_codes_of_mutated_documents(tmp_path_factory, case):
+    command, text = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.dict(os.environ),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        os.environ.pop(cli.ORACLE_MAX_ENV, None)
+        code = main([*command.split(), str(path)])
+        expected = _expected_exit(command, text)
+    assert code == expected, (command, text, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), (command, text)
+    else:
+        assert err.getvalue() == "", (command, text)

@@ -676,6 +676,24 @@ def test_each_ambient_row_writes_its_algebra_in_reduced_echelon_form(ambient):
             assert not any(other in row for other in basis if other != pivot), (b, pivot)
 
 
+@pytest.mark.parametrize("kind", sorted(liealg._GENERATORS))
+def test_each_standard_generator_lies_in_its_ambient_row(kind):
+    build, ambient = liealg._GENERATORS[kind]
+    _, holds, _, holds_mod3, _ = ambient
+    for b in range(2, 7):
+        letters = [1, 4, 5, 9, 14, 20][:b]
+        local = {a: r for r, a in enumerate(letters)}
+        grid = _mod3.grid_for(b)
+        for a, c in combinations(letters, 2):
+            entries = build(a, c)
+            assert holds(entries), (b, a, c)
+            _, plus, minus = _mod3.image(entries, local, b)
+            assert holds_mod3(plus, minus, grid), (b, a, c)
+            # the row the closure picks for these generators, whose dimension
+            # the oracle compares the closure against
+            assert next(row for row in liealg._AMBIENTS if row[1](entries)) is ambient, (b, a, c)
+
+
 def test_closure_rejects_empty_or_mismatched():
     with pytest.raises(ValueError):
         lie_closure([])

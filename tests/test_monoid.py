@@ -88,6 +88,14 @@ def test_partition_parse_reads_letters_as_written():
             OrbitPartition.parse(text, 30)
 
 
+def test_partition_parse_reads_only_ascii_digit_letters():
+    # int() also reads an underscore, a sign and other scripts' digits, which
+    # str never writes: "{1_0,+2}" read as {2,10}, and an Arabic-Indic one as 1
+    for text in ("{1_0,+2}", "{+1,2}", "{\u0661,2}", "{1,\u00b2}", "{1,\uff12}"):
+        with pytest.raises(ValueError):
+            OrbitPartition.parse(text, 30)
+
+
 # ---------------------------------------------------- absorbing product
 
 

@@ -244,6 +244,14 @@ def test_render_and_parse_round_trip_examples():
         Permutation.parse("(1 2)(2 3)", 4)  # not disjoint
 
 
+def test_parse_reads_only_ascii_digit_letters():
+    # int() also reads an underscore, a sign and other scripts' digits, which
+    # str never writes: "(1_0 +2)" read as (2 10), and an Arabic-Indic one as 1
+    for text in ("(1_0 +2)", "(+1 2)", "(\u0661 2)", "(1 \u00b2)", "(1,\uff12)"):
+        with pytest.raises(ValueError):
+            Permutation.parse(text, 12)
+
+
 @settings(max_examples=150)
 @given(st.integers(1, 8).flatmap(perms_of))
 def test_parse_inverts_render(sigma):

@@ -5,13 +5,7 @@ from itertools import combinations
 import pytest
 
 from ctrlperm import liealg, systems
-from ctrlperm.liealg import (
-    coupling_entries,
-    coupling_generator,
-    lie_closure,
-    rotation_entries,
-    rotation_generator,
-)
+from ctrlperm.liealg import coupling_generator, lie_closure, rotation_generator
 from ctrlperm.monoid import OrbitPartition
 from ctrlperm.specio import canonical_json, parse_spec, spec_to_dict
 from ctrlperm.systems import (
@@ -461,16 +455,22 @@ def test_drift_neutrality():
         assert as_controls.submanifold == as_drift.submanifold
 
 
-def test_oracle_builder_matches_the_public_entry_maps():
-    for family in FAMILIES:
-        pair_entries, full_dim, _ = systems._FAMILIES[family][0]
-        public = rotation_entries if family in ("so_n", "sphere") else coupling_entries
-        for n in range(2, 7):
-            pairs = list(combinations(range(1, n + 1), 2))
-            for i, j in pairs:
-                assert pair_entries(i - 1, j - 1) == public(n, (i, j)), family
-            # the complete graph generates the full algebra
-            assert full_dim(n) == lie_closure([public(n, p) for p in pairs], n).dim, family
+def test_oracle_closes_the_complete_graph_to_the_full_algebra():
+    # n = 2..6: dim so(n) = n(n-1)/2 for the rotation families, and (n-1)^2,
+    # the zero-row-and-column-sum matrices, for the agent families
+    full_dims = {
+        "so_n": (1, 3, 6, 10, 15),
+        "sphere": (1, 3, 6, 10, 15),
+        "multi_agent": (1, 4, 9, 16, 25),
+        "markov": (1, 4, 9, 16, 25),
+    }
+    assert set(full_dims) == set(FAMILIES)
+    for family, dims in full_dims.items():
+        for n, dim in zip(range(2, 7), dims):
+            spec = SystemSpec(family, n, frozenset(combinations(range(1, n + 1), 2)))
+            result = oracle_check(spec, spec.orbit_class())
+            assert (result.dim, result.controllable, result.agrees) == (dim, True, True), (family, n)
+            assert result.orbits == (tuple(range(1, n + 1)),), (family, n)
 
 
 def test_spec_rejects_non_integral_letters():
