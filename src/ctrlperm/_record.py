@@ -18,8 +18,10 @@ field with :func:`setfield`.  The base derives from the slot names:
 * ``__match_args__``, the fields in constructor order.
 
 A subclass may set ``_compared`` to the fields that equality, hashing and
-the repr read; by default they read every field.  A subclass of a record
-that declares no fields of its own keeps its parent's.
+the repr read; by default they read every field.  One that keeps a field
+in a private slot behind a property sets ``__match_args__`` to its public
+field names.  A subclass of a record that declares no fields of its own
+keeps its parent's.
 """
 
 from operator import attrgetter
@@ -36,7 +38,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         fields = cls.__dict__.get("__slots__")
         if fields:
-            cls.__match_args__ = fields
+            cls.__match_args__ = cls.__dict__.get("__match_args__", fields)
             cls._compared = cls.__dict__.get("_compared", fields)
             # a plain class attribute, not a method: called as self._key(self)
             cls._key = attrgetter(*cls._compared)

@@ -25,6 +25,7 @@ from ._version import __version__
 from .graphview import control_graph, to_dot
 from .specio import (
     SpecFormatError,
+    _sum_texts,
     canonical_json,
     parse_probe,
     parse_spec,
@@ -114,13 +115,14 @@ def _render_text(report):
         for comp in report.submanifold.components:
             dim = "dim ?" if comp.dim is None else f"dim {comp.dim}"
             orbit = "{" + ",".join(map(str, comp.orbit)) + "}"
-            lines.append(f"  {orbit}  {dim}  {' '.join(comp.generators)}")
+            # analyze builds each component from its labels joined by spaces
+            lines.append(f"  {orbit}  {dim}  {comp._text}")
     total = report.submanifold.total_dim
     lines.append(f"total dim:      {'?' if total is None else total}")
     if report.submanifold.conserved_sums is not None:
-        for orbit, value in report.submanifold.conserved_sums:
+        for orbit, value in _sum_texts(report.submanifold):
             lines.append(
-                "conserved sum:  {" + ",".join(map(str, orbit)) + "} = " + str(value)
+                "conserved sum:  {" + ",".join(map(str, orbit)) + "} = " + value
             )
         for state, value in report.submanifold.frozen_states:
             lines.append(f"frozen state:   {state} = {value}")
@@ -151,7 +153,8 @@ def _cmd_analyze(args):
             for m in basis:
                 sys.stdout.write(m.format_grid() + "\n\n")
     else:
-        doc = report_to_dict(report)
+        # label lists stay text until canonical_json writes them
+        doc = report_to_dict(report, _label_text=True)
         if args.dot:
             doc["dot"] = to_dot(control_graph(spec))
         if args.dump_basis:

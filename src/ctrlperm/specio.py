@@ -97,6 +97,11 @@ def _load_object(text, what):
         raise SpecFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SpecFormatError("JSON document is nested too deeply") from exc
+    except ValueError as exc:
+        # an integer literal longer than Python's integer-string limit
+        raise SpecFormatError(
+            f"{what} document holds a number that cannot be read: {exc}"
+        ) from exc
     _require(isinstance(doc, dict), f"{what} document must be a JSON object")
     return doc
 
@@ -189,6 +194,9 @@ def canonical_json(doc):
 
     A ``str`` subclass is written as its text, as ``json.dumps`` writes it;
     bools and other ``int`` subclasses take the item-by-item path.
+
+    The CLI's report also holds a private :class:`_LabelText` in place of
+    each label list, written as ``json.dumps`` writes the list.
     """
     out = []
     _write(doc, "\n", out)
@@ -250,10 +258,32 @@ def _write(value, newline, out):
             _write(item, inner, out)
             sep = "," + inner
         out += (newline, "}")
+    elif value.__class__ is _LabelText:
+        text = value.text
+        if not text:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        # no label needs an escape, so each is its own JSON string body
+        out += ("[", inner, '"', text.replace(" ", '",' + inner + '"'), '"', newline, "]")
     else:
         # floats, dicts with non-string keys and unsupported types: json's own
         # text for the value, moved to this indent, or its TypeError
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+
+
+class _LabelText:
+    """A component's labels joined by spaces, as :mod:`ctrlperm.systems` builds them.
+
+    Only ``report_to_dict(report, _label_text=True)`` makes one, for the CLI.
+    No label holds a space, ``"``, ``\\`` or a non-printable character, so
+    :func:`canonical_json` quotes them all with one ``replace``.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
 
 
 def _write_int_rows(rows, inner, newline, out):
@@ -314,12 +344,34 @@ def parse_probe(text):
     return n, matrices
 
 
-def report_to_dict(report):
+def _sum_texts(submanifold):
+    """``(orbit, str(sum))`` for each conserved sum, for both report writers.
+
+    A sum of writable entries can have more digits than ``str`` writes; that
+    raises ``ValueError`` naming the orbit, before anything is written.
+    """
+    texts = []
+    for orbit, value in submanifold.conserved_sums:
+        try:
+            texts.append((orbit, str(value)))
+        except ValueError:
+            letters = ",".join(map(str, orbit))
+            raise ValueError(
+                f"the conserved sum of orbit {{{letters}}} has more digits than can be written"
+            ) from None
+    return texts
+
+
+def report_to_dict(report, *, _label_text=False):
     """Dict form of a report, ready for :func:`canonical_json`.
 
     One :func:`spec_to_dict` of ``report.spec`` gives both the spec digest
     and the report's family, n, controls and drift; ``oracle_ran`` says
-    whether the report carries an oracle result.
+    whether the report carries an oracle result.  Every value is JSON-native,
+    unless the CLI passes the private ``_label_text=True`` for a report from
+    :func:`~ctrlperm.systems.analyze`: then each component's label list stays
+    its label text, a :class:`_LabelText`, which only :func:`canonical_json`
+    writes.
     """
     spec_doc = spec_to_dict(report.spec)
     sub = report.submanifold
@@ -346,7 +398,7 @@ def report_to_dict(report):
                 {
                     "orbit": list(c.orbit),
                     "dim": c.dim,
-                    "generators": list(c.generators),
+                    "generators": _LabelText(c._text) if _label_text else list(c.generators),
                 }
                 for c in sub.components
             ],
@@ -363,8 +415,7 @@ def report_to_dict(report):
         }
     if sub.conserved_sums is not None:
         doc["submanifold"]["conserved_sums"] = [
-            {"orbit": list(orbit), "value": str(value)}
-            for orbit, value in sub.conserved_sums
+            {"orbit": list(orbit), "value": value} for orbit, value in _sum_texts(sub)
         ]
     if sub.frozen_states is not None:
         doc["submanifold"]["frozen_states"] = [

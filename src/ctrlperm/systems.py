@@ -159,14 +159,41 @@ class OracleResult(Record):
 
 
 class SubmanifoldComponent(Record):
-    """One orbit of a :class:`SubmanifoldDescription`; an immutable value record."""
+    """One orbit of a :class:`SubmanifoldDescription`; an immutable value record.
 
-    __slots__ = ("orbit", "generators", "dim")
+    :func:`analyze` builds it from the label text of :func:`_rotation_labels`
+    or :func:`_agent_labels`, which the CLI's reports write as it is; the
+    ``generators`` tuple is split from the text when first read.  A
+    component built from a tuple keeps the tuple and has no text.
+    """
+
+    __slots__ = ("orbit", "_generators", "dim", "_text")
+    __match_args__ = _compared = ("orbit", "generators", "dim")
 
     def __init__(self, orbit: tuple, generators: tuple, dim: int | None) -> None:
         setfield(self, "orbit", orbit)
-        setfield(self, "generators", generators)
+        setfield(self, "_generators", generators)
         setfield(self, "dim", dim)
+        setfield(self, "_text", None)
+
+    @classmethod
+    def _from_text(cls, orbit, text, dim):
+        """The component whose labels are the space-separated words of ``text``."""
+        self = cls.__new__(cls)
+        setfield(self, "orbit", orbit)
+        setfield(self, "_generators", None)
+        setfield(self, "dim", dim)
+        setfield(self, "_text", text)
+        return self
+
+    @property
+    def generators(self):
+        """The labels of the vector fields spanning the distribution on the orbit."""
+        labels = self._generators
+        if labels is None and self._text is not None:
+            labels = tuple(self._text.split(" ")) if self._text else ()
+            setfield(self, "_generators", labels)
+        return labels
 
 
 class SubmanifoldDescription(Record):
@@ -289,31 +316,36 @@ def _pair_rows(letters, head=""):
     ]
 
 
-# Labels hold no space, so each builder writes all of an orbit's labels as one
-# space-separated text in a few C-level joins and cuts it up with one split.
+# Each label function writes an orbit's labels joined by single spaces, in a few
+# C-level joins.  A label is printable ASCII without a space, '"' or '\\', so
+# the text splits back into the labels and needs no JSON escape.
 
 
 def _rotation_labels(orbit):
-    """``rot(i,j)`` for each pair i < j of the orbit, in combinations order."""
-    rows = _pair_rows(list(map(str, orbit)), "rot(")
-    return tuple(" ".join(rows).split(" ")) if rows else ()
+    """``rot(i,j)`` for each pair i < j of the orbit, in combinations order, as one text.
+
+    :class:`SubmanifoldComponent` keeps the text for the CLI's reports.
+    """
+    return " ".join(_pair_rows(list(map(str, orbit)), "rot("))
 
 
 def _agent_labels(orbit):
-    """``couple(i,j)`` for each pair, then ``circ(i,j,k)`` for each triple."""
+    """``couple(i,j)`` for each pair, then ``circ(i,j,k)`` for each triple, as one text.
+
+    :class:`SubmanifoldComponent` keeps the text for the CLI's reports.
+    """
     letters = list(map(str, orbit))
     rows = _pair_rows(letters)
     if not rows:
-        return ()
+        return ""
     pairs = " ".join(rows)
     # the triples of i are "circ(i," before each pair from the row after i's on
     starts = itertools.accumulate((len(row) + 1 for row in rows[:-1]), initial=0)
     next(starts)
-    text = "couple(" + pairs.replace(" ", " couple(") + "".join(
+    return "couple(" + pairs.replace(" ", " couple(") + "".join(
         f" circ({i}," + pairs[at:].replace(" ", f" circ({i},")
         for i, at in zip(letters, starts)
     )
-    return tuple(text.split(" "))
 
 
 # Report facts by generator type: an orbit's generator labels and its closed-form
@@ -350,7 +382,7 @@ def _submanifold(spec, orbits, fixed_points, closure):
             return sum(r in orbit for r in first_rows)
 
     components = tuple(
-        SubmanifoldComponent(orbit, labels(orbit), orbit_dim and orbit_dim(orbit))
+        SubmanifoldComponent._from_text(orbit, labels(orbit), orbit_dim and orbit_dim(orbit))
         for orbit in orbits
     )
     dims = [c.dim for c in components]

@@ -17,16 +17,20 @@ from hypothesis import strategies as st
 
 from ctrlperm import cli, systems
 from ctrlperm.cli import main
+from ctrlperm.graphview import control_graph, to_dot
 from ctrlperm.specio import (
     SpecFormatError,
+    _LabelText,
     canonical_json,
     parse_probe,
     parse_spec,
+    report_to_dict,
     spec_digest,
     spec_to_dict,
 )
 from ctrlperm.systems import SystemSpec, analyze, oracle_check, probe_nonstandard
 from helpers import sample_pairs
+from test_specio import REPORT_SPECS
 
 CHAIN5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[3,4],[4,5]]}'
 SPLIT5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[4,5]]}'
@@ -170,6 +174,45 @@ def test_distributions_the_report_cannot_write_are_refused(dist, message, write,
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+# 10**4299 + 1 and + 3: each entry below is within Python's 4300-digit limit,
+# and they sum to 1, but the sum over orbit {1,2} has an 8599-digit denominator
+Q3, Q4 = 10**4299 + 1, 10**4299 + 3
+UNWRITABLE_SUMS = json.dumps(
+    {
+        "family": "markov",
+        "n": 4,
+        "controls": [[1, 2], [3, 4]],
+        "initial_distribution": [f"1/{Q3}", f"1/{Q4}"]
+        + [str(Fraction(1, 2) - Fraction(1, q)) for q in (Q3, Q4)],
+    }
+)
+
+
+def test_conserved_sums_the_report_cannot_write_are_refused(write, capsys):
+    path = write("m.json", UNWRITABLE_SUMS)
+    message = "error: the conserved sum of orbit {1,2} has more digits than can be written\n"
+    for fmt in ([], ["--text"], ["--dot"], ["--text", "--dot"]):
+        assert main(["analyze", path, *fmt]) == 2
+        assert capsys.readouterr() == ("", message)
+    # the library still answers: only the writers refuse
+    assert not analyze(parse_spec(UNWRITABLE_SUMS)).controllable
+
+
+@pytest.mark.parametrize("kind", ["spec", "probe"])
+def test_integer_literals_too_long_to_read_are_refused(kind, write, capsys):
+    # json.loads raises a plain ValueError past Python's 4300-digit limit
+    huge = "9" * 5000
+    if kind == "spec":
+        text, parse = '{"family": "so_n", "n": 3, "controls": [[1, %s]]}' % huge, parse_spec
+    else:
+        text, parse = '{"n": 2, "generators": [[[0, %s], [0, 0]]]}' % huge, parse_probe
+    with pytest.raises(SpecFormatError, match=f"^{kind} document holds a number that cannot"):
+        parse(text)
+    assert main(["analyze" if kind == "spec" else "probe", write("h.json", text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {kind} document ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------- analyze
 
 
@@ -207,6 +250,36 @@ def test_analyze_report_is_byte_deterministic(write, capsys):
     main(["analyze", path, "--oracle"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("spec", REPORT_SPECS, ids=lambda spec: f"{spec.family}-{spec.n}")
+def test_json_report_writes_what_the_public_path_writes(spec, write, capsys):
+    # the CLI hands canonical_json each component's label text; the bytes must
+    # be those of the public report_to_dict, which holds JSON lists
+    path = write("s.json", canonical_json(spec_to_dict(spec)))
+    runs = [([], False), (["--dot"], False)]
+    try:
+        systems.check_oracle_size(spec.family, spec.n)
+        runs.append((["--oracle", "--dump-basis"], True))
+    except systems.OracleSizeError:
+        pass
+    for flags, oracle in runs:
+        report = analyze(spec, with_oracle=oracle)
+        doc = report_to_dict(report)
+        if "--dot" in flags:
+            doc["dot"] = to_dot(control_graph(spec))
+        if oracle:
+            doc["closure_basis"] = [m.format_grid() for m in report.oracle.closure.basis]
+        main(["analyze", path, *flags])
+        assert capsys.readouterr() == (canonical_json(doc), ""), flags
+
+
+def test_label_text_is_written_as_its_label_list():
+    for text in ("", "rot(1,2)", "couple(1,2) couple(1,3) circ(1,2,3)"):
+        labels = text.split(" ") if text else []
+        for wrap in (lambda v: v, lambda v: {"g": v, "h": [1]}, lambda v: [[v], "x"]):
+            expected = json.dumps(wrap(labels), sort_keys=True, indent=2) + "\n"
+            assert canonical_json(wrap(_LabelText(text))) == expected, text
 
 
 def test_analyze_text_dot_and_basis(write, capsys):
@@ -765,8 +838,11 @@ _FUZZ_PROBES = (
 _FUZZ_POOL = (
     None, True, 0, 1, 2, 3, 5, 9, 13, 50, -1, 2.5, "", "x", "so_n", "markov", "1/2", "-1",
     "1/0", "1e-4301", [], [1], [1, 2], [2, 1], [0, 1], [1, 3], [3, 4], [[1, 2]],
-    [[1, 2], [2, 3]], ["1/2", "1/2"], {},
+    [[1, 2], [2, 3]], ["1/2", "1/2"], {}, "<5000-digit integer>",
 )
+# json.dumps cannot write an integer past Python's 4300-digit limit, so the
+# document holds this string, and its JSON text is replaced by the literal
+_FUZZ_HUGE = ('"<5000-digit integer>"', "9" * 5000)
 _FUZZ_COMMANDS = ("analyze", "analyze --text", "analyze --oracle", "compare", "probe")
 
 
@@ -796,7 +872,7 @@ def _mutated_documents(draw):
             node[draw(st.integers(0, len(node) - 1))] = value
         else:
             node.append(value)
-    return command, json.dumps(doc)
+    return command, json.dumps(doc).replace(*_FUZZ_HUGE)
 
 
 def _expected_exit(command, text):

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +16,7 @@ from ctrlperm.systems import (
     ORACLE_MAX_AGENTS,
     ORACLE_MAX_ROTATION,
     OracleSizeError,
+    SubmanifoldComponent,
     SystemSpec,
     _agent_labels,
     _rotation_labels,
@@ -163,16 +167,76 @@ def test_analyze_sphere_family():
     assert report.oracle.dim == 6 and report.oracle.agrees
 
 
-def test_generator_labels_match_their_definition():
+def _label_orbits():
+    """Orbits of 0 to 30 letters: contiguous, and with gaps; letters of one to four digits."""
     rng = random.Random(17)
     orbits = [tuple(range(1, k + 1)) for k in range(31)]
     for k in range(31):
-        # gaps between letters, and letters of one to four digits
         letters = sorted(shuffled(rng, range(1, 1200))[:k])
         orbits += [tuple(letters), tuple(range(95, 95 + 7 * k, 7))]
-    for orbit in orbits:
-        assert _rotation_labels(orbit) == reference_rotation_labels(orbit), orbit
-        assert _agent_labels(orbit) == reference_agent_labels(orbit), orbit
+    return orbits
+
+
+def test_generator_labels_match_their_definition():
+    # each label function writes the labels as one text, joined by single spaces
+    for orbit in _label_orbits():
+        for build, reference in (
+            (_rotation_labels, reference_rotation_labels),
+            (_agent_labels, reference_agent_labels),
+        ):
+            text = build(orbit)
+            assert type(text) is str
+            assert (text.split(" ") if text else []) == list(reference(orbit)), orbit
+
+
+def test_generator_labels_need_no_json_escape():
+    # the CLI's JSON report quotes each label as it is: printable ASCII
+    # without a space, '"' or '\\' needs no escape
+    label = re.compile(r'[!#-\[\]-~]+')
+    for orbit in _label_orbits():
+        for build in (_rotation_labels, _agent_labels):
+            text = build(orbit)
+            assert all(label.fullmatch(item) for item in text.split(" ") if text), orbit
+
+
+def _components():
+    """A component of each generator type as analyze builds it, and one from its reference tuple."""
+    rotation = analyze(so_spec(6, [(1, 2), (2, 4), (4, 6)]))
+    agent = analyze(
+        SystemSpec("multi_agent", 5, frozenset([(1, 3), (3, 4), (4, 5)])), with_oracle=True
+    )
+    for report, reference in (
+        (rotation, reference_rotation_labels),
+        (agent, reference_agent_labels),
+    ):
+        built = report.submanifold.components[0]
+        yield built, SubmanifoldComponent(built.orbit, reference(built.orbit), built.dim)
+
+
+def test_a_component_from_its_label_text_equals_one_from_its_tuple():
+    for round_trip in (lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy):
+        # a component whose tuple was never read
+        for built, given in _components():
+            assert round_trip(built) == given
+    for built, given in _components():
+        assert built == given and given == built
+        assert hash(built) == hash(given) and repr(built) == repr(given)
+        assert type(built.generators) is tuple and built.generators == given.generators
+        for round_trip in (lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy):
+            assert round_trip(given) == built
+        match built:
+            case SubmanifoldComponent(orbit, generators, dim):
+                assert (orbit, generators, dim) == (given.orbit, given.generators, given.dim)
+    assert SubmanifoldComponent.__match_args__ == ("orbit", "generators", "dim")
+
+
+def test_a_component_keeps_the_tuple_it_was_given():
+    spaced = SubmanifoldComponent((1, 2), ("rot(1, 2)", "a b"), None)
+    assert spaced.generators == ("rot(1, 2)", "a b")
+    for copied in (pickle.loads(pickle.dumps(spaced)), copy.copy(spaced), copy.deepcopy(spaced)):
+        assert copied == spaced and copied.generators == ("rot(1, 2)", "a b")
+    assert SubmanifoldComponent((1, 2), None, 1).generators is None
+    assert SubmanifoldComponent((1, 2), ["rot(1,2)"], 1).generators == ["rot(1,2)"]
 
 
 # ------------------------------------------------------------ oracle
