@@ -115,8 +115,7 @@ def _render_text(report):
         for comp in report.submanifold.components:
             dim = "dim ?" if comp.dim is None else f"dim {comp.dim}"
             orbit = "{" + ",".join(map(str, comp.orbit)) + "}"
-            # analyze builds each component from its labels joined by spaces
-            lines.append(f"  {orbit}  {dim}  {comp._text}")
+            lines.append(f"  {orbit}  {dim}  {comp._label_text(' ')}")
     total = report.submanifold.total_dim
     lines.append(f"total dim:      {'?' if total is None else total}")
     if report.submanifold.conserved_sums is not None:
@@ -153,8 +152,8 @@ def _cmd_analyze(args):
             for m in basis:
                 sys.stdout.write(m.format_grid() + "\n\n")
     else:
-        # label lists stay text until canonical_json writes them
-        doc = report_to_dict(report, _label_text=True)
+        # labels and control pairs are written once, by canonical_json
+        doc = report_to_dict(report, _written=True)
         if args.dot:
             doc["dot"] = to_dot(control_graph(spec))
         if args.dump_basis:

@@ -36,10 +36,19 @@ class ControlGraph(Record):
         setfield(self, "n", n)
         setfield(self, "edges", frozenset(check_pair(e, n) for e in edges))
 
+    @classmethod
+    def _trusted(cls, n, edges):
+        """Wrap an int ``n`` and a frozenset of checked tuples without re-validating them."""
+        graph = cls.__new__(cls)
+        setfield(graph, "n", n)
+        setfield(graph, "edges", edges)
+        return graph
+
 
 def control_graph(spec):
     """The interaction graph of a spec: one edge per control-plus-drift pair."""
-    return ControlGraph(spec.n, spec.all_pairs)
+    # SystemSpec has checked every pair
+    return ControlGraph._trusted(spec.n, spec.all_pairs)
 
 
 def components(graph):

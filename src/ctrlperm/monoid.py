@@ -231,7 +231,15 @@ def partition_from_pairs(pairs, n):
     n = index(n)
     if n < 1:
         raise ValueError(f"need at least one letter, got n={n}")
+    return _partition([check_pair(pair, n) for pair in pairs], n)
+
+
+def _partition(pairs, n):
+    """:func:`partition_from_pairs` of pairs already checked against an int ``n`` >= 1.
+
+    One union-find pass; nothing is checked again.
+    """
     uf = UnionFind(n)
-    uf.union_pairs([check_pair(pair, n) for pair in pairs])
+    uf.union_pairs(pairs)
     # the groups are canonical, and disjoint sets of letters in 1..n
     return OrbitPartition._trusted(n, tuple([g for g in uf.groups() if len(g) >= 2]))

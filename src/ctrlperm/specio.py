@@ -11,6 +11,7 @@ rather than the file bytes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -129,14 +130,6 @@ def parse_spec(text):
     if dist is not None:
         _require(isinstance(dist, list), "initial_distribution must be a list")
         dist = _as_rationals(dist, "initial_distribution entry")
-        for at, value in enumerate(dist):
-            # spec_to_dict writes each entry back with str
-            try:
-                str(value)
-            except ValueError:
-                raise SpecFormatError(
-                    f"initial_distribution entry {at} has more digits than can be written"
-                ) from None
     try:
         return SystemSpec(
             family=doc["family"],
@@ -152,11 +145,12 @@ def parse_spec(text):
 
 def spec_to_dict(spec):
     """Canonical dict form of a spec; optional fields appear only when set."""
-    doc = {
-        "family": spec.family,
-        "n": spec.n,
-        "controls": [list(p) for p in sorted(spec.controls)],
-    }
+    return _spec_doc(spec, [list(p) for p in sorted(spec.controls)])
+
+
+def _spec_doc(spec, controls):
+    """:func:`spec_to_dict` of ``spec``, its sorted control pairs given as ``controls``."""
+    doc = {"family": spec.family, "n": spec.n, "controls": controls}
     if spec.drift is not None:
         doc["drift"] = list(spec.drift)
     if spec.agent_space_dim is not None:
@@ -195,8 +189,9 @@ def canonical_json(doc):
     A ``str`` subclass is written as its text, as ``json.dumps`` writes it;
     bools and other ``int`` subclasses take the item-by-item path.
 
-    The CLI's report also holds a private :class:`_LabelText` in place of
-    each label list, written as ``json.dumps`` writes the list.
+    The CLI's report also holds private :class:`_Written` markers in place
+    of its label lists and control pairs, each written as ``json.dumps``
+    writes the list it stands for.
     """
     out = []
     _write(doc, "\n", out)
@@ -258,32 +253,42 @@ def _write(value, newline, out):
             _write(item, inner, out)
             sep = "," + inner
         out += (newline, "}")
-    elif value.__class__ is _LabelText:
-        text = value.text
-        if not text:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        # no label needs an escape, so each is its own JSON string body
-        out += ("[", inner, '"', text.replace(" ", '",' + inner + '"'), '"', newline, "]")
+    elif value.__class__ is _Written:
+        out += value.write(newline)
     else:
         # floats, dicts with non-string keys and unsupported types: json's own
         # text for the value, moved to this indent, or its TypeError
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
-class _LabelText:
-    """A component's labels joined by spaces, as :mod:`ctrlperm.systems` builds them.
+class _Written:
+    """A value that :func:`canonical_json` writes through the value's own function.
 
-    Only ``report_to_dict(report, _label_text=True)`` makes one, for the CLI.
-    No label holds a space, ``"``, ``\\`` or a non-printable character, so
-    :func:`canonical_json` quotes them all with one ``replace``.
+    ``write(newline)`` returns the pieces of the value's JSON text at the
+    indent that ``newline`` ends a line with; a cached ``write`` hands every
+    document the text it wrote first.  Only ``report_to_dict(report,
+    _written=True)`` puts one in a report, for the CLI.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("write",)
 
-    def __init__(self, text):
-        self.text = text
+    def __init__(self, write):
+        self.write = write
+
+
+def _pieces(value, newline):
+    """``value``'s JSON text at the indent ``newline`` ends a line with, as a list of pieces."""
+    out = []
+    _write(value, newline, out)
+    return out
+
+
+def _label_pieces(component, newline):
+    """A component's label list as JSON, built by its builder in the list's separator."""
+    inner = newline + "  "
+    # no label needs an escape, so each is its own JSON string body
+    text = component._label_text('",' + inner + '"')
+    return ("[", inner, '"', text, '"', newline, "]") if text else ("[]",)
 
 
 def _write_int_rows(rows, inner, newline, out):
@@ -362,18 +367,22 @@ def _sum_texts(submanifold):
     return texts
 
 
-def report_to_dict(report, *, _label_text=False):
+def report_to_dict(report, *, _written=False):
     """Dict form of a report, ready for :func:`canonical_json`.
 
-    One :func:`spec_to_dict` of ``report.spec`` gives both the spec digest
-    and the report's family, n, controls and drift; ``oracle_ran`` says
-    whether the report carries an oracle result.  Every value is JSON-native,
-    unless the CLI passes the private ``_label_text=True`` for a report from
-    :func:`~ctrlperm.systems.analyze`: then each component's label list stays
-    its label text, a :class:`_LabelText`, which only :func:`canonical_json`
-    writes.
+    One spec document gives both the spec digest and the report's family,
+    n and drift, and the sorted control pairs are written once for both;
+    ``oracle_ran`` says whether the report carries an oracle result.  Every value is JSON-native, unless the CLI passes the
+    private ``_written=True`` for a report from
+    :func:`~ctrlperm.systems.analyze`: then the control pairs are the
+    :class:`_Written` whose text the digest wrote, and each label list from
+    a label builder is a :class:`_Written` that asks the builder for the
+    labels in the list's separator.
     """
-    spec_doc = spec_to_dict(report.spec)
+    pairs = sorted(report.spec.controls)
+    # written once at its indent, for the digest and for the CLI's report
+    controls = _Written(functools.cache(functools.partial(_pieces, pairs)))
+    spec_doc = _spec_doc(report.spec, controls)
     sub = report.submanifold
     doc = {
         "provenance": {
@@ -383,7 +392,7 @@ def report_to_dict(report, *, _label_text=False):
         },
         "family": spec_doc["family"],
         "n": spec_doc["n"],
-        "controls": spec_doc["controls"],
+        "controls": controls if _written else [list(p) for p in pairs],
         "drift": spec_doc.get("drift"),
         "controllable": report.controllable,
         "method_class": str(report.method_class),
@@ -398,7 +407,11 @@ def report_to_dict(report, *, _label_text=False):
                 {
                     "orbit": list(c.orbit),
                     "dim": c.dim,
-                    "generators": _LabelText(c._text) if _label_text else list(c.generators),
+                    "generators": (
+                        _Written(functools.partial(_label_pieces, c))
+                        if _written and c._labels is not None
+                        else list(c.generators)
+                    ),
                 }
                 for c in sub.components
             ],

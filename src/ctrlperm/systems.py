@@ -28,10 +28,12 @@ dimension here.
 from __future__ import annotations
 
 import itertools
+import sys
 from operator import index
 
 from ._record import Record, setfield
-from .monoid import OrbitPartition, UnionFind, partition_from_pairs
+# partition_from_pairs stays a name here because perfbench/tracing.py wraps it
+from .monoid import OrbitPartition, UnionFind, _partition, partition_from_pairs
 from .permutation import Permutation, check_pair, generate_subgroup
 
 __all__ = [
@@ -90,6 +92,11 @@ class SystemSpec(Record):
         n = index(n)
         if n < 2:
             raise ValueError(f"need at least two letters, got n={n}")
+        if n > sys.maxsize - 1:
+            # the orbit merge keeps one list slot per letter, and one more
+            raise ValueError(
+                f"n is larger than {sys.maxsize - 1}, the most letters a list can hold"
+            )
         controls = frozenset(check_pair(p, n) for p in controls)
         if drift is not None:
             drift = check_pair(drift, n)
@@ -107,6 +114,14 @@ class SystemSpec(Record):
             from fractions import Fraction
 
             dist = tuple(Fraction(x) for x in initial_distribution)
+            for at, value in enumerate(dist):
+                # a report writes each entry back with str
+                try:
+                    str(value)
+                except ValueError:
+                    raise ValueError(
+                        f"initial_distribution entry {at} has more digits than can be written"
+                    ) from None
             if len(dist) != n:
                 raise ValueError(f"initial_distribution length {len(dist)} != n={n}")
             if any(x < 0 for x in dist):
@@ -134,7 +149,8 @@ class SystemSpec(Record):
 
     def orbit_class(self):
         """The permutation route's answer: :attr:`all_pairs` merged into an orbit partition."""
-        return partition_from_pairs(self.all_pairs, self.n)
+        # the constructor has checked every pair
+        return _partition(self.all_pairs, self.n)
 
 
 class OracleResult(Record):
@@ -161,37 +177,46 @@ class OracleResult(Record):
 class SubmanifoldComponent(Record):
     """One orbit of a :class:`SubmanifoldDescription`; an immutable value record.
 
-    :func:`analyze` builds it from the label text of :func:`_rotation_labels`
-    or :func:`_agent_labels`, which the CLI's reports write as it is; the
-    ``generators`` tuple is split from the text when first read.  A
-    component built from a tuple keeps the tuple and has no text.
+    :func:`analyze` builds it from its orbit's label builder,
+    :func:`_rotation_labels` or :func:`_agent_labels`, and builds no label:
+    each of the CLI's reports asks the builder for the labels joined by its
+    own separator, and the ``generators`` tuple is split from the labels
+    joined by spaces when first read.  A component built from a tuple keeps
+    the tuple and has no builder.
     """
 
-    __slots__ = ("orbit", "_generators", "dim", "_text")
+    __slots__ = ("orbit", "_generators", "dim", "_labels")
     __match_args__ = _compared = ("orbit", "generators", "dim")
 
     def __init__(self, orbit: tuple, generators: tuple, dim: int | None) -> None:
         setfield(self, "orbit", orbit)
         setfield(self, "_generators", generators)
         setfield(self, "dim", dim)
-        setfield(self, "_text", None)
+        setfield(self, "_labels", None)
 
     @classmethod
-    def _from_text(cls, orbit, text, dim):
-        """The component whose labels are the space-separated words of ``text``."""
+    def _from_builder(cls, orbit, labels, dim):
+        """The component whose labels ``labels(orbit, sep)`` writes, joined by ``sep``."""
         self = cls.__new__(cls)
         setfield(self, "orbit", orbit)
         setfield(self, "_generators", None)
         setfield(self, "dim", dim)
-        setfield(self, "_text", text)
+        setfield(self, "_labels", labels)
         return self
+
+    def _label_text(self, sep):
+        """The labels joined by ``sep``, each as it is."""
+        if self._labels is None:
+            return sep.join(self._generators)
+        return self._labels(self.orbit, sep)
 
     @property
     def generators(self):
         """The labels of the vector fields spanning the distribution on the orbit."""
         labels = self._generators
-        if labels is None and self._text is not None:
-            labels = tuple(self._text.split(" ")) if self._text else ()
+        if labels is None and self._labels is not None:
+            text = self._labels(self.orbit, " ")
+            labels = tuple(text.split(" ")) if text else ()
             setfield(self, "_generators", labels)
         return labels
 
@@ -308,42 +333,42 @@ def min_controls_check(spec):
     return len(spec.all_pairs) >= spec.n - 1
 
 
-def _pair_rows(letters, head=""):
-    """``head + i,j)`` for each pair i < j of ``letters``: one space-separated row per i."""
+def _pair_rows(letters, head="", sep=" "):
+    """``head + i,j)`` for each pair i < j of ``letters``; one row per i, joined by ``sep``.
+
+    ``sep`` joins the pairs within a row; the caller joins the rows.
+    """
     return [
-        f"{head}{i}," + f") {head}{i},".join(letters[at:]) + ")"
+        f"{head}{i}," + f"){sep}{head}{i},".join(letters[at:]) + ")"
         for at, i in enumerate(letters[:-1], 1)
     ]
 
 
-# Each label function writes an orbit's labels joined by single spaces, in a few
-# C-level joins.  A label is printable ASCII without a space, '"' or '\\', so
-# the text splits back into the labels and needs no JSON escape.
+# Each label builder writes an orbit's labels joined by ``sep``, in a few
+# C-level joins, so each report gets them in its own separator with no
+# rewriting pass.  A label is printable ASCII without a space, '"' or '\\',
+# so the text joined by spaces splits back into the labels, and JSON quotes
+# each label as it is.
 
 
-def _rotation_labels(orbit):
-    """``rot(i,j)`` for each pair i < j of the orbit, in combinations order, as one text.
-
-    :class:`SubmanifoldComponent` keeps the text for the CLI's reports.
-    """
-    return " ".join(_pair_rows(list(map(str, orbit)), "rot("))
+def _rotation_labels(orbit, sep=" "):
+    """``rot(i,j)`` for each pair i < j of the orbit, in combinations order, joined by ``sep``."""
+    return sep.join(_pair_rows(list(map(str, orbit)), "rot(", sep))
 
 
-def _agent_labels(orbit):
-    """``couple(i,j)`` for each pair, then ``circ(i,j,k)`` for each triple, as one text.
-
-    :class:`SubmanifoldComponent` keeps the text for the CLI's reports.
-    """
+def _agent_labels(orbit, sep=" "):
+    """``couple(i,j)`` for each pair, then ``circ(i,j,k)`` for each triple, joined by ``sep``."""
     letters = list(map(str, orbit))
     rows = _pair_rows(letters)
     if not rows:
         return ""
+    # the pairs "i,j)" joined by spaces; a label holds no space
     pairs = " ".join(rows)
     # the triples of i are "circ(i," before each pair from the row after i's on
     starts = itertools.accumulate((len(row) + 1 for row in rows[:-1]), initial=0)
     next(starts)
-    return "couple(" + pairs.replace(" ", " couple(") + "".join(
-        f" circ({i}," + pairs[at:].replace(" ", f" circ({i},")
+    return "couple(" + pairs.replace(" ", sep + "couple(") + "".join(
+        f"{sep}circ({i}," + pairs[at:].replace(" ", f"{sep}circ({i},")
         for i, at in zip(letters, starts)
     )
 
@@ -382,7 +407,7 @@ def _submanifold(spec, orbits, fixed_points, closure):
             return sum(r in orbit for r in first_rows)
 
     components = tuple(
-        SubmanifoldComponent._from_text(orbit, labels(orbit), orbit_dim and orbit_dim(orbit))
+        SubmanifoldComponent._from_builder(orbit, labels, orbit_dim and orbit_dim(orbit))
         for orbit in orbits
     )
     dims = [c.dim for c in components]

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import os
@@ -15,12 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrlperm import cli, systems
+from ctrlperm import cli, specio, systems
 from ctrlperm.cli import main
 from ctrlperm.graphview import control_graph, to_dot
+from ctrlperm.permutation import check_pair
 from ctrlperm.specio import (
     SpecFormatError,
-    _LabelText,
+    _label_pieces,
+    _Written,
     canonical_json,
     parse_probe,
     parse_spec,
@@ -94,6 +97,43 @@ def test_parse_spec_needs_pairs_of_integers(pair):
     for text in (f"{head}, {pair}]}}", f'{head}], "drift": {pair}}}'):
         with pytest.raises(SpecFormatError, match="must be a pair of integers"):
             parse_spec(text)
+
+
+# malformed control lists; where several pairs are bad, the message names one
+_MALFORMED_CONTROLS = [
+    [[1, 2], [True, 3]],
+    [[1, 2], [2, 3.0]],
+    [[1, 2], [3]],
+    [[1, 2], [3, 4, 5]],
+    [[1, 2], [3], [3, 4, 5]],
+    [[1, 2], [[3], [4]]],
+    [[1, 2], [4, 3]],
+    [[3, 3]],
+    [[1, 2], [0, 3]],
+    [[1, 2], [4, 6]],
+    [[1, 2], [2, 5], [4, 9], [0, 1], [5, 4]],
+    [[1, 2], 7],
+    [[1, 2], "34"],
+    [[1, 2], {"3": 4, "4": 5}],
+    [[1, 2], None],
+    [[1.0, 2.0]],
+    [[True, False]],
+]
+
+
+@pytest.mark.parametrize("controls", _MALFORMED_CONTROLS, ids=json.dumps)
+def test_parse_spec_raises_what_the_per_pair_checks_raise(controls):
+    # the JSON types of each pair, in document order, then the range of each
+    # pair of the set that SystemSpec receives, in its order
+    try:
+        pairs = [specio._as_pair(p, "control pair") for p in controls]
+        frozenset(check_pair(p, 5) for p in frozenset(pairs))
+    except ValueError as exc:
+        expected = str(exc)
+    text = json.dumps({"family": "so_n", "n": 5, "controls": controls})
+    with pytest.raises(SpecFormatError) as raised:
+        parse_spec(text)
+    assert str(raised.value) == expected
 
 
 def test_parse_spec_routes_probe_documents_away():
@@ -172,6 +212,14 @@ def test_distributions_the_report_cannot_write_are_refused(dist, message, write,
     for fmt in ([], ["--text"]):
         assert main(["analyze", path, *fmt]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_letter_counts_no_list_can_hold_are_refused(write, capsys):
+    path = write("n.json", json.dumps({"family": "so_n", "n": 10**30, "controls": [[1, 2]]}))
+    for flags in ([], ["--text"], ["--dot"]):
+        assert main(["analyze", path, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: n is larger than ") and err.count("\n") == 1
 
 
 # 10**4299 + 1 and + 3: each entry below is within Python's 4300-digit limit,
@@ -277,9 +325,24 @@ def test_json_report_writes_what_the_public_path_writes(spec, write, capsys):
 def test_label_text_is_written_as_its_label_list():
     for text in ("", "rot(1,2)", "couple(1,2) couple(1,3) circ(1,2,3)"):
         labels = text.split(" ") if text else []
+        component = systems.SubmanifoldComponent((), tuple(labels), None)
         for wrap in (lambda v: v, lambda v: {"g": v, "h": [1]}, lambda v: [[v], "x"]):
             expected = json.dumps(wrap(labels), sort_keys=True, indent=2) + "\n"
-            assert canonical_json(wrap(_LabelText(text))) == expected, text
+            written = _Written(functools.partial(_label_pieces, component))
+            assert canonical_json(wrap(written)) == expected, text
+
+
+def test_both_writers_write_a_component_built_from_its_tuple():
+    report = analyze(SystemSpec("so_n", 3, frozenset([(1, 2)])))
+    component = systems.SubmanifoldComponent((1, 2), ("rot(1,2)",), 1)
+    sub = systems.SubmanifoldDescription((component,), 1, report.submanifold.state_space)
+    built = systems.ControllabilityReport(
+        report.spec, False, report.method_class, report.orbits, report.fixed_points,
+        report.min_controls_satisfied, None, sub,
+    )
+    assert "  {1,2}  dim 1  rot(1,2)\n" in cli._render_text(built)
+    private = canonical_json(report_to_dict(built, _written=True))
+    assert private == canonical_json(report_to_dict(built)) == canonical_json(report_to_dict(report))
 
 
 def test_analyze_text_dot_and_basis(write, capsys):
@@ -407,7 +470,7 @@ def test_compare_single_spec(write, capsys):
 
 def test_compare_merges_once_and_builds_no_report(capsys, monkeypatch):
     merges = []
-    real = systems.partition_from_pairs
+    real = systems._partition
 
     def counting(pairs, n):
         merges.append(n)
@@ -418,7 +481,7 @@ def test_compare_merges_once_and_builds_no_report(capsys, monkeypatch):
 
     assert main(["compare", "--random", "6", "4", "3", "5"]) == 0
     expected = capsys.readouterr().out
-    monkeypatch.setattr(systems, "partition_from_pairs", counting)
+    monkeypatch.setattr(systems, "_partition", counting)
     monkeypatch.setattr(cli, "analyze", no_report)
     assert main(["compare", "--random", "6", "4", "3", "5"]) == 0
     assert capsys.readouterr().out == expected
@@ -833,12 +896,13 @@ _FUZZ_PROBES = (
         ],
     },
 )
-# what a mutation writes; every letter count stays at most 50, so no run
-# allocates much
+# what a mutation writes; every letter count stays at most 50, or is refused
+# before anything is allocated, so no run allocates much
 _FUZZ_POOL = (
-    None, True, 0, 1, 2, 3, 5, 9, 13, 50, -1, 2.5, "", "x", "so_n", "markov", "1/2", "-1",
-    "1/0", "1e-4301", [], [1], [1, 2], [2, 1], [0, 1], [1, 3], [3, 4], [[1, 2]],
-    [[1, 2], [2, 3]], ["1/2", "1/2"], {}, "<5000-digit integer>",
+    None, True, 0, 1, 2, 3, 5, 9, 13, 50, 10**30, -1, 2.5, "", "x", "so_n", "markov", "1/2",
+    "-1", "1/0", "1e-4301", [], [1], [1, 2], [2, 1], [0, 1], [1, 3], [3, 4], [1, 2, 3],
+    [True, 2], [1.0, 2], [[1, 2]], [[1, 2], [2, 3]], [[1, 2], [1, 2]], ["1/2", "1/2"], {},
+    "<5000-digit integer>",
 )
 # json.dumps cannot write an integer past Python's 4300-digit limit, so the
 # document holds this string, and its JSON text is replaced by the literal

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +11,7 @@ import pytest
 from ctrlperm import liealg, systems
 from ctrlperm.liealg import coupling_generator, lie_closure, rotation_generator
 from ctrlperm.monoid import OrbitPartition
+from ctrlperm.permutation import check_pair
 from ctrlperm.specio import canonical_json, parse_spec, spec_to_dict
 from ctrlperm.systems import (
     FAMILIES,
@@ -64,6 +66,72 @@ def test_spec_validation():
         )
     # drift alone is a valid control pattern
     assert SystemSpec("so_n", 5, frozenset(), drift=(1, 2)).all_pairs == {(1, 2)}
+
+
+def test_spec_refuses_more_letters_than_a_list_holds():
+    assert SystemSpec("so_n", sys.maxsize - 1, frozenset([(1, 2)])).n == sys.maxsize - 1
+    for n in (sys.maxsize, 10**30):
+        with pytest.raises(ValueError, match="the most letters a list can hold"):
+            SystemSpec("so_n", n, frozenset([(1, 2)]))
+
+
+def test_spec_refuses_distribution_entries_no_report_can_write():
+    tiny = Fraction(1, 10**4300)  # its denominator has 4301 digits, as has 1/2 - tiny's
+    for dist, at in (((Fraction(1, 2), Fraction(1, 2) - tiny, tiny), 1), ((0, 1, tiny), 2)):
+        # checked before the entries' sum
+        with pytest.raises(ValueError, match=f"^initial_distribution entry {at} has more digits"):
+            SystemSpec("markov", 3, frozenset([(1, 2)]), initial_distribution=dist)
+
+
+class _Letter(int):
+    """An int subclass: check_pair stores it as a plain int."""
+
+
+# control sets as Python callers may give them, valid and not; where several
+# pairs are bad, the error names one
+_CONTROL_SETS = [
+    [(1, 2), (2, 3)],
+    {(1, 2), (4, 5), (2, 3)},
+    frozenset([(1, 2), (3, 4)]),
+    ((i, i + 1) for i in range(1, 5)),
+    [[1, 2], (2, 3)],
+    [(1, 2), (True, 3)],
+    [(True, 2)],
+    [(_Letter(1), 2)],
+    [(1, 2), (2.0, 3)],
+    [(1, 2), (3,)],
+    [(1, 2), (3, 4, 5)],
+    [(3, 4, 5), (1, 2, 3)],
+    [(1,), (2,)],
+    [(), ()],
+    [(1, 2), ((3,), (4,))],
+    [(1, 2), (4, 3)],
+    [(3, 3)],
+    [(1, 2), (0, 3)],
+    [(1, 2), (4, 6)],
+    [(1, 2), (2, 5), (4, 9), (0, 1), (5, 4)],
+    [(1, 2), 7],
+    [(1, 2), "34"],
+    [(1, 2), None],
+]
+
+
+@pytest.mark.parametrize("controls", _CONTROL_SETS, ids=repr)
+def test_spec_controls_are_what_check_pair_makes_of_each_pair(controls):
+    controls = tuple(controls)
+
+    def outcome(check):
+        try:
+            return check()
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(lambda: frozenset(check_pair(p, 5) for p in controls))
+    got = outcome(lambda: SystemSpec("so_n", 5, controls).controls)
+    assert got == expected
+    if type(got) is frozenset:
+        assert {type(cell) for pair in got for cell in pair} == {int}
+        assert {type(pair) for pair in got} == {tuple}
 
 
 # ----------------------------------------------------------- analyze
@@ -178,7 +246,8 @@ def _label_orbits():
 
 
 def test_generator_labels_match_their_definition():
-    # each label function writes the labels as one text, joined by single spaces
+    # each label function writes the labels as one text, joined by single
+    # spaces unless it is given another separator, such as the JSON writer's
     for orbit in _label_orbits():
         for build, reference in (
             (_rotation_labels, reference_rotation_labels),
@@ -187,6 +256,8 @@ def test_generator_labels_match_their_definition():
             text = build(orbit)
             assert type(text) is str
             assert (text.split(" ") if text else []) == list(reference(orbit)), orbit
+            for sep in (" ", '",\n      "', " | "):
+                assert build(orbit, sep) == sep.join(reference(orbit)), (orbit, sep)
 
 
 def test_generator_labels_need_no_json_escape():
@@ -268,13 +339,13 @@ def test_oracle_multi_agent_triangle():
 
 def test_analyze_with_oracle_merges_the_pairs_once(monkeypatch):
     merges = []
-    real = systems.partition_from_pairs
+    real = systems._partition
 
     def counting(pairs, n):
         merges.append(n)
         return real(pairs, n)
 
-    monkeypatch.setattr(systems, "partition_from_pairs", counting)
+    monkeypatch.setattr(systems, "_partition", counting)
     report = analyze(so_spec(5, [(1, 2), (2, 3), (4, 5)]), with_oracle=True)
     assert merges == [5]
     assert report.oracle.agrees and report.oracle.orbits == report.orbits
