@@ -22,6 +22,11 @@ the repr read; by default they read every field.  One that keeps a field
 in a private slot behind a property sets ``__match_args__`` to its public
 field names.  A subclass of a record that declares no fields of its own
 keeps its parent's.
+
+``cls._trusted(*values)`` is the one unchecked constructor: it stores the
+values in slot order with :func:`setfield` and checks nothing.  A caller
+passes the values the checked ``__init__`` would have stored, one per
+slot, private slots included.
 """
 
 from operator import attrgetter
@@ -38,10 +43,18 @@ class Record:
         super().__init_subclass__(**kwargs)
         fields = cls.__dict__.get("__slots__")
         if fields:
+            cls._slots = fields
             cls.__match_args__ = cls.__dict__.get("__match_args__", fields)
             cls._compared = cls.__dict__.get("_compared", fields)
             # a plain class attribute, not a method: called as self._key(self)
             cls._key = attrgetter(*cls._compared)
+
+    @classmethod
+    def _trusted(cls, *values):
+        record = cls.__new__(cls)
+        for name, value in zip(cls._slots, values):
+            setfield(record, name, value)
+        return record
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

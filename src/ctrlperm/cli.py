@@ -34,7 +34,6 @@ from .specio import (
 )
 from .systems import (
     FAMILIES,
-    OracleSizeError,
     SystemSpec,
     analyze,
     check_oracle_size,
@@ -304,7 +303,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFormatError, OracleSizeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

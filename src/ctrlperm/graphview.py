@@ -10,6 +10,8 @@ union-find, so the check stays a real cross-check.
 
 from __future__ import annotations
 
+from operator import index
+
 from ._record import Record, setfield
 from .monoid import UnionFind
 from .permutation import check_pair
@@ -26,23 +28,18 @@ __all__ = [
 class ControlGraph(Record):
     """Undirected simple graph on vertices 1..n with edges given as (i, j), i < j.
 
-    An immutable value record; ``edges`` is stored as a frozenset of
-    validated tuples.
+    An immutable value record; ``n`` is stored as a plain int and must be
+    at least 1, and ``edges`` as a frozenset of validated tuples.
     """
 
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: frozenset) -> None:
+        n = index(n)
+        if n < 1:
+            raise ValueError(f"need at least one letter, got n={n}")
         setfield(self, "n", n)
         setfield(self, "edges", frozenset(check_pair(e, n) for e in edges))
-
-    @classmethod
-    def _trusted(cls, n, edges):
-        """Wrap an int ``n`` and a frozenset of checked tuples without re-validating them."""
-        graph = cls.__new__(cls)
-        setfield(graph, "n", n)
-        setfield(graph, "edges", edges)
-        return graph
 
 
 def control_graph(spec):

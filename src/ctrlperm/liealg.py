@@ -20,7 +20,9 @@ algebra it spans, through ``_GENERATORS``.
 :class:`ExactMatrix` is the dense form used at the public boundary.  The
 closure engine works on *entry maps*: ``{(row, col): value}`` dicts holding
 only the nonzero entries, with 0-based indices, because the generators and
-their brackets have a handful of nonzeros out of n^2.
+their brackets have a handful of nonzeros out of n^2.  :class:`LinearSpan`
+holds the echelon rows itself, as primitive integer entry maps keyed by
+pivot, and the closure inserts its brackets into the span it returns.
 """
 
 from __future__ import annotations
@@ -64,12 +66,28 @@ def _as_exact(x):
     raise TypeError(f"entries must be exact (int, Fraction, or rational string): {x!r}")
 
 
-def _entry_index(i, j, value):
-    """The indices of the entry ``(i, j): value`` as plain ints, or :class:`TypeError`."""
-    try:
-        return index(i), index(j)
-    except TypeError:
-        raise TypeError(f"entry {(i, j)!r}: {value!r} needs integer indices") from None
+def _checked_entries(n, entries):
+    """An n-by-n entry map checked in one pass, and whether its values are plain ints.
+
+    Each index must be an integer in ``range(n)`` and each value exact; the
+    new map has plain-int indices, exact values and no zero value.
+    """
+    checked = {}
+    plain = True
+    for (i, j), x in entries.items():
+        if type(i) is not int or type(j) is not int:
+            try:
+                i, j = index(i), index(j)
+            except TypeError:
+                raise TypeError(f"entry {(i, j)!r}: {x!r} needs integer indices") from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"entry index {(i, j)} outside a {n}x{n} matrix")
+        if type(x) is not int:
+            x = _as_exact(x)
+            plain = plain and type(x) is int
+        if x:
+            checked[i, j] = x
+    return checked, plain
 
 
 class ExactMatrix(Record):
@@ -89,13 +107,6 @@ class ExactMatrix(Record):
         return len(self.rows)
 
     @classmethod
-    def _trusted(cls, rows):
-        """Wrap a square tuple-of-tuples grid of exact entries without re-validating it."""
-        matrix = cls.__new__(cls)
-        setfield(matrix, "rows", rows)
-        return matrix
-
-    @classmethod
     def zeros(cls, n):
         return cls([[0] * n for _ in range(n)])
 
@@ -105,12 +116,8 @@ class ExactMatrix(Record):
         if n < 1:
             raise ValueError("matrix must be square and nonempty")
         rows = [[0] * n for _ in range(n)]
-        for (i, j), value in entries.items():
-            if type(i) is not int or type(j) is not int:
-                i, j = _entry_index(i, j, value)
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"entry index {(i, j)} outside a {n}x{n} matrix")
-            rows[i][j] = _as_exact(value)
+        for (i, j), x in _checked_entries(n, entries)[0].items():
+            rows[i][j] = x
         return cls._trusted(tuple(map(tuple, rows)))
 
     def entries(self):
@@ -339,22 +346,60 @@ def _eliminate(vec, row, col):
             del vec[k]
 
 
-class _RowSpace:
-    """Exact row space over the rationals, stored sparsely.
+class LinearSpan:
+    """Span of a set of n-by-n exact matrices, with exact rank and membership.
 
-    A vector is a map ``{column: value}`` of its nonzero entries; columns are
-    any totally ordered keys (``(row, col)`` pairs for matrices).  The rows
-    are primitive integer vectors in reduced echelon form: the pivot (the
-    smallest column) of each row is positive and is zero in every other row.
+    Matrices are given as :class:`ExactMatrix` or as ``{(row, col): value}``
+    entry maps (0-based).  The span holds their echelon rows itself, sparse
+    and keyed by ``(row, col)``: ``rows`` maps each pivot, a row's smallest
+    key, to the row.  The rows are primitive integer vectors in reduced
+    echelon form: each pivot is positive and is zero in every other row.
     Scaled to pivot 1 they are the reduced row echelon form, which is unique
     for the subspace, so the rows depend only on the span and not on the
     order of insertion.  Rank and membership are exact integer computations.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("n", "rows")
 
-    def __init__(self):
-        self.rows = {}  # pivot column -> row
+    def __init__(self, n):
+        self.n = index(n)
+        self.rows = {}  # pivot -> row
+
+    def insert(self, matrix):
+        """Add a matrix to the span; True iff the dimension grew."""
+        return self._insert(self._vector(matrix))
+
+    def contains(self, matrix):
+        """Exact membership test."""
+        return not self._reduced(self._vector(matrix))
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    @property
+    def pivots(self):
+        """The 0-based ``(row, col)`` of each basis matrix's first nonzero entry, in order."""
+        return tuple(sorted(self.rows))
+
+    @property
+    def basis(self):
+        """Basis matrices, the reduced echelon rows in pivot order."""
+        rows = self.rows
+        return tuple([ExactMatrix.from_entries(self.n, rows[pivot]) for pivot in self.pivots])
+
+    def rank_at(self, point):
+        """Rank of the span evaluated at a point: dim of {M @ point}."""
+        point = tuple(_as_exact(x) for x in point)
+        if len(point) != self.n:
+            raise ValueError(f"point length {len(point)} != {self.n}")
+        evaluated = LinearSpan(self.n)
+        for row in self.rows.values():
+            image = {}
+            for (i, j), x in row.items():
+                image[i] = image.get(i, 0) + x * point[j]
+            evaluated._insert(_integer_vector({i: y for i, y in image.items() if y}))
+        return evaluated.dim
 
     def _reduced(self, vec):
         """Eliminate every pivot column from an integer vector, in place.
@@ -367,8 +412,8 @@ class _RowSpace:
             _eliminate(vec, rows[p], p)
         return vec
 
-    def insert(self, vec):
-        """Add an integer vector, consuming it; True iff it enlarged the space."""
+    def _insert(self, vec):
+        """Add an integer vector, consuming it; True iff it enlarged the span."""
         vec = self._reduced(vec)
         if not vec:
             return False
@@ -382,89 +427,18 @@ class _RowSpace:
         rows[pivot] = vec
         return True
 
-    def contains(self, vec):
-        """Membership of an integer vector, consuming it."""
-        return not self._reduced(vec)
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-
-class LinearSpan:
-    """Span of a set of n-by-n exact matrices, with exact rank and membership.
-
-    Matrices are given as :class:`ExactMatrix` or as ``{(row, col): value}``
-    entry maps (0-based) and kept as sparse echelon rows keyed by
-    ``(row, col)``.
-    """
-
-    __slots__ = ("n", "_space")
-
-    def __init__(self, n):
-        self.n = index(n)
-        self._space = _RowSpace()
-
-    def insert(self, matrix):
-        """Add a matrix to the span; True iff the dimension grew."""
-        return self._space.insert(self._vector(matrix))
-
-    def contains(self, matrix):
-        """Exact membership test."""
-        return self._space.contains(self._vector(matrix))
-
-    @property
-    def dim(self):
-        return self._space.dim
-
-    @property
-    def pivots(self):
-        """The 0-based ``(row, col)`` of each basis matrix's first nonzero entry, in order."""
-        return tuple(sorted(self._space.rows))
-
-    @property
-    def basis(self):
-        """Basis matrices, the reduced echelon rows in pivot order."""
-        rows = self._space.rows
-        return tuple([ExactMatrix.from_entries(self.n, rows[pivot]) for pivot in self.pivots])
-
-    def rank_at(self, point):
-        """Rank of the span evaluated at a point: dim of {M @ point}."""
-        point = tuple(_as_exact(x) for x in point)
-        if len(point) != self.n:
-            raise ValueError(f"point length {len(point)} != {self.n}")
-        evaluated = _RowSpace()
-        for row in self._space.rows.values():
-            image = {}
-            for (i, j), x in row.items():
-                image[i] = image.get(i, 0) + x * point[j]
-            evaluated.insert(_integer_vector({i: y for i, y in image.items() if y}))
-        return evaluated.dim
-
     def _vector(self, matrix):
         """A new integer entry map spanning what ``matrix`` spans, checked against n.
 
-        An entry map is read in one pass: each index is checked, zero values
-        are dropped, and when every value is a plain int the new map is the
-        vector itself.
+        An entry map is read in one pass, and when every value is a plain
+        int the checked map is the vector itself.
         """
         n = self.n
         if isinstance(matrix, ExactMatrix):
             if matrix.n != n:
                 raise ValueError(f"matrix size {matrix.n} != span size {n}")
             return _integer_vector(matrix.entries())
-        entries = {}
-        plain = True
-        for (i, j), x in matrix.items():
-            if type(i) is not int or type(j) is not int:
-                i, j = _entry_index(i, j, x)
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"entry index {(i, j)} outside a {n}x{n} matrix")
-            if type(x) is not int:
-                x = _as_exact(x)
-                plain = plain and type(x) is int
-            if x:
-                entries[i, j] = x
+        entries, plain = _checked_entries(n, matrix)
         return entries if plain else _integer_vector(entries)
 
 
@@ -546,8 +520,8 @@ def _check_support(entries, block):
             raise RuntimeError(f"closure element has entry {(i, j)} outside its block")
 
 
-def _close_block(space, generators):
-    """Close one block's generators into ``space``, stopping once they span its ambient algebra.
+def _close_block(span, generators):
+    """Close one block's generators into ``span``, stopping once they span its ambient algebra.
 
     The block, returned, is the set of 0-based letters the generators touch,
     and its ambient algebra the first row of ``_AMBIENTS`` that holds every
@@ -566,7 +540,7 @@ def _close_block(space, generators):
             # the block's rows span part of the ambient algebra, so their
             # pivots are among its basis's pivots: this replaces exactly the
             # rows whose pivot lies in the block
-            space.rows.update(basis)
+            span.rows.update(basis)
             return block
     elements = list(generators)
     k = len(elements)
@@ -577,7 +551,7 @@ def _close_block(space, generators):
         head += 1
         for b_rows, b_cols in indexed[head if head <= k else 0 :]:
             b = _bracket_indexed(x, b_rows, b_cols)
-            if b and space.insert(dict(b)):
+            if b and span._insert(dict(b)):
                 _check_support(b, block)
                 if not in_ambient(b):
                     raise RuntimeError(
@@ -662,14 +636,13 @@ def lie_closure(generators, n=None):
             raise ValueError("generators given as entry maps need the matrix size n")
         n = generators[0].n
     span = LinearSpan(n)
-    space = span._space
     kept = []
     letters = UnionFind(n)  # letter a + 1 stands for the 0-based index a
     for g in generators:
         # a generator's primitive integer multiple generates the same algebra,
         # makes every bracket an integer map, and does not vanish mod 3
         entries = _primitive(span._vector(g))
-        if space.insert(dict(entries)):
+        if span._insert(dict(entries)):
             kept.append(entries)
             anchor, *others = {a + 1 for entry in entries for a in entry}
             for a in others:
@@ -679,7 +652,7 @@ def lie_closure(generators, n=None):
         blocks.setdefault(letters.find(next(iter(entries))[0] + 1), []).append(entries)
     claimed = set()
     for block_generators in blocks.values():
-        block = _close_block(space, block_generators)
+        block = _close_block(span, block_generators)
         if not claimed.isdisjoint(block):
             raise RuntimeError(f"closure blocks share letters {sorted(claimed & block)}")
         claimed |= block

@@ -122,14 +122,6 @@ class OrbitPartition(Record):
         setfield(self, "n", n)
         setfield(self, "orbits", tuple(sorted([tuple(sorted(o)) for o in orbits])))
 
-    @classmethod
-    def _trusted(cls, n, orbits):
-        """Wrap an int ``n`` >= 1 and canonical, disjoint orbits without re-validating them."""
-        partition = cls.__new__(cls)
-        setfield(partition, "n", n)
-        setfield(partition, "orbits", orbits)
-        return partition
-
     def __str__(self):
         if not self.orbits:
             return "{}"

@@ -194,16 +194,6 @@ class SubmanifoldComponent(Record):
         setfield(self, "dim", dim)
         setfield(self, "_labels", None)
 
-    @classmethod
-    def _from_builder(cls, orbit, labels, dim):
-        """The component whose labels ``labels(orbit, sep)`` writes, joined by ``sep``."""
-        self = cls.__new__(cls)
-        setfield(self, "orbit", orbit)
-        setfield(self, "_generators", None)
-        setfield(self, "dim", dim)
-        setfield(self, "_labels", labels)
-        return self
-
     def _label_text(self, sep):
         """The labels joined by ``sep``, each as it is."""
         if self._labels is None:
@@ -407,7 +397,7 @@ def _submanifold(spec, orbits, fixed_points, closure):
             return sum(r in orbit for r in first_rows)
 
     components = tuple(
-        SubmanifoldComponent._from_builder(orbit, labels, orbit_dim and orbit_dim(orbit))
+        SubmanifoldComponent._trusted(orbit, None, orbit_dim and orbit_dim(orbit), labels)
         for orbit in orbits
     )
     dims = [c.dim for c in components]

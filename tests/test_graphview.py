@@ -39,6 +39,19 @@ def test_graph_validation():
         ControlGraph(3, frozenset([(2, 2)]))
 
 
+def test_graph_needs_an_integer_letter_count():
+    # a float count was once stored, and components, is_connected and to_dot raised later
+    with pytest.raises(TypeError):
+        ControlGraph(2.5, [(1, 2)])
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=rf"^need at least one letter, got n={n}$"):
+            ControlGraph(n, [])
+    graph = ControlGraph(True, [])
+    assert graph.n == 1 and type(graph.n) is int
+    assert graph == ControlGraph(1, frozenset())
+    assert is_connected(graph) and to_dot(graph) == "graph G {\n  1;\n}\n"
+
+
 def test_dot_rendering():
     g = ControlGraph(3, frozenset([(1, 2)]))
     assert to_dot(g) == "graph G {\n  1;\n  2;\n  3;\n  1 -- 2;\n}\n"

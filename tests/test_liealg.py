@@ -397,6 +397,22 @@ def test_entry_indices_must_be_integers(bad):
     ):
         with pytest.raises(TypeError, match=r"entry \(.*\): -?1 needs integer indices"):
             call()
+    # one check reads an entry map on both routes, so both give the same messages
+    for entries, error, message in (
+        ({(bad, 1): 1}, TypeError, f"entry {(bad, 1)!r}: 1 needs integer indices"),
+        ({(3, 1): 1}, ValueError, "entry index (3, 1) outside a 3x3 matrix"),
+        ({(0, -1): 1}, ValueError, "entry index (0, -1) outside a 3x3 matrix"),
+        ({(0, 1): 0.5}, TypeError,
+         "entries must be exact (int, Fraction, or rational string): 0.5"),
+    ):
+        for call in (
+            lambda: LinearSpan(3).insert(entries),
+            lambda: LinearSpan(3).contains(entries),
+            lambda: ExactMatrix.from_entries(3, entries),
+        ):
+            with pytest.raises(error) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 def test_integral_entry_indices_are_stored_as_ints():
@@ -672,7 +688,7 @@ def test_each_ambient_row_writes_its_algebra_in_reduced_echelon_form(ambient):
             assert holds(row), (b, pivot)
             _, plus, minus = _mod3.image(row, local, b)
             assert holds_mod3(plus, minus, grid), (b, pivot)
-            # the screen's space.rows.update(basis) relies on reduced rows
+            # the screen's span.rows.update(basis) relies on reduced rows
             assert not any(other in row for other in basis if other != pivot), (b, pivot)
 
 

@@ -6,7 +6,9 @@ hashes consistently with that equality, prints as ``Name(field=value, ...)``
 and survives pickle, copy and deepcopy.  The repr strings are the text the
 records printed when they were frozen dataclasses.  The three value types
 that keep their own repr (``Permutation``, ``OrbitPartition`` and
-``ExactMatrix``) derive from the same base and are checked at the end.
+``ExactMatrix``) derive from the same base and are checked at the end,
+followed by the one unchecked constructor, ``_trusted``, that every record
+inherits from the base.
 """
 
 import contextlib
@@ -308,3 +310,55 @@ def test_value_types_equal_only_their_own_class(make, name):
     lookalike = Lookalike(*[getattr(value, f) for f in type(value).__match_args__])
     assert lookalike != value and value != lookalike
     assert value != getattr(value, name)
+
+
+# every record above, built checked; ``_trusted`` is given its slot values
+TRUSTED = [(lambda cls=cls, args=args: cls(*args)) for cls, args, *_ in CASES] + [
+    make for make, _ in VALUES
+]
+trusted = pytest.mark.parametrize("make", TRUSTED, ids=IDS + VALUE_IDS)
+
+
+def _slot_values(record):
+    return [getattr(record, name) for name in type(record).__slots__]
+
+
+@trusted
+def test_trusted_equals_the_checked_instance(make):
+    checked = make()
+    cls = type(checked)
+    record = cls._trusted(*_slot_values(checked))
+    assert type(record) is cls
+    assert record == checked and checked == record
+    assert hash(record) == hash(checked)
+    assert repr(record) == repr(checked)
+
+
+@trusted
+def test_trusted_refuses_assignment(make):
+    checked = make()
+    record = type(checked)._trusted(*_slot_values(checked))
+    name = type(checked).__slots__[0]
+    for action in (
+        lambda: setattr(record, name, None),
+        lambda: delattr(record, name),
+        lambda: setattr(record, "extra", 1),
+    ):
+        with pytest.raises(AttributeError) as exc:
+            action()
+        assert type(exc.value) is AttributeError
+
+
+@trusted
+def test_trusted_lookalike_keeps_the_slot_order(make):
+    checked = make()
+    cls = type(checked)
+
+    class Lookalike(cls):
+        __slots__ = ()
+
+    values = _slot_values(checked)
+    record = Lookalike._trusted(*values)
+    assert type(record) is Lookalike
+    assert [getattr(record, name) for name in cls.__slots__] == values
+    assert record == Lookalike._trusted(*values) and record != checked
