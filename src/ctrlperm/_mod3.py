@@ -1,8 +1,14 @@
 """The mod-3 screen of the bracket closure.
 
 :func:`ctrlperm.liealg.lie_closure` runs :func:`certified_basis` on each
-block that needs brackets, before its exact worklist; the argument that a
-full mod-3 closure proves the exact closure full is in its docstring.
+block that needs brackets, before any generator of the block enters the
+exact span; a certified block never does.  A declined block is inserted
+exactly and split again by its independent generators, so the blocks stay
+those that exact insertion alone gives: a rational dependence of primitive
+integer maps reduces to a nonzero dependence mod 3, and dependences never
+span blocks with disjoint supports, so a block joined by a dependent
+generator cannot be certified.  The argument that a full mod-3 closure
+proves the exact closure full is in ``lie_closure``'s docstring.
 ``liealg`` imports this module, and its ``_AMBIENTS`` table holds each
 ambient algebra's test mod 3 next to its exact test.
 
@@ -98,7 +104,7 @@ def bracket_terms(entries, grid, b):
     cross, rows, cols = grid.cross, grid.rows, grid.cols
     reach = 0
     col_layers, row_layers = [], []
-    col_depth, row_depth = {}, {}  # target -> terms it has so far
+    col_depth, row_depth = {}, {}  # target -> the layer of its last term
     for a, c, sign in entries:
         reach |= cross[a] | cross[c]
         if a <= c:
@@ -107,16 +113,17 @@ def bracket_terms(entries, grid, b):
         else:
             col_term = (cols[a], 0, a - c, sign < 0)
             row_term = (rows[c], (a - c) * b, 0, sign > 0)
-        for layers, depth, target, term in (
-            (col_layers, col_depth, c, col_term),
-            (row_layers, row_depth, a, row_term),
-        ):
-            level = depth.get(target, 0)
-            depth[target] = level + 1
-            if level == len(layers):
-                layers.append([term])
-            else:
-                layers[level].append(term)
+        # the term goes to the first layer that does not yet write its target
+        level = col_depth[c] = col_depth.get(c, -1) + 1
+        if level == len(col_layers):
+            col_layers.append([col_term])
+        else:
+            col_layers[level].append(col_term)
+        level = row_depth[a] = row_depth.get(a, -1) + 1
+        if level == len(row_layers):
+            row_layers.append([row_term])
+        else:
+            row_layers[level].append(row_term)
     return reach, col_layers + row_layers
 
 

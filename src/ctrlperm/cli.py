@@ -35,6 +35,7 @@ from .specio import (
 from .systems import (
     FAMILIES,
     SystemSpec,
+    _label_count,
     analyze,
     check_oracle_size,
     oracle_check,
@@ -42,6 +43,13 @@ from .systems import (
 )
 
 ORACLE_MAX_ENV = "CTRLPERM_ORACLE_MAX_N"
+# The most generator labels an analyze report may list.  A k-letter orbit lists
+# C(k,2) of them, or C(k,2) + C(k,3) in an agent family, so a spec of a few KB
+# can ask for gigabytes; past the cap the report is refused before any label is
+# built.  Just under it, the JSON report of a so_n path on 4472 letters is
+# 275 MB and peaks at 0.81 GB resident, and that of a multi_agent path on 391
+# letters is 300 MB and peaks at 0.59 GB (CPython 3.11.7, x86_64).
+REPORT_MAX_LABELS = 10**7
 
 
 def _oracle_max_n():
@@ -139,6 +147,12 @@ def _cmd_analyze(args):
     # only the oracle and the basis dump are guarded, so only they read the override
     max_n = _oracle_max_n() if args.oracle or args.dump_basis else None
     report = analyze(spec, with_oracle=args.oracle, oracle_max_n=max_n)
+    labels = _label_count(report)
+    if labels > REPORT_MAX_LABELS:
+        raise ValueError(
+            f"the report would list {labels} generator labels, more than the cap of"
+            f" {REPORT_MAX_LABELS}"
+        )
     if args.dump_basis:
         oracle = report.oracle or oracle_check(spec, report.method_class, max_n=max_n)
         basis = oracle.closure.basis

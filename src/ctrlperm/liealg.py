@@ -74,10 +74,12 @@ def _checked_entries(n, entries):
     """
     checked = {}
     plain = True
-    for (i, j), x in entries.items():
-        if type(i) is not int or type(j) is not int:
+    for key, x in entries.items():
+        i, j = key
+        # a key of two plain ints is kept as it is
+        if type(i) is not int or type(j) is not int or type(key) is not tuple:
             try:
-                i, j = index(i), index(j)
+                key = i, j = index(i), index(j)
             except TypeError:
                 raise TypeError(f"entry {(i, j)!r}: {x!r} needs integer indices") from None
         if not (0 <= i < n and 0 <= j < n):
@@ -86,7 +88,7 @@ def _checked_entries(n, entries):
             x = _as_exact(x)
             plain = plain and type(x) is int
         if x:
-            checked[i, j] = x
+            checked[key] = x
     return checked, plain
 
 
@@ -520,28 +522,59 @@ def _check_support(entries, block):
             raise RuntimeError(f"closure element has entry {(i, j)} outside its block")
 
 
-def _close_block(span, generators):
-    """Close one block's generators into ``span``, stopping once they span its ambient algebra.
+def _blocks(n, generators):
+    """The generators grouped into blocks: generators that share a letter share a block.
 
-    The block, returned, is the set of 0-based letters the generators touch,
-    and its ambient algebra the first row of ``_AMBIENTS`` that holds every
-    generator.  Every kept bracket must lie in the block and the ambient
-    algebra, else :class:`RuntimeError`.  The mod-3 screen runs first; when
-    it proves the closure is the ambient algebra, the block's rows become
-    that algebra's basis and no exact bracket is tried.
+    Each block is a list in generator order, and the blocks come in the
+    order of their first generators.
+    """
+    letters = UnionFind(n)  # letter a + 1 stands for the 0-based index a
+    for entries in generators:
+        anchor, *others = {a + 1 for entry in entries for a in entry}
+        for a in others:
+            letters.union(anchor, a)
+    blocks = {}
+    for entries in generators:
+        blocks.setdefault(letters.find(next(iter(entries))[0] + 1), []).append(entries)
+    return blocks.values()
+
+
+def _ambient_of(generators):
+    """A block's letters, the row of its ambient algebra and that algebra's dimension.
+
+    The letters are the 0-based ones the generators touch, and the ambient
+    algebra is the first row of ``_AMBIENTS`` that holds every generator.
     """
     block = {a for g in generators for entry in g for a in entry}
     ambient = next(a for a in _AMBIENTS if all(a[1](g) for g in generators))
-    name, in_ambient, ambient_dim, _, _ = ambient
-    dim = ambient_dim(len(block))
-    if len(generators) < dim:
-        basis = _mod3.certified_basis(generators, sorted(block), ambient)
-        if basis is not None:
-            # the block's rows span part of the ambient algebra, so their
-            # pivots are among its basis's pivots: this replaces exactly the
-            # rows whose pivot lies in the block
-            span.rows.update(basis)
-            return block
+    return block, ambient, ambient[2](len(block))
+
+
+def _certify(span, generators, block, ambient):
+    """Write the ambient algebra's basis into ``span`` if the screen proves it the closure.
+
+    Returns True when it does.
+    """
+    basis = _mod3.certified_basis(generators, sorted(block), ambient)
+    if basis is None:
+        return False
+    # any rows the span holds on the block span part of the ambient algebra,
+    # so their pivots are among its basis's: this replaces exactly those rows
+    span.rows.update(basis)
+    return True
+
+
+def _close_block(span, generators, declined):
+    """Close one block's generators, already in ``span``, stopping at its ambient algebra.
+
+    Returns the block.  The mod-3 screen runs first, unless it has already
+    declined the letters ``declined``.  Every kept bracket must lie in the
+    block and the ambient algebra, else :class:`RuntimeError`.
+    """
+    block, ambient, dim = _ambient_of(generators)
+    if len(generators) < dim and block != declined and _certify(span, generators, block, ambient):
+        return block
+    name, in_ambient = ambient[:2]
     elements = list(generators)
     k = len(elements)
     indexed = [_index(g) for g in generators]
@@ -569,13 +602,15 @@ def lie_closure(generators, n=None):
     Generators are n-by-n :class:`ExactMatrix` values, or ``{(row, col):
     value}`` entry maps (0-based) when ``n`` is given.
 
-    *Blocks.*  The letters of each independent generator's nonzero entries
-    are joined into one block, and generators that share a letter share a
-    block.  Matrices supported on disjoint blocks multiply to zero, so
-    brackets across blocks vanish and the closure is the direct sum of the
-    blocks' closures; each block is closed on its own generators.  A block
-    is the set of letters its generators touch, and blocks that share a
-    letter raise :class:`RuntimeError`.
+    *Blocks.*  The letters of each nonzero generator's entries are joined
+    into one block, and generators that share a letter share a block.
+    Matrices supported on disjoint blocks multiply to zero, so brackets
+    across blocks vanish and the closure is the direct sum of the blocks'
+    closures; each block is closed on its own generators.  A block is the
+    set of letters its generators touch, and blocks that share a letter
+    raise :class:`RuntimeError`.  A generator that depends on the others
+    can join blocks that the others leave apart; the certificate below
+    splits such a block again.
 
     *Worklist.*  Within a block over the generators g_1..g_k, every element
     that enlarged the span is bracketed against each generator, and a
@@ -603,25 +638,44 @@ def lie_closure(generators, n=None):
     stop is exact, and a wrong block split fails a check rather than
     returning a wrong span.
 
-    *Certificate.*  Before its exact worklist, a block that needs brackets
-    runs the same worklist mod 3 (``ctrlperm._mod3``): the same bracket
-    order, on b-by-b matrices over GF(3) in the block's own coordinates.  Every kept element
-    is checked to lie in the ambient algebra mod 3 (X = -X^T for so(B),
-    row and column sums 0 for the zero-sum algebra), and a failed check
-    raises the same :class:`RuntimeError`.  Reduction mod 3 commutes with
-    the bracket, so each kept element is the image of an integer element of
-    the closure.  Independence mod 3 implies independence over the
-    rationals: a rational dependence, cleared of denominators and divided
-    by its content, reduces to a nonzero dependence mod 3.  The generators
-    are checked exactly to lie in the ambient algebra, and that algebra is
-    closed under bracket, so the closure lies in it.  Hence, once as many
-    elements as the ambient dimension are kept mod 3, the closure *is* the
-    ambient algebra, and its row of ``_AMBIENTS`` writes its reduced
-    echelon basis in closed form.  That form is unique for the span, so
-    ``basis`` and ``pivots`` are those the exact worklist would give.  When
-    the mod-3 closure falls short, it proves nothing and the exact worklist
-    decides.  Each generator is made primitive first, so none vanishes mod
-    3, but the brackets a full closure needs may still be dependent mod 3.
+    *Certificate.*  Each block that needs brackets first runs the same
+    worklist mod 3 (``ctrlperm._mod3``), before any of its generators
+    enters the exact span: the same bracket order, on b-by-b matrices over
+    GF(3) in the block's own coordinates.  Every kept element is checked to
+    lie in the ambient algebra mod 3 (X = -X^T for so(B), row and column
+    sums 0 for the zero-sum algebra), and a failed check raises the same
+    :class:`RuntimeError`.  Reduction mod 3 commutes with the bracket, so
+    each kept element is the image of an integer element of the closure.
+    Independence mod 3 implies independence over the rationals: a rational
+    dependence of primitive integer maps, cleared of denominators and
+    divided by its content, reduces to a nonzero dependence mod 3.  The
+    generators are checked exactly to lie in the ambient algebra, and that
+    algebra is closed under bracket, so the closure lies in it.  Hence, once
+    as many elements as the ambient dimension are kept mod 3, the closure
+    *is* the ambient algebra, its row of ``_AMBIENTS`` writes its reduced
+    echelon basis in closed form, and no generator of the block enters the
+    exact span.  That form is unique for the span, so ``basis`` and
+    ``pivots`` are those the exact worklist would give.  Each generator is
+    made primitive first, so none vanishes mod 3, but the brackets a full
+    closure needs may still be dependent mod 3.
+
+    When the mod-3 closure falls short, it proves nothing.  The block's
+    generators are then inserted into the exact span in order, which drops
+    each one that depends on those before it; the kept ones are split into
+    blocks again, and each part runs its own screen, then the exact
+    worklist.  A part with the letters of the declined block is not
+    screened again: its generators are some of that block's, so they
+    generate no more mod 3.  No block is screened twice.  This gives the
+    blocks and the certified blocks of an exact insertion of every
+    generator before any screen, for two reasons.  Dependences never span
+    blocks with disjoint supports, so a block joined only by a dependent
+    generator closes to the direct sum of its parts' closures, below its
+    ambient dimension.  By the fact above, the screen keeps no more
+    elements than that dimension, so such a block is never certified and
+    is split again.  A generator that depends on the others can only add to
+    what the screen sees, so a block whose own generators the screen
+    declines may still be certified with it; the basis is the same either
+    way.
 
     Storage is sparse and exact: elements are entry maps, brackets cost
     time in their nonzeros rather than n^3, and the span keeps primitive
@@ -636,24 +690,21 @@ def lie_closure(generators, n=None):
             raise ValueError("generators given as entry maps need the matrix size n")
         n = generators[0].n
     span = LinearSpan(n)
-    kept = []
-    letters = UnionFind(n)  # letter a + 1 stands for the 0-based index a
-    for g in generators:
-        # a generator's primitive integer multiple generates the same algebra,
-        # makes every bracket an integer map, and does not vanish mod 3
-        entries = _primitive(span._vector(g))
-        if span._insert(dict(entries)):
-            kept.append(entries)
-            anchor, *others = {a + 1 for entry in entries for a in entry}
-            for a in others:
-                letters.union(anchor, a)
-    blocks = {}
-    for entries in kept:
-        blocks.setdefault(letters.find(next(iter(entries))[0] + 1), []).append(entries)
+    # a generator's primitive integer multiple generates the same algebra,
+    # makes every bracket an integer map, and does not vanish mod 3
+    vectors = [v for v in (_primitive(span._vector(g)) for g in generators) if v]
     claimed = set()
-    for block_generators in blocks.values():
-        block = _close_block(span, block_generators)
-        if not claimed.isdisjoint(block):
-            raise RuntimeError(f"closure blocks share letters {sorted(claimed & block)}")
-        claimed |= block
+    for block_generators in _blocks(n, vectors):
+        block, ambient, dim = _ambient_of(block_generators)
+        screened = len(block_generators) < dim
+        if screened and _certify(span, block_generators, block, ambient):
+            closed = [block]
+        else:
+            kept = [g for g in block_generators if span._insert(dict(g))]
+            declined = block if screened else None
+            closed = [_close_block(span, part, declined) for part in _blocks(n, kept)]
+        for block in closed:
+            if not claimed.isdisjoint(block):
+                raise RuntimeError(f"closure blocks share letters {sorted(claimed & block)}")
+            claimed |= block
     return span

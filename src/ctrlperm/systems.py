@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from math import comb
 from operator import index
 
 from ._record import Record, setfield
@@ -55,8 +56,8 @@ __all__ = [
 # Size guards for the bracket-closure oracle.  At the guards the dearest
 # standard case is a sparse connected control graph: over five draws of a
 # path plus random edges (2n pairs), oracle_check costs at most about
-# 1.8 ms for so_n (n=12) and 3.0 ms for multi_agent (n=8); a complete graph
-# costs 1.0 and 1.7 ms (best of 7, CPython 3.11.7, shared 2-core x86_64
+# 0.9 ms for so_n (n=12) and 1.5 ms for multi_agent (n=8); a complete graph
+# costs 0.7 and 0.6 ms (best of 7, CPython 3.11.7, shared 2-core x86_64
 # host).
 ORACLE_MAX_ROTATION = 12
 ORACLE_MAX_AGENTS = 8
@@ -363,12 +364,13 @@ def _agent_labels(orbit, sep=" "):
     )
 
 
-# Report facts by generator type: an orbit's generator labels and its closed-form
-# dimension, which is the permutation route's answer and so is not read from the
-# oracle.  None is asserted for the agent algebra; the oracle's closure gives it.
+# Report facts by generator type: an orbit's generator labels, their count for an
+# orbit of k letters, and the orbit's closed-form dimension, which is the
+# permutation route's answer and so is not read from the oracle.  None is asserted
+# for the agent algebra; the oracle's closure gives it.
 _REPORTS = {
-    "rotation": (_rotation_labels, lambda orbit: len(orbit) * (len(orbit) - 1) // 2),
-    "coupling": (_agent_labels, None),
+    "rotation": (_rotation_labels, lambda k: comb(k, 2), lambda orbit: comb(len(orbit), 2)),
+    "coupling": (_agent_labels, lambda k: comb(k, 2) + comb(k, 3), None),
 }
 
 # family: (generator type, the key of ``_REPORTS`` and ``liealg._GENERATORS``;
@@ -384,8 +386,14 @@ _FAMILIES = {
 FAMILIES = tuple(_FAMILIES)
 
 
+def _label_count(report):
+    """How many generator labels the report's components list, from the orbit sizes alone."""
+    count = _REPORTS[_FAMILIES[report.spec.family][0]][1]
+    return sum(count(len(orbit)) for orbit in report.orbits)
+
+
 def _submanifold(spec, orbits, fixed_points, closure):
-    labels, orbit_dim = _REPORTS[_FAMILIES[spec.family][0]]
+    labels, _, orbit_dim = _REPORTS[_FAMILIES[spec.family][0]]
     if orbit_dim is None and closure is not None:
         # Generators on disjoint letter sets have disjoint support and commute,
         # so the closure is a direct sum of orbit blocks: each reduced echelon

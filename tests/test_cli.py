@@ -261,6 +261,62 @@ def test_integer_literals_too_long_to_read_are_refused(kind, write, capsys):
     assert out == "" and err.startswith(f"error: {kind} document ") and "Traceback" not in err
 
 
+def _path_spec(family, n):
+    """A path over n letters: one orbit, whose report lists every label of n letters."""
+    doc = {"family": family, "n": n, "controls": [[i, i + 1] for i in range(1, n)]}
+    if family == "markov":
+        doc["initial_distribution"] = ["1"] + ["0"] * (n - 1)
+    return doc
+
+
+def _refuse_labels(monkeypatch):
+    """Make every label builder fail if it is called."""
+
+    def refused(*args):
+        raise AssertionError("a generator label was built")
+
+    monkeypatch.setattr(systems, "_pair_rows", refused)
+    for kind, row in systems._REPORTS.items():
+        monkeypatch.setitem(systems._REPORTS, kind, (refused, *row[1:]))
+
+
+def test_reports_past_the_label_cap_are_refused_before_any_label(write, capsys, monkeypatch):
+    # about 10 KB of spec, whose report would list C(1000,2) + C(1000,3) labels
+    path = write("agents.json", json.dumps(_path_spec("multi_agent", 1000)))
+    _refuse_labels(monkeypatch)
+    message = (
+        "error: the report would list 166666500 generator labels, more than the cap of 10000000\n"
+    )
+    for flags in ([], ["--text"], ["--dot"], ["--text", "--dot"]):
+        assert main(["analyze", path, *flags]) == 2
+        assert capsys.readouterr() == ("", message)
+    # the library still answers: only the writers refuse
+    report = analyze(parse_spec(Path(path).read_text()))
+    assert report.controllable and systems._label_count(report) == 166666500
+
+
+@pytest.mark.parametrize(
+    ("family", "labels"),
+    [("so_n", 1 + 6), ("sphere", 1 + 6), ("multi_agent", 1 + 6 + 4), ("markov", 1 + 6 + 4)],
+)
+def test_label_cap_counts_every_orbit(family, labels, write, capsys, monkeypatch):
+    # orbits of 2 and 4 letters: C(2,2) + C(4,2) pair labels, and an agent
+    # family's C(4,3) triple labels
+    doc = {"family": family, "n": 7, "controls": [[1, 2], [3, 4], [4, 5], [5, 6]]}
+    path = write("two.json", json.dumps(doc))
+    assert systems._label_count(analyze(parse_spec(json.dumps(doc)))) == labels
+    monkeypatch.setattr(cli, "REPORT_MAX_LABELS", labels)
+    assert main(["analyze", path]) == 1
+    assert json.loads(capsys.readouterr().out)["submanifold"]["components"][1]["generators"]
+    monkeypatch.setattr(cli, "REPORT_MAX_LABELS", labels - 1)
+    _refuse_labels(monkeypatch)
+    assert main(["analyze", path, "--text"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: the report would list {labels} generator labels, more than the cap of"
+        f" {labels - 1}\n"
+    )
+
+
 # ---------------------------------------------------------- analyze
 
 
@@ -886,6 +942,11 @@ _FUZZ_SPECS = (
     {"family": "sphere", "n": 3, "controls": [[1, 2], [2, 3]]},
     {"family": "multi_agent", "n": 3, "controls": [[1, 3]], "agent_space_dim": 2},
     {"family": "markov", "n": 3, "controls": [[1, 2]], "initial_distribution": ["1/2", "0", "1/2"]},
+    # one path per family whose report is past the label cap, and stays past it
+    # when up to three mutations cut it into four orbits; an agent path turned
+    # into a rotation family writes a report of about 12 MB
+    *(_path_spec(family, 9000 if family in ("so_n", "sphere") else 1000)
+      for family in ("so_n", "sphere", "multi_agent", "markov")),
 )
 _FUZZ_PROBES = (
     {
@@ -897,7 +958,8 @@ _FUZZ_PROBES = (
     },
 )
 # what a mutation writes; every letter count stays at most 50, or is refused
-# before anything is allocated, so no run allocates much
+# before anything is allocated, and a long path's report stays past the label
+# cap, so no run allocates much
 _FUZZ_POOL = (
     None, True, 0, 1, 2, 3, 5, 9, 13, 50, 10**30, -1, 2.5, "", "x", "so_n", "markov", "1/2",
     "-1", "1/0", "1e-4301", [], [1], [1, 2], [2, 1], [0, 1], [1, 3], [3, 4], [1, 2, 3],
@@ -948,7 +1010,10 @@ def _expected_exit(command, text):
         spec = parse_spec(text)
         if command == "compare":
             return 0 if oracle_check(spec, spec.orbit_class()).agrees else 1
-        return 0 if analyze(spec, with_oracle=command.endswith("--oracle")).controllable else 1
+        report = analyze(spec, with_oracle=command.endswith("--oracle"))
+        if systems._label_count(report) > cli.REPORT_MAX_LABELS:
+            return 2
+        return 0 if report.controllable else 1
     except ValueError:
         return 2
 

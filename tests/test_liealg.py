@@ -579,6 +579,86 @@ def test_screen_and_exact_worklist_give_one_basis(monkeypatch):
     assert certified == 66
 
 
+def _recording_screen(monkeypatch):
+    """Record each screen call's block letters, and whether it certified."""
+    real = _mod3.certified_basis
+    calls = []
+
+    def recording(generators, letters, ambient):
+        basis = real(generators, letters, ambient)
+        calls.append((tuple(letters), basis is not None))
+        return basis
+
+    monkeypatch.setattr(_mod3, "certified_basis", recording)
+    return calls
+
+
+def _counting_inserts(monkeypatch):
+    """Count every exact insertion into any span."""
+    inserted = []
+    real = LinearSpan._insert
+
+    def counting(self, vec):
+        inserted.append(dict(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(LinearSpan, "_insert", counting)
+    return inserted
+
+
+@pytest.mark.parametrize(
+    ("entries", "n", "dim"),
+    [(rotation_entries, 12, 66), (coupling_entries, 8, 49)],
+    ids=["so_n path", "coupling path"],
+)
+def test_certified_blocks_make_no_exact_insertion(monkeypatch, entries, n, dim):
+    calls = _recording_screen(monkeypatch)
+    inserted = _counting_inserts(monkeypatch)
+    path = [entries(n, (i, i + 1)) for i in range(1, n)]
+    span = lie_closure(path, n)
+    assert (calls, inserted, span.dim) == ([(tuple(range(n)), True)], [], dim)
+    monkeypatch.undo()
+    _decline_screen(monkeypatch)
+    assert span.basis == lie_closure(path, n).basis
+
+
+def test_dependent_generator_on_two_blocks_keeps_the_blocks(monkeypatch):
+    # g = rot(1,2) + rot(5,6) joins the letters of two paths, but it is the sum
+    # of two other generators: placed last, it is dropped and each path is its
+    # own certified block; placed first, it is kept and bridges them, so the
+    # block is the one the exact insertion order gives
+    n = 8
+    paths = [rotation_entries(n, (i, i + 1)) for i in (1, 2, 3, 5, 6, 7)]
+    bridge = {**paths[0], **paths[3]}
+    for gens, screened, dim in (
+        (paths + [bridge], [((0, 1, 2, 3, 4, 5, 6, 7), False), ((0, 1, 2, 3), True),
+                            ((4, 5, 6, 7), True)], 12),
+        ([bridge] + paths, [((0, 1, 2, 3, 4, 5, 6, 7), False)], 12),
+    ):
+        calls = _recording_screen(monkeypatch)
+        span = lie_closure(gens, n)
+        assert calls == screened
+        assert span.dim == dim
+        monkeypatch.undo()
+        matrices = [ExactMatrix.from_entries(n, g) for g in gens]
+        assert span.basis == reference_closure_basis(matrices)
+    # a generator equal to another times 3 is made primitive, so it repeats
+    # that one; its block is still screened once, and certified
+    calls = _recording_screen(monkeypatch)
+    span = lie_closure(paths[:3] + [{k: 3 * x for k, x in paths[1].items()}], n)
+    assert calls == [((0, 1, 2, 3), True)] and span.dim == 6
+
+
+def test_no_block_is_screened_twice(monkeypatch):
+    calls = _recording_screen(monkeypatch)
+    sets = [(label, gens) for label, gens, _ in _screen_sets(20261019)]
+    for label, gens in sets + _random_generator_sets(20261019):
+        calls.clear()
+        lie_closure(gens)
+        letters = [block for block, _ in calls]
+        assert len(letters) == len(set(letters)), label
+
+
 def test_dense_probe_set_closes_without_exact_brackets(monkeypatch):
     # this set cost the exact worklist alone over a minute: 666 brackets,
     # each kept one back-substituted into hundreds of dense rows
