@@ -13,7 +13,9 @@ graph.
 of the submodules ``graphview``, ``liealg``, ``monoid``, ``permutation``
 and ``systems``, is imported on first access, so a program that only
 merges orbits never compiles the oracle (``liealg``) or loads
-``fractions``.
+``fractions``.  Nor does it compile ``permutation``, which loads with
+subgroup orders or the absorbing product, or ``graphview``, which loads
+with the first control graph.
 """
 
 import importlib

@@ -22,7 +22,6 @@ import random
 import sys
 
 from ._version import __version__
-from .graphview import control_graph, to_dot
 from .specio import (
     SpecFormatError,
     _sum_texts,
@@ -50,6 +49,22 @@ ORACLE_MAX_ENV = "CTRLPERM_ORACLE_MAX_N"
 # 275 MB and peaks at 0.81 GB resident, and that of a multi_agent path on 391
 # letters is 300 MB and peaks at 0.59 GB (CPython 3.11.7, x86_64).
 REPORT_MAX_LABELS = 10**7
+
+
+# graphview loads with the first --dot.  Both forwarders stay globals of this
+# module and never rebind themselves, because perfbench/tracing.py wraps them here.
+def control_graph(spec):
+    """Forwarder to :func:`ctrlperm.graphview.control_graph`."""
+    from .graphview import control_graph
+
+    return control_graph(spec)
+
+
+def to_dot(graph):
+    """Forwarder to :func:`ctrlperm.graphview.to_dot`."""
+    from .graphview import to_dot
+
+    return to_dot(graph)
 
 
 def _oracle_max_n():

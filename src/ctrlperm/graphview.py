@@ -13,8 +13,7 @@ from __future__ import annotations
 from operator import index
 
 from ._record import Record, setfield
-from .monoid import UnionFind
-from .permutation import check_pair
+from .monoid import UnionFind, check_pair
 
 __all__ = [
     "ControlGraph",

@@ -35,8 +35,7 @@ from typing import NamedTuple
 
 from . import _mod3
 from ._record import Record, setfield
-from .monoid import UnionFind
-from .permutation import check_pair
+from .monoid import UnionFind, check_pair
 
 __all__ = [
     "ExactMatrix",

@@ -13,6 +13,11 @@ fold (:func:`absorbing_product`) and a single union-find pass over index
 pairs (:func:`partition_from_pairs`, which :meth:`OrbitPartition.merge` also
 goes through).  They must agree, and the test suite uses each as an oracle
 for the other.
+
+This module also holds :func:`check_pair`, the one index-pair check that
+every layer uses.  It imports the permutation algebra only inside the
+permutation-level functions, so merging orbits never compiles
+``permutation``.
 """
 
 from __future__ import annotations
@@ -21,15 +26,9 @@ import re
 from operator import index
 
 from ._record import Record, setfield
-from .permutation import (
-    check_pair,
-    compose,
-    identity,
-    nontrivial_orbits,
-    transposition,
-)
 
 __all__ = [
+    "check_pair",
     "UnionFind",
     "OrbitPartition",
     "orbit_partition",
@@ -37,6 +36,18 @@ __all__ = [
     "absorbing_product",
     "partition_from_pairs",
 ]
+
+
+def check_pair(pair, n):
+    """Validate an index pair and return it as a plain tuple.
+
+    A valid pair satisfies ``1 <= i < j <= n``; a letter that is not an
+    integer raises :class:`TypeError`.
+    """
+    i, j = pair
+    if not (1 <= i < j <= n):
+        raise ValueError(f"index pair must satisfy 1 <= i < j <= {n}, got {(i, j)!r}")
+    return (index(i), index(j))
 
 
 class UnionFind:
@@ -162,9 +173,10 @@ class OrbitPartition(Record):
     def parse(cls, text, n):
         """Parse the rendering of ``str``, e.g. ``{1,2,3}{4,5}``; spaces may not split a letter.
 
-        Letters are ASCII decimal digits only, as ``str`` writes them.
+        Letters are ASCII decimal digits only, as ``str`` writes them, and
+        each comma stands between two letters.
         """
-        if not re.fullmatch(r"\s*(\{[0-9,\s]*\}\s*)+", text):
+        if not re.fullmatch(r"\s*(\{\s*([0-9]+\s*(,\s*[0-9]+\s*)*)?\}\s*)+", text):
             raise ValueError(f"not an orbit partition rendering: {text!r}")
         orbits = []
         for body in re.findall(r"\{([^{}]*)\}", text):
@@ -179,6 +191,8 @@ def orbit_partition(sigma):
     Two permutations land on equal partitions exactly when they have the
     same orbits.
     """
+    from .permutation import nontrivial_orbits
+
     return OrbitPartition(sigma.n, nontrivial_orbits(sigma))
 
 
@@ -190,6 +204,8 @@ def absorbing_compose(pi, tau):
     Otherwise the result is the plain product ``pi * tau``, which either
     extends one orbit by a letter or merges two orbits.
     """
+    from .permutation import compose, nontrivial_orbits
+
     support = tau.moved_letters()
     if len(support) != 2:
         raise ValueError(f"expected a transposition, got {tau!r}")
@@ -206,6 +222,8 @@ def absorbing_product(pairs, n):
     partition does not; :func:`partition_from_pairs` computes that partition
     directly.
     """
+    from .permutation import identity, transposition
+
     acc = identity(n)
     for pair in pairs:
         acc = absorbing_compose(acc, transposition(n, pair))

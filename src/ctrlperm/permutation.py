@@ -4,21 +4,25 @@ Letters are 1-based in every public interface.  A permutation is stored by
 its image tuple: ``image[k - 1]`` is where letter ``k`` is sent.  All values
 are immutable after construction and every operation returns a fresh object,
 so the module is safe for concurrent use without locking.
+
+Index pairs are checked by :func:`ctrlperm.monoid.check_pair`, which this
+module imports; ``check_pair`` therefore still resolves here.  Nothing on
+the orbit route imports this module: it loads with ``probe`` (subgroup
+orders) or with the absorbing-product test oracle.
 """
 
 from __future__ import annotations
 
 import re
 from math import factorial
-from operator import index
 
 from ._record import Record, setfield
+from .monoid import check_pair
 
 __all__ = [
     "Permutation",
     "CycleDecomposition",
     "SubgroupSummary",
-    "check_pair",
     "identity",
     "transposition",
     "compose",
@@ -28,18 +32,6 @@ __all__ = [
     "is_k_cycle",
     "generate_subgroup",
 ]
-
-
-def check_pair(pair, n):
-    """Validate an index pair and return it as a plain tuple.
-
-    A valid pair satisfies ``1 <= i < j <= n``; a letter that is not an
-    integer raises :class:`TypeError`.
-    """
-    i, j = pair
-    if not (1 <= i < j <= n):
-        raise ValueError(f"index pair must satisfy 1 <= i < j <= {n}, got {(i, j)!r}")
-    return (index(i), index(j))
 
 
 class Permutation(Record):

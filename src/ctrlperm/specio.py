@@ -34,7 +34,8 @@ _SPEC_KEYS = {"family", "n", "controls", "drift", "agent_space_dim", "initial_di
 # Fraction("1e-10000000") computes 10**10000000 before anything else, so a
 # larger exponent than this (Python's default integer-string limit) is refused
 _MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# a pattern, not a compiled regex, so importing this module compiles none
+_EXPONENT = r"[eE][-+]?([\d_]+)\s*\Z"
 
 
 class SpecFormatError(ValueError):
@@ -61,17 +62,20 @@ def _as_rationals(values, what):
     json.loads yields exact types; an int stays an int, which ExactMatrix
     keeps as it is, and only a string is parsed as a Fraction, once its
     exponent, if any, is at most ``_MAX_EXPONENT`` in size.  ``fractions``
-    is imported once, and only for values that hold a string.
+    is imported, and the exponent pattern looked up in ``re``'s cache, once
+    per call, and only for values that hold a string.
     """
     values = tuple(values)
     if str in set(map(type, values)):
         from fractions import Fraction
+
+        exponent_in = re.compile(_EXPONENT).search
     out = []
     for value in values:
         if type(value) is int:
             out.append(value)
         elif type(value) is str:
-            exponent = _EXPONENT.search(value)
+            exponent = exponent_in(value)
             digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
             if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
                 raise SpecFormatError(f"{what} has an exponent beyond {_MAX_EXPONENT}: {value!r}")

@@ -34,8 +34,7 @@ from operator import index
 
 from ._record import Record, setfield
 # partition_from_pairs stays a name here because perfbench/tracing.py wraps it
-from .monoid import OrbitPartition, UnionFind, _partition, partition_from_pairs
-from .permutation import Permutation, check_pair, generate_subgroup
+from .monoid import OrbitPartition, UnionFind, _partition, check_pair, partition_from_pairs
 
 __all__ = [
     "FAMILIES",
@@ -468,6 +467,19 @@ def lie_closure(generators, n=None):
     return lie_closure(generators, n)
 
 
+def generate_subgroup(generators, n):
+    """Forwarder to :func:`ctrlperm.permutation.generate_subgroup`, loaded on first call.
+
+    Only ``probe`` orders a subgroup, so no other command compiles
+    ``permutation``.  Unlike :func:`lie_closure` it never rebinds itself:
+    it stays one global of this module, which ``perfbench/tracing.py``
+    wraps, and ``probe_nonstandard`` calls it through that global.
+    """
+    from .permutation import generate_subgroup
+
+    return generate_subgroup(generators, n)
+
+
 def check_oracle_size(family, n, max_n=None):
     """Raise :class:`OracleSizeError` if ``n`` letters are beyond the oracle size guard.
 
@@ -571,6 +583,7 @@ def probe_nonstandard(generators, max_n=None):
     n = generators[0].n
     check_oracle_size("so_n", n, max_n)
     from .liealg import _GENERATORS
+    from .permutation import Permutation
 
     images = []
     for g in generators:

@@ -849,21 +849,76 @@ def test_import_stays_off_the_slow_stdlib_modules(module):
 
 
 _ORACLE_MODULES = "['ctrlperm.liealg', 'ctrlperm._mod3', 'fractions', 'decimal']"
+_LAZY_MODULES = "['ctrlperm.graphview', 'ctrlperm.permutation']"
 
 
 @pytest.mark.parametrize("module", ["ctrlperm.cli", "ctrlperm"])
 def test_import_leaves_the_oracle_unloaded(module):
-    # the oracle route and exact rationals load on first use; the package
-    # still reaches every submodule by name
+    # the oracle route, exact rationals, the graph view and the permutation
+    # algebra load on first use; the package still reaches every submodule by name
     probe = (
         f"import sys, {module}\n"
-        f"print([m for m in {_ORACLE_MODULES} if m in sys.modules])\n"
+        f"print([m for m in {_ORACLE_MODULES} + {_LAZY_MODULES} if m in sys.modules])\n"
         "import ctrlperm\n"
         "print(ctrlperm.liealg.ExactMatrix.__name__)\n"
     )
     done = _python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\nExactMatrix\n"
+
+
+def test_commands_load_permutation_and_graphview_on_first_use(write):
+    # permutation loads with probe alone, graphview with the first --dot
+    so = write("split.json", SPLIT5)
+    steps = [
+        ["analyze", so],
+        ["analyze", so, "--text"],
+        ["gen", "so_n", "5", "4", "7"],
+        ["compare", so],
+        ["analyze", so, "--oracle"],
+        ["analyze", so, "--dot"],
+        ["probe", write("g.json", PROBE4)],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from ctrlperm import cli\n"
+        f"for argv in {steps!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(argv)\n"
+        f"    print([m for m in {_LAZY_MODULES} if m in sys.modules])\n"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == 5 * ["[]"] + [
+        "['ctrlperm.graphview']",
+        "['ctrlperm.graphview', 'ctrlperm.permutation']",
+    ]
+
+
+def test_permutation_level_oracle_works_from_a_fresh_import():
+    # merge stays on the union-find; the absorbing product loads the permutation algebra
+    probe = (
+        "import sys, ctrlperm\n"
+        "a = ctrlperm.OrbitPartition.parse('{1,2}', 4)\n"
+        "print(a.merge(ctrlperm.OrbitPartition.parse('{2,3}', 4)))\n"
+        "print('ctrlperm.permutation' in sys.modules)\n"
+        "print(ctrlperm.orbit_partition(ctrlperm.absorbing_product([(1, 2), (2, 3)], 4)))\n"
+        "print('ctrlperm.permutation' in sys.modules)\n"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "{1,2,3}\nFalse\n{1,2,3}\nTrue\n"
+
+
+def test_cli_graph_forwarders_give_the_graphview_text():
+    # cli.control_graph and cli.to_dot import graphview on each call and never
+    # rebind themselves, so they stay the globals a tracer wraps
+    spec = parse_spec(SPLIT5)
+    forwarders = vars(cli)["control_graph"], vars(cli)["to_dot"]
+    assert forwarders != (control_graph, to_dot)
+    assert cli.control_graph(spec) == control_graph(spec)
+    assert cli.to_dot(cli.control_graph(spec)) == to_dot(control_graph(spec))
+    assert (vars(cli)["control_graph"], vars(cli)["to_dot"]) == forwarders
 
 
 def test_commands_load_the_oracle_only_when_they_close(write):

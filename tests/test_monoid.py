@@ -88,6 +88,25 @@ def test_partition_parse_reads_letters_as_written():
             OrbitPartition.parse(text, 30)
 
 
+def test_partition_parse_refuses_malformed_letter_lists_with_its_own_message():
+    # an empty letter or two letters split by a space once reached int(), whose
+    # message ("invalid literal for int() with base 10: ''") named no rendering
+    for text in ("{1,,2}", "{1,2,}", "{1 2}"):
+        with pytest.raises(ValueError, match=r"^not an orbit partition rendering: ") as info:
+            OrbitPartition.parse(text, 30)
+        assert repr(text) in str(info.value)
+    assert OrbitPartition.parse("{ }", 30) == part(30)
+    assert OrbitPartition.parse("{1, 2}{}", 30) == part(30, {1, 2})
+    assert OrbitPartition.parse("{01,2}", 30) == part(30, {1, 2})
+
+
+def test_check_pair_lives_in_monoid():
+    # the one pair check lives on the orbit route, and permutation imports it from there
+    from ctrlperm import monoid, permutation
+
+    assert permutation.check_pair is monoid.check_pair
+
+
 def test_partition_parse_reads_only_ascii_digit_letters():
     # int() also reads an underscore, a sign and other scripts' digits, which
     # str never writes: "{1_0,+2}" read as {2,10}, and an Arabic-Indic one as 1

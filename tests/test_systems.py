@@ -541,6 +541,28 @@ def test_probe_rejects_non_unit_coefficients_and_non_skew():
         probe_nonstandard([ExactMatrix([[0, 1], [1, 0]])])
 
 
+def test_probe_orders_its_subgroup_through_the_systems_forwarder(monkeypatch):
+    # systems.generate_subgroup imports the permutation algebra on each call and
+    # never rebinds itself, so it stays the one global a tracer wraps
+    from ctrlperm import permutation
+
+    forwarder = vars(systems)["generate_subgroup"]
+    images = [permutation.transposition(4, (a, a + 1)) for a in (1, 2, 3)]
+    s4 = forwarder(images, 4)
+    assert s4 == permutation.generate_subgroup(images, 4)
+    assert (s4.order, s4.is_full_symmetric) == (24, True)
+    assert vars(systems)["generate_subgroup"] is forwarder
+    seen = []
+
+    def counting(images, n):
+        seen.append(n)
+        return forwarder(images, n)
+
+    monkeypatch.setattr(systems, "generate_subgroup", counting)
+    assert probe_nonstandard([rotation_generator(3, (1, 2))]).subgroup_order == 2
+    assert seen == [3]
+
+
 # ---------------------------------------------------------- invariants
 
 
