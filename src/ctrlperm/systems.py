@@ -475,9 +475,9 @@ def generate_subgroup(generators, n):
     it stays one global of this module, which ``perfbench/tracing.py``
     wraps, and ``probe_nonstandard`` calls it through that global.
     """
-    from .permutation import generate_subgroup
+    from . import permutation
 
-    return generate_subgroup(generators, n)
+    return permutation.generate_subgroup(generators, n)
 
 
 def check_oracle_size(family, n, max_n=None):

@@ -218,3 +218,69 @@ def reference_subgroup_order(generators, n):
                     next_frontier.append(prod)
         frontier = next_frontier
     return len(seen)
+
+
+# ------------------------------------------- reference command-line parser
+
+
+def reference_parser():
+    """The argparse parser that ``ctrlperm.cli`` used before its own table.
+
+    It is the grammar reference: every command line must give the fields,
+    the help or the usage error that this parser gives.
+    """
+    import argparse
+
+    from ctrlperm import cli
+    from ctrlperm._version import __version__
+    from ctrlperm.systems import FAMILIES
+
+    parser = argparse.ArgumentParser(
+        prog="ctrlperm",
+        description=(
+            "Decide controllability of right-invariant bilinear systems by orbit"
+            " merging on index pairs, with an exact Lie-algebra rank oracle for"
+            " cross-validation. Exit codes: 0 controllable / full agreement,"
+            " 1 not controllable / disagreement, 2 input error."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"ctrlperm {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="analyze one spec file")
+    p.add_argument("spec", help="path to a spec JSON file")
+    p.add_argument("--oracle", action="store_true", help="also run the exact rank oracle")
+    p.add_argument("--dot", action="store_true", help="emit the control graph as DOT")
+    p.add_argument(
+        "--dump-basis",
+        action="store_true",
+        help="emit the bracket-closure basis as rational grids",
+    )
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON report on stdout (default)")
+    fmt.add_argument("--text", action="store_true", help="human-readable report")
+    p.set_defaults(func=cli._cmd_analyze)
+
+    p = sub.add_parser("compare", help="cross-validate the two methods")
+    p.add_argument("spec", nargs="?", help="path to a spec JSON file")
+    p.add_argument(
+        "--random",
+        nargs=4,
+        type=int,
+        metavar=("N", "M", "SEED", "COUNT"),
+        help="compare on COUNT random so_n specs with M pairs on N letters",
+    )
+    p.set_defaults(func=cli._cmd_compare)
+
+    p = sub.add_parser("probe", help="experimental subgroup probe for nonstandard generators")
+    p.add_argument("spec", help="path to a probe JSON file with matrix generators")
+    p.set_defaults(func=cli._cmd_probe)
+
+    p = sub.add_parser("gen", help="generate a random spec file on stdout")
+    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("n", type=int)
+    p.add_argument("m", type=int, help="number of control pairs")
+    p.add_argument("seed", type=int)
+    p.set_defaults(func=cli._cmd_gen)
+
+    return parser

@@ -1,8 +1,11 @@
+import bisect
 import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
+import math
 import os
 import random
 import re
@@ -10,12 +13,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctrlperm
 from ctrlperm import cli, specio, systems
 from ctrlperm.cli import main
 from ctrlperm.graphview import control_graph, to_dot
@@ -31,8 +36,8 @@ from ctrlperm.specio import (
     spec_digest,
     spec_to_dict,
 )
-from ctrlperm.systems import SystemSpec, analyze, oracle_check, probe_nonstandard
-from helpers import sample_pairs
+from ctrlperm.systems import FAMILIES, SystemSpec, analyze, oracle_check, probe_nonstandard
+from helpers import reference_parser, sample_pairs
 from test_specio import REPORT_SPECS
 
 CHAIN5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[3,4],[4,5]]}'
@@ -748,6 +753,53 @@ def test_sample_pairs_never_lists_every_pair():
     assert all(1 <= i < j <= n for i, j in pairs)
 
 
+def _float_sample_pairs(rng, n, m):
+    """``cli._sample_pairs`` as it was before its exact draw past 2**53 pairs."""
+    total = n * (n - 1) // 2 if n > 1 else 0
+    drawn = []
+    chosen = []
+    for _ in range(m):
+        left = total - len(drawn)
+        idx = min(int(rng.random() * left), left - 1)
+        below = bisect.bisect_right(range(len(drawn)), idx, key=lambda at: drawn[at] - at)
+        rank = idx + below
+        drawn.insert(below, rank)
+        t = (math.isqrt(8 * (total - 1 - rank) + 1) + 1) // 2
+        chosen.append((n - t, n + 1 + rank - total + t * (t - 1) // 2))
+    return chosen
+
+
+def test_sample_pairs_keeps_its_draws_up_to_2_53_pairs():
+    rng = random.Random(11)
+    for n in (2, 3, 7, 64, 500, 2000):
+        total = n * (n - 1) // 2
+        for m in sorted({0, 1, min(5, total), min(200, total), int(rng.random() * min(total, 300))}):
+            for seed in range(25):
+                expected = _float_sample_pairs(random.Random(seed), n, m)
+                assert cli._sample_pairs(random.Random(seed), n, m) == expected, (n, m, seed)
+
+
+def test_sample_pairs_reaches_every_index_past_2_53_pairs():
+    # 2e8 letters hold about 2**54.2 pairs; a float draw times that count can
+    # land only on multiples of 4 past 2**54, the exact draw on every residue
+    n = 2 * 10**8
+
+    def residues(sample):
+        found = set()
+        for seed in range(400):
+            ((i, j),) = sample(random.Random(seed), n, 1)
+            assert 1 <= i < j <= n
+            rank = (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
+            if rank >= 2**54:
+                found.add(rank % 4)
+        return found
+
+    assert residues(_float_sample_pairs) == {0}
+    assert residues(cli._sample_pairs) == {0, 1, 2, 3}
+    pairs = cli._sample_pairs(random.Random(5), n, 40)
+    assert len(set(pairs)) == 40 and pairs == cli._sample_pairs(random.Random(5), n, 40)
+
+
 def test_gen_round_trip_thousand_seeds(capsys):
     rng = random.Random(99)
     for seed in range(1000):
@@ -774,29 +826,35 @@ def _python(*args):
     )
 
 
-def test_main_builds_the_parser_once(write, capsys, monkeypatch):
-    built = []
-    real = cli.build_parser
-
-    def counting():
-        built.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "build_parser", counting)
-    cli._parser.cache_clear()
-    path = write("a.json", CHAIN5)
-    for _ in range(5):
-        assert main(["analyze", path]) == 0
-    assert main(["gen", "so_n", "5", "4", "7"]) == 0
-    assert main(["compare", path]) == 0
-    assert main(["probe", write("g.json", PROBE4)]) == 1
-    assert len(built) == 1
+def test_cli_calls_leave_argparse_unloaded(tmp_path):
+    # the command line is read from cli's own table: importing cli, running
+    # each command and a usage error all leave argparse unloaded
+    spec, probe_doc = tmp_path / "a.json", tmp_path / "g.json"
+    spec.write_text(CHAIN5)
+    probe_doc.write_text(PROBE4)
+    probe = (
+        "import contextlib, io, sys\n"
+        "import ctrlperm.cli\n"
+        "loaded = ['argparse' in sys.modules]\n"
+        "a, g = sys.argv[1:]\n"
+        "argvs = [['analyze', a], ['compare', a], ['gen', 'so_n', '5', '4', '7'], ['probe', g]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [ctrlperm.cli.main(argv) for argv in argvs]\n"
+        "    try:\n"
+        "        ctrlperm.cli.main(['gen', 'so_n', '5', '4'])\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "loaded.append('argparse' in sys.modules)\n"
+        "print(codes, loaded)\n"
+    )
+    done = _python("-c", probe, str(spec), str(probe_doc))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0, 1, 2] [False, False]\n"
 
 
 def test_usage_error_leaves_the_parser_reusable(write, capsys):
     path = write("a.json", SPLIT5)
     argv = ["analyze", path, "--text", "--dump-basis"]
-    cli._parser.cache_clear()
     assert main(argv) == 1
     fresh = capsys.readouterr().out
     for bad in (
@@ -988,6 +1046,214 @@ def test_import_builds_no_parser():
     done = _python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0\n"
+
+
+# -------------------------------------------------- command-line grammar
+
+_ANALYZE = {"spec": "a", "oracle": False, "dot": False, "dump_basis": False, "json": False, "text": False}
+
+
+@pytest.mark.parametrize(
+    "argv, handler, fields",
+    [
+        # options anywhere after the command, and unique prefixes of long ones
+        (["analyze", "--text", "a", "--dot"], cli._cmd_analyze, {**_ANALYZE, "text": True, "dot": True}),
+        (["analyze", "a", "--ora", "--dum", "--js"], cli._cmd_analyze,
+         {**_ANALYZE, "oracle": True, "dump_basis": True, "json": True}),
+        (["analyze", "a", "--json", "--json"], cli._cmd_analyze, {**_ANALYZE, "json": True}),
+        # "--" ends the options
+        (["analyze", "--", "--oracle"], cli._cmd_analyze, {**_ANALYZE, "spec": "--oracle"}),
+        (["analyze", "--oracle", "a", "--"], cli._cmd_analyze, {**_ANALYZE, "oracle": True}),
+        (["gen", "so_n", "5", "--", "4", "7"], cli._cmd_gen, {"family": "so_n", "n": 5, "m": 4, "seed": 7}),
+        # negative numbers and a lone "-" are values
+        (["gen", "so_n", "5", "-1", "3"], cli._cmd_gen, {"family": "so_n", "n": 5, "m": -1, "seed": 3}),
+        (["analyze", "-"], cli._cmd_analyze, {**_ANALYZE, "spec": "-"}),
+        (["compare", "-.5"], cli._cmd_compare, {"spec": "-.5", "random": None}),
+        # int(token)
+        (["gen", "sphere", " 5", "5_0", "7"], cli._cmd_gen, {"family": "sphere", "n": 5, "m": 50, "seed": 7}),
+        (["compare"], cli._cmd_compare, {"spec": None, "random": None}),
+        (["compare", "--ran", "8", "-10", "1", "3", "a"], cli._cmd_compare, {"spec": "a", "random": [8, -10, 1, 3]}),
+        (["compare", "--random", "1", "2", "3", "4", "--random", "5", "6", "7", "8"], cli._cmd_compare,
+         {"spec": None, "random": [5, 6, 7, 8]}),
+        (["probe", "g"], cli._cmd_probe, {"spec": "g"}),
+    ],
+)
+def test_command_line_fields(argv, handler, fields):
+    got, args = cli._parse(argv)
+    assert got is handler
+    assert vars(args) == fields
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nonsense"],
+        ["--", "analyze", "a"],
+        ["analyze"],
+        ["analyze", "a", "b"],
+        ["analyze", "a", "--d"],  # --dot or --dump-basis
+        ["analyze", "a", "--json", "--text"],
+        ["analyze", "a", "--oracle=1"],
+        ["analyze", "a", "--version"],
+        ["analyze", "a", "-x"],
+        ["gen", "so_n", "0x5", "4", "7"],
+        ["gen", "bogus", "5", "4", "7"],
+        ["gen", "so_n", "5", "4"],
+        ["compare", "--random", "1", "2", "3"],
+        ["compare", "--random", "1", "2", "--", "3", "4"],
+        ["compare", "--random=1", "2", "3", "4"],
+        # argparse keeps this "--", as all positionals came before the last option
+        ["analyze", "a", "--oracle", "--"],
+        # argparse hands m an empty list for a second "--", and gen crashed on it
+        ["gen", "so_n", "5", "--", "--", "7"],
+        # an ambiguous option anywhere, or an error before it, beats help
+        ["analyze", "-h", "--d"],
+        ["probe", "-h", "--=x"],
+        ["-h", "analyze", "--=x"],
+        ["gen", "bogus", "-h"],
+        ["analyze", "-hx"],
+    ],
+)
+def test_command_line_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._parse(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: ctrlperm ")
+    assert error.startswith("ctrlperm") and ": error: " in error
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["-h"], "usage: ctrlperm [-h]"),
+        (["--he", "junk"], "usage: ctrlperm [-h]"),
+        (["--bogus", "analyze", "-h"], "usage: ctrlperm analyze"),
+        (["analyze", "a", "b", "-h", "-x"], "usage: ctrlperm analyze"),
+        (["analyze", "-hh"], "usage: ctrlperm analyze"),
+        (["gen", "-h", "bogus"], "usage: ctrlperm gen"),
+        (["compare", "--help"], "usage: ctrlperm compare"),
+        (["probe", "-h"], "usage: ctrlperm probe"),
+        (["--version"], f"ctrlperm {ctrlperm.__version__}"),
+        (["--ver", "junk"], f"ctrlperm {ctrlperm.__version__}"),
+    ],
+)
+def test_command_line_help_and_version(argv, first, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._parse(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0].startswith(first)
+    assert err == ""
+
+
+def test_help_names_every_flag_once(capsys):
+    for command, (_, about, positionals, options, _) in cli._COMMANDS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert about in text
+        for flag, _, help_text in options:
+            # once on the usage line and once in the option list
+            assert len(re.findall(rf"(?<![\w-]){flag}(?![\w-])", text)) == 2, flag
+            assert text.count(help_text) == 1
+        for _, _, _, help_text in positionals:
+            assert text.count(help_text) == 1
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert all(f"{command} {row[1]}" in text for command, row in cli._COMMANDS.items())
+
+
+def test_usage_error_names_the_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "so_n", "5", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "",
+        "usage: ctrlperm gen [-h] {so_n,multi_agent,markov,sphere} n m seed\n"
+        "ctrlperm gen: error: the following arguments are required: seed\n",
+    )
+
+
+_REFERENCE = reference_parser()
+_OPTIONS = {
+    "analyze": ("--oracle", "--dot", "--dump-basis", "--json", "--text"),
+    "compare": ("--random",),
+    "probe": (),
+    "gen": (),
+}
+
+
+def _prefixes(*flags):
+    """Every long flag and each of its prefixes: unique ones, and ambiguous ones such as --d."""
+    return sorted({flag[:end] for flag in flags for end in range(3, len(flag) + 1)})
+
+
+_COMMON = (
+    "-h", *_prefixes("--help", "--version"), "--bogus", "-x", "bogus", "x", "specs/chain.json",
+    # later argparse releases read "--" differently (before the command, for
+    # one); the table keeps the reading of CPython 3.11 and before
+    *(["--"] if sys.version_info < (3, 12) else []),
+)
+_NUMBERS = ("-1", "-0", "-.5", "-2.5", "-", " 5", "5_0", "0x5", "3", "12")
+_WORDS = (*_OPTIONS, *_prefixes(*itertools.chain(*_OPTIONS.values())), *_COMMON, *_NUMBERS, *FAMILIES)
+# the words each command is most often followed by
+_AFTER = {
+    "analyze": (*_prefixes(*_OPTIONS["analyze"]), *_COMMON),
+    "compare": (*_prefixes("--random"), *_COMMON, *_NUMBERS),
+    "probe": _COMMON,
+    "gen": (*FAMILIES, *_COMMON, *_NUMBERS),
+}
+
+
+def _command_lines():
+    anywhere = st.lists(st.sampled_from(_WORDS), max_size=6)
+    after = st.sampled_from(tuple(_AFTER)).flatmap(
+        lambda command: st.lists(st.sampled_from(_AFTER[command]), max_size=7).map(
+            lambda rest: [command, *rest]
+        )
+    )
+    return st.one_of(anywhere, after)
+
+
+def _parse_outcome(parse, argv):
+    """What ``parse(argv)`` gives: (handler, fields), or (exit code, stdout)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            handler, args = parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+    return handler, vars(args)
+
+
+def _reference_parse(argv):
+    args = _REFERENCE.parse_args(argv)
+    fields = dict(vars(args))
+    del fields["command"]
+    return fields.pop("func"), SimpleNamespace(**fields)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_command_lines())
+def test_command_lines_read_as_the_reference_parser_reads_them(argv):
+    expected, expected_out = _parse_outcome(_reference_parse, argv)
+    got, out = _parse_outcome(cli._parse, argv)
+    if expected == 0:  # help or the version: the same command's help, the same version
+        assert got == 0
+        assert out.split()[:3] == expected_out.split()[:3]
+    elif expected == 2:
+        assert (got, out) == (2, "")
+    elif [] in expected_out.values():
+        # argparse hands a positional whose token is a second "--" an empty
+        # list, and gen crashed on it; the table refuses that token
+        assert (got, out) == (2, "")
+    else:
+        assert (got, out) == (expected, expected_out)
 
 
 # ------------------------------------------------------- exit-code fuzz
