@@ -51,11 +51,13 @@ from types import SimpleNamespace
 
 from .specio import (
     SpecFormatError,
+    _report_text,
+    _spec_text,
     _sum_texts,
     canonical_json,
     parse_probe,
     parse_spec,
-    report_to_dict,
+    report_to_dict,  # not called here: perfbench/tracing.py wraps this global
     spec_to_dict,
 )
 from .systems import (
@@ -220,13 +222,10 @@ def _cmd_analyze(args):
             for m in basis:
                 sys.stdout.write(m.format_grid() + "\n\n")
     else:
-        # labels and control pairs are written once, by canonical_json
-        doc = report_to_dict(report, _written=True)
-        if args.dot:
-            doc["dot"] = to_dot(control_graph(spec))
-        if args.dump_basis:
-            doc["closure_basis"] = [m.format_grid() for m in basis]
-        sys.stdout.write(canonical_json(doc))
+        # written in one pass, with the labels and control pairs written once
+        dot = to_dot(control_graph(spec)) if args.dot else None
+        grids = [m.format_grid() for m in basis] if args.dump_basis else None
+        sys.stdout.write(_report_text(report, dot, grids))
     return 0 if report.controllable else 1
 
 
@@ -301,7 +300,7 @@ def _cmd_gen(args):
     rng = random.Random(args.seed)
     pairs = _sample_pairs(rng, args.n, args.m)
     spec = SystemSpec(args.family, args.n, frozenset(pairs))
-    sys.stdout.write(canonical_json(spec_to_dict(spec)))
+    sys.stdout.write(_spec_text(spec))
     return 0
 
 

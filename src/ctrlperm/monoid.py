@@ -97,7 +97,9 @@ class UnionFind:
             while parent[root] != root:
                 parent[root] = root = parent[parent[root]]
             members.setdefault(root, []).append(a)
-        # a list, not a generator: see specio._write_int_rows
+        # a list, not a generator: tuple() of an iterator of unknown length
+        # allocates ten slots and resizes, leaving tuples of other sizes on the
+        # interpreter's free lists, which hold their memory
         return tuple([tuple(g) for g in members.values()])
 
 

@@ -7,11 +7,16 @@ omitted from spec files, and the text is by definition the bytes of
 is fixed because :func:`spec_digest` hashes it: identical specs produce
 byte-identical reports, and the spec digest identifies the parsed content
 rather than the file bytes.
+
+:func:`canonical_json` is that definition itself.  The CLI writes its JSON
+reports and spec files through :func:`_report_text` and :func:`_spec_text`,
+which give the same bytes in one pass, with no intermediate dict; the tests
+hold them to :func:`report_to_dict` and :func:`spec_to_dict` through
+:func:`canonical_json`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import re
@@ -149,12 +154,7 @@ def parse_spec(text):
 
 def spec_to_dict(spec):
     """Canonical dict form of a spec; optional fields appear only when set."""
-    return _spec_doc(spec, [list(p) for p in sorted(spec.controls)])
-
-
-def _spec_doc(spec, controls):
-    """:func:`spec_to_dict` of ``spec``, its sorted control pairs given as ``controls``."""
-    doc = {"family": spec.family, "n": spec.n, "controls": controls}
+    doc = {"family": spec.family, "n": spec.n, "controls": [list(p) for p in sorted(spec.controls)]}
     if spec.drift is not None:
         doc["drift"] = list(spec.drift)
     if spec.agent_space_dim is not None:
@@ -164,167 +164,148 @@ def _spec_doc(spec, controls):
     return doc
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-# the characters encode_basestring_ascii leaves as they are: printable ASCII
-# but the quote and the backslash
-_VERBATIM = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
-
-
 def canonical_json(doc):
     """Deterministic JSON text: sorted keys, two-space indent, trailing newline.
 
-    The text is exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``,
-    and a value ``json.dumps`` rejects raises the same ``TypeError``.  It is
-    written directly because ``json.dumps`` serves ``indent`` only through its
-    pure-Python encoder, which is several times slower on report-sized lists.
-
-    Report-sized lists take bulk paths, each one ``join`` or ``%`` in C:
-
-    * a list or tuple whose first item is a ``str`` is tried with one
-      ``"".join``, which is also its type check: a ``TypeError`` from it sends
-      the value to the paths below;
-    * a list of ``str``s whose concatenation is printable ASCII without
-      ``"`` or ``\\`` needs no escaping, so each item is quoted as it is;
-      otherwise each item is escaped in one ``join``;
-    * a list of only plain ``int``s is joined in one go;
-    * a list of equal-length, nonempty lists or tuples of plain ``int``s (the
-      control pairs) is written through one ``%d`` row template.
-
-    A ``str`` subclass is written as its text, as ``json.dumps`` writes it;
-    bools and other ``int`` subclasses take the item-by-item path.
-
-    The CLI's report also holds private :class:`_Written` markers in place
-    of its label lists and control pairs, each written as ``json.dumps``
-    writes the list it stands for.
+    This is the definition of the canonical form.  The CLI writes its reports
+    and spec files through :func:`_report_text` and :func:`_spec_text`, which
+    give the same bytes without building a dict.
     """
-    out = []
-    _write(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(value, newline, out):
-    """Append ``value``'s JSON text to ``out``; ``newline`` ends a line at its indent."""
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        if isinstance(value[0], str):
-            # the join is the type check: it raises TypeError at any item
-            # that is not a str
-            try:
-                text = "".join(value)
-            except TypeError:
-                pass
-            else:
-                if text.isascii() and not text.encode().translate(None, _VERBATIM):
-                    # no item needs an escape, so each is its own JSON string body
-                    out += ("[", inner, '"', ('",' + inner + '"').join(value), '"', newline, "]")
-                else:
-                    out += ("[", inner, ("," + inner).join(map(_encode_str, value)), newline, "]")
-                return
-        kinds = set(map(type, value))
-        if kinds == {int}:
-            out += ("[", inner, ("," + inner).join(map(int.__repr__, value)), newline, "]")
-            return
-        if kinds <= {list, tuple} and _write_int_rows(value, inner, newline, out):
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out += (newline, "]")
-    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            out += (sep, _encode_str(key), ": ")
-            _write(item, inner, out)
-            sep = "," + inner
-        out += (newline, "}")
-    elif value.__class__ is _Written:
-        out += value.write(newline)
-    else:
-        # floats, dicts with non-string keys and unsupported types: json's own
-        # text for the value, moved to this indent, or its TypeError
-        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
-
-
-class _Written:
-    """A value that :func:`canonical_json` writes through the value's own function.
-
-    ``write(newline)`` returns the pieces of the value's JSON text at the
-    indent that ``newline`` ends a line with; a cached ``write`` hands every
-    document the text it wrote first.  Only ``report_to_dict(report,
-    _written=True)`` puts one in a report, for the CLI.
-    """
-
-    __slots__ = ("write",)
-
-    def __init__(self, write):
-        self.write = write
-
-
-def _pieces(value, newline):
-    """``value``'s JSON text at the indent ``newline`` ends a line with, as a list of pieces."""
-    out = []
-    _write(value, newline, out)
-    return out
-
-
-def _label_pieces(component, newline):
-    """A component's label list as JSON, built by its builder in the list's separator."""
-    inner = newline + "  "
-    # no label needs an escape, so each is its own JSON string body
-    text = component._label_text('",' + inner + '"')
-    return ("[", inner, '"', text, '"', newline, "]") if text else ("[]",)
-
-
-def _write_int_rows(rows, inner, newline, out):
-    """Write equal-length, nonempty rows of plain ints through one row template.
-
-    Returns False, writing nothing, for any other list of lists or tuples.
-    """
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
-        return False
-    # through a list: tuple() of an iterator of unknown length allocates ten
-    # slots and resizes, so each call moves a tuple onto the interpreter's
-    # free list for another size, and those lists fill up and hold their
-    # memory until a full garbage collection
-    cells = tuple([*itertools.chain.from_iterable(rows)])
-    if set(map(type, cells)) != {int}:
-        return False
-    cell = inner + "  "
-    row = "[" + cell + ("," + cell).join(["%d"] * widths.pop()) + inner + "]"
-    out += ("[", inner, ("," + inner).join([row] * len(rows)) % cells, newline, "]")
-    return True
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def spec_digest(spec):
     """sha256 over the canonical spec serialization."""
-    return _digest(spec_to_dict(spec))
+    return _digest(_spec_text(spec))
 
 
-def _digest(spec_doc):
+def _digest(text):
     import hashlib  # here, not at start-up: only analyze reports need it
 
-    return hashlib.sha256(canonical_json(spec_doc).encode()).hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The writers below append a document's canonical text to one list of pieces,
+# key by key in sorted order, and join the list once.  Strings go through
+# json's own escaping; generator labels from a label builder are quoted as
+# they are, because no label needs an escape (see systems).
+_encode_str = json.encoder.encode_basestring_ascii
+_BOOL = ("false", "true")
+
+
+def _list(items, newline):
+    """The JSON list of ``items``, each JSON text, at the indent ``newline`` ends a line with."""
+    inner = newline + "  "
+    text = ("," + inner).join(items)
+    return f"[{inner}{text}{newline}]" if text else "[]"
+
+
+def _controls_text(controls):
+    """The sorted control pairs as JSON, as both the spec document and the report hold them."""
+    rows = ",".join([f"\n    [\n      {i},\n      {j}\n    ]" for i, j in sorted(controls)])
+    return f"[{rows}\n  ]" if rows else "[]"
+
+
+def _spec_text(spec, controls=None):
+    """``canonical_json(spec_to_dict(spec))``, written directly.
+
+    ``controls`` is the text of :func:`_controls_text`, when already written.
+    """
+    nl1 = "\n  "
+    out = ["{"]
+    if spec.agent_space_dim is not None:
+        out.append(f'{nl1}"agent_space_dim": {spec.agent_space_dim},')
+    out += (f'{nl1}"controls": ', controls or _controls_text(spec.controls))
+    if spec.drift is not None:
+        out.append(f',{nl1}"drift": {_list(map(str, spec.drift), nl1)}')
+    out.append(f',{nl1}"family": {_encode_str(spec.family)}')
+    if spec.initial_distribution is not None:
+        entries = (_encode_str(str(x)) for x in spec.initial_distribution)
+        out.append(f',{nl1}"initial_distribution": {_list(entries, nl1)}')
+    out.append(f',{nl1}"n": {spec.n}\n}}\n')
+    return "".join(out)
+
+
+def _report_text(report, dot=None, closure_basis=None):
+    """``canonical_json`` of :func:`report_to_dict`, written in one pass.
+
+    ``dot`` (the DOT text) and ``closure_basis`` (a list of grid texts) are
+    added under their keys when given.  The control pairs are written once,
+    for the spec digest and for the report.  An unwritable conserved sum
+    raises ``ValueError`` before any text is built.
+    """
+    nl1, nl2, nl3, nl4 = "\n  ", "\n    ", "\n      ", "\n        "
+    spec, sub, oracle = report.spec, report.submanifold, report.oracle
+    sums = frozen = None
+    if sub.conserved_sums is not None:
+        sums = [(_list(map(str, orbit), nl4), value) for orbit, value in _sum_texts(sub)]
+    if sub.frozen_states is not None:
+        frozen = [(state, str(value)) for state, value in sub.frozen_states]
+    controls = _controls_text(spec.controls)
+    out = ["{"]
+    if closure_basis is not None:
+        out.append(f'{nl1}"closure_basis": {_list(map(_encode_str, closure_basis), nl1)},')
+    out += (f'{nl1}"controllable": {_BOOL[report.controllable]},{nl1}"controls": ', controls, ",")
+    if dot is not None:
+        out.append(f'{nl1}"dot": {_encode_str(dot)},')
+    drift = "null" if spec.drift is None else _list(map(str, spec.drift), nl1)
+    out.append(
+        f'{nl1}"drift": {drift},{nl1}"family": {_encode_str(spec.family)},'
+        f'{nl1}"fixed_points": {_list(map(str, report.fixed_points), nl1)},'
+        f'{nl1}"method_class": {_encode_str(str(report.method_class))},'
+        f'{nl1}"min_controls_satisfied": {_BOOL[report.min_controls_satisfied]},'
+        f'{nl1}"n": {spec.n},{nl1}"oracle": '
+    )
+    if oracle is None:
+        out.append("null")
+    else:
+        orbits = _list([_list(map(str, o), nl3) for o in oracle.orbits], nl2)
+        out.append(
+            f'{{{nl2}"agrees": {_BOOL[oracle.agrees]},'
+            f'{nl2}"controllable": {_BOOL[oracle.controllable]},'
+            f'{nl2}"dim": {oracle.dim},{nl2}"orbits": {orbits}{nl1}}}'
+        )
+    orbits = _list([_list(map(str, o), nl2) for o in report.orbits], nl1)
+    out.append(
+        f',{nl1}"orbits": {orbits},{nl1}"provenance": {{'
+        f'{nl2}"oracle_ran": {_BOOL[oracle is not None]},'
+        f'{nl2}"spec_digest": "{_digest(_spec_text(spec, controls))}",'
+        f'{nl2}"tool_version": {_encode_str(__version__)}{nl1}}},'
+        f'{nl1}"submanifold": {{{nl2}"components": '
+    )
+    sep = "["
+    for c in sub.components:
+        if c._labels is None:
+            # a tuple given by hand may hold any labels
+            labels = (_list(map(_encode_str, c._generators), nl4),)
+        else:
+            text = c._labels(c.orbit, f'",{nl4}  "')
+            labels = (f'[{nl4}  "', text, f'"{nl4}]') if text else ("[]",)
+        dim = "null" if c.dim is None else c.dim
+        out += (f'{sep}{nl3}{{{nl4}"dim": {dim},{nl4}"generators": ', *labels)
+        out.append(f',{nl4}"orbit": {_list(map(str, c.orbit), nl4)}{nl3}}}')
+        sep = ","
+    out.append(f"{nl2}]" if sub.components else "[]")
+    total = "null" if sub.total_dim is None else sub.total_dim
+    out.append(
+        f',{nl2}"conserved_sums": {_records("orbit", sums)},'
+        f'{nl2}"frozen_states": {_records("state", frozen)},'
+        f'{nl2}"state_space": {_encode_str(sub.state_space)},{nl2}"total_dim": {total}{nl1}}}\n}}\n'
+    )
+    return "".join(out)
+
+
+def _records(key, rows):
+    """A submanifold list of ``{key: ..., "value": ...}`` objects; null for None.
+
+    Each row holds the JSON text under ``key`` and the value's string.
+    """
+    if rows is None:
+        return "null"
+    nl3, nl4 = "\n      ", "\n        "
+    return _list(
+        [f'{{{nl4}"{key}": {k},{nl4}"value": {_encode_str(v)}{nl3}}}' for k, v in rows], "\n    "
+    )
 
 
 def parse_probe(text):
@@ -371,32 +352,25 @@ def _sum_texts(submanifold):
     return texts
 
 
-def report_to_dict(report, *, _written=False):
+def report_to_dict(report):
     """Dict form of a report, ready for :func:`canonical_json`.
 
-    One spec document gives both the spec digest and the report's family,
-    n and drift, and the sorted control pairs are written once for both;
-    ``oracle_ran`` says whether the report carries an oracle result.  Every value is JSON-native, unless the CLI passes the
-    private ``_written=True`` for a report from
-    :func:`~ctrlperm.systems.analyze`: then the control pairs are the
-    :class:`_Written` whose text the digest wrote, and each label list from
-    a label builder is a :class:`_Written` that asks the builder for the
-    labels in the list's separator.
+    Every value is JSON-native; ``oracle_ran`` says whether the report carries
+    an oracle result.  The dict is built on its own, with the spec digest
+    hashed from :func:`spec_to_dict`'s document, and is the reference the
+    CLI's writer :func:`_report_text` is tested against.
     """
-    pairs = sorted(report.spec.controls)
-    # written once at its indent, for the digest and for the CLI's report
-    controls = _Written(functools.cache(functools.partial(_pieces, pairs)))
-    spec_doc = _spec_doc(report.spec, controls)
+    spec_doc = spec_to_dict(report.spec)
     sub = report.submanifold
     doc = {
         "provenance": {
             "tool_version": __version__,
-            "spec_digest": _digest(spec_doc),
+            "spec_digest": _digest(canonical_json(spec_doc)),
             "oracle_ran": report.oracle is not None,
         },
         "family": spec_doc["family"],
         "n": spec_doc["n"],
-        "controls": controls if _written else [list(p) for p in pairs],
+        "controls": spec_doc["controls"],
         "drift": spec_doc.get("drift"),
         "controllable": report.controllable,
         "method_class": str(report.method_class),
@@ -408,15 +382,7 @@ def report_to_dict(report, *, _written=False):
             "state_space": sub.state_space,
             "total_dim": sub.total_dim,
             "components": [
-                {
-                    "orbit": list(c.orbit),
-                    "dim": c.dim,
-                    "generators": (
-                        _Written(functools.partial(_label_pieces, c))
-                        if _written and c._labels is not None
-                        else list(c.generators)
-                    ),
-                }
+                {"orbit": list(c.orbit), "dim": c.dim, "generators": list(c.generators)}
                 for c in sub.components
             ],
             "conserved_sums": None,

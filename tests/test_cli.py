@@ -1,7 +1,6 @@
 import bisect
 import contextlib
 import copy
-import functools
 import io
 import itertools
 import json
@@ -27,8 +26,6 @@ from ctrlperm.graphview import control_graph, to_dot
 from ctrlperm.permutation import check_pair
 from ctrlperm.specio import (
     SpecFormatError,
-    _label_pieces,
-    _Written,
     canonical_json,
     parse_probe,
     parse_spec,
@@ -363,8 +360,8 @@ def test_analyze_report_is_byte_deterministic(write, capsys):
 
 @pytest.mark.parametrize("spec", REPORT_SPECS, ids=lambda spec: f"{spec.family}-{spec.n}")
 def test_json_report_writes_what_the_public_path_writes(spec, write, capsys):
-    # the CLI hands canonical_json each component's label text; the bytes must
-    # be those of the public report_to_dict, which holds JSON lists
+    # the CLI writes its report through specio._report_text; the bytes must be
+    # those of the public report_to_dict, which holds JSON lists
     path = write("s.json", canonical_json(spec_to_dict(spec)))
     runs = [([], False), (["--dot"], False)]
     try:
@@ -381,29 +378,6 @@ def test_json_report_writes_what_the_public_path_writes(spec, write, capsys):
             doc["closure_basis"] = [m.format_grid() for m in report.oracle.closure.basis]
         main(["analyze", path, *flags])
         assert capsys.readouterr() == (canonical_json(doc), ""), flags
-
-
-def test_label_text_is_written_as_its_label_list():
-    for text in ("", "rot(1,2)", "couple(1,2) couple(1,3) circ(1,2,3)"):
-        labels = text.split(" ") if text else []
-        component = systems.SubmanifoldComponent((), tuple(labels), None)
-        for wrap in (lambda v: v, lambda v: {"g": v, "h": [1]}, lambda v: [[v], "x"]):
-            expected = json.dumps(wrap(labels), sort_keys=True, indent=2) + "\n"
-            written = _Written(functools.partial(_label_pieces, component))
-            assert canonical_json(wrap(written)) == expected, text
-
-
-def test_both_writers_write_a_component_built_from_its_tuple():
-    report = analyze(SystemSpec("so_n", 3, frozenset([(1, 2)])))
-    component = systems.SubmanifoldComponent((1, 2), ("rot(1,2)",), 1)
-    sub = systems.SubmanifoldDescription((component,), 1, report.submanifold.state_space)
-    built = systems.ControllabilityReport(
-        report.spec, False, report.method_class, report.orbits, report.fixed_points,
-        report.min_controls_satisfied, None, sub,
-    )
-    assert "  {1,2}  dim 1  rot(1,2)\n" in cli._render_text(built)
-    private = canonical_json(report_to_dict(built, _written=True))
-    assert private == canonical_json(report_to_dict(built)) == canonical_json(report_to_dict(report))
 
 
 def test_analyze_text_dot_and_basis(write, capsys):

@@ -1,5 +1,7 @@
 import enum
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlperm.graphview import control_graph, to_dot
-from ctrlperm.specio import canonical_json, report_to_dict, spec_to_dict
-from ctrlperm.systems import SystemSpec, analyze
+from ctrlperm import cli, systems
+from ctrlperm.specio import (
+    _report_text,
+    _spec_text,
+    canonical_json,
+    report_to_dict,
+    spec_digest,
+    spec_to_dict,
+)
+from ctrlperm.systems import FAMILIES, SystemSpec, analyze, oracle_check
 
 
 def reference(doc):
@@ -44,8 +54,8 @@ def _insert(items, extra, at):
     return items
 
 
-# Lists that reach the bulk string path: printable ASCII labels, at times
-# with one item that needs an escape or is not a plain str.
+# Lists of printable ASCII labels, at times with one item that needs an
+# escape or is not a plain str.
 ascii_texts = st.text(
     alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\')
 )
@@ -75,8 +85,8 @@ def _spoil(rows, defect, at):
     return rows
 
 
-# Lists that reach the bulk row path: equal-length rows of ints, as lists
-# and tuples, with big and negative values, at times with one defect.
+# Equal-length rows of ints, as lists and tuples, with big and negative
+# values, at times with one defect.
 row_cells = st.integers(min_value=-(2**70), max_value=2**70) | st.integers(
     min_value=2**64, max_value=2**200
 )
@@ -128,11 +138,11 @@ def test_canonical_json_is_json_dumps(doc):
         ["é", "a"],
         [Tag('"'), "a"],
         ["rot(1,2)", "rot(1,10)", "", " "],
-        # str subclasses take the joined path, written as their text
+        # str subclasses are written as their text
         [Tag("c"), Tag("d")],
         (Tag("x"), "y"),
         [Tag("é"), Tag("\n"), "z"],
-        # a failed join sends a list to the item-by-item path
+        # lists of strings mixed with other values
         ["a", 1],
         ["a", True],
         ["a", None],
@@ -213,3 +223,133 @@ def test_canonical_json_of_real_reports(spec, oracle):
         doc["closure_basis"] = [m.format_grid() for m in report.oracle.closure.basis]
     assert canonical_json(doc) == reference(doc)
     assert canonical_json(spec_to_dict(spec)) == reference(spec_to_dict(spec))
+
+
+# ------------------------------------------------ the CLI's one-pass writers
+
+
+def _written_both_ways(report, **extras):
+    """The writer's text of ``report``, asserted equal to the reference dict's."""
+    text = _report_text(report, **extras)
+    assert text == canonical_json({**report_to_dict(report), **extras}), extras
+    return text
+
+
+def _random_spec(rng, family):
+    """A spec of ``family`` on at most 7 letters, within both oracle guards."""
+    n = rng.randint(2, 7)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    drift = rng.choice([None, rng.choice(pairs)])
+    low = 0 if family == "markov" or drift is not None else 1
+    controls = frozenset(rng.sample(pairs, rng.randint(low, min(len(pairs), n))))
+    optional = {}
+    if family == "multi_agent" and rng.random() < 0.5:
+        optional["agent_space_dim"] = rng.randint(1, 4)
+    if family == "markov" and rng.random() < 0.7:
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        weights[rng.randrange(n)] += 1
+        optional["initial_distribution"] = tuple(Fraction(w, sum(weights)) for w in weights)
+    return SystemSpec(family, n, controls, drift=drift, **optional)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_report_text_is_the_canonical_report_dict(family):
+    rng = random.Random(f"report-text-{family}")
+    seen = set()
+    for _ in range(16):
+        spec = _random_spec(rng, family)
+        seen.add((spec.drift is not None, spec.agent_space_dim, spec.initial_distribution))
+        dot = to_dot(control_graph(spec))
+        for oracle in (False, True):
+            report = analyze(spec, with_oracle=oracle)
+            closure = (report.oracle or oracle_check(spec, report.method_class)).closure
+            basis = [m.format_grid() for m in closure.basis]
+            _written_both_ways(report)
+            _written_both_ways(report, dot=dot)
+            _written_both_ways(report, closure_basis=basis)
+            text = _written_both_ways(report, dot=dot, closure_basis=basis)
+            doc = json.loads(text)
+            assert doc["provenance"]["spec_digest"] == spec_digest(spec)
+            assert doc["provenance"]["oracle_ran"] is oracle
+    # the draws cover a drift pair and none, and each family's optional field
+    assert {drift for drift, _, _ in seen} == {False, True}
+    if family == "multi_agent":
+        assert len({dim for _, dim, _ in seen}) > 1
+    if family == "markov":
+        assert {dist is None for _, _, dist in seen} == {False, True}
+
+
+def test_report_text_of_markov_frozen_states():
+    spec = SystemSpec(
+        "markov", 5, frozenset([(1, 2)]),
+        initial_distribution=(Fraction(1, 3), Fraction(1, 6), Fraction(0), Fraction(1, 2), Fraction(0)),
+    )
+    for oracle in (False, True):
+        doc = json.loads(_written_both_ways(analyze(spec, with_oracle=oracle)))
+        assert doc["submanifold"]["frozen_states"] == [
+            {"state": 3, "value": "0"}, {"state": 4, "value": "1/2"}, {"state": 5, "value": "0"},
+        ]
+        assert doc["submanifold"]["conserved_sums"] == [{"orbit": [1, 2], "value": "1/2"}]
+
+
+def _rebuilt(report, components):
+    """``report`` with its submanifold's components replaced."""
+    sub = report.submanifold
+    return systems.ControllabilityReport(
+        report.spec, report.controllable, report.method_class, report.orbits,
+        report.fixed_points, report.min_controls_satisfied, report.oracle,
+        systems.SubmanifoldDescription(
+            components, sub.total_dim, sub.state_space, sub.conserved_sums, sub.frozen_states
+        ),
+    )
+
+
+def test_report_text_of_hand_built_reports():
+    report = analyze(SystemSpec("so_n", 3, frozenset([(1, 2)])), with_oracle=True)
+    # a component built from its tuple is written as the one from the builder
+    built = _rebuilt(report, (systems.SubmanifoldComponent((1, 2), ("rot(1,2)",), 1),))
+    assert "  {1,2}  dim 1  rot(1,2)\n" in cli._render_text(built)
+    assert _written_both_ways(built) == _written_both_ways(report)
+    # labels given by hand may need an escape
+    labels = ('a"b', "c\\d", "é", "ctl\x01", "")
+    odd = _rebuilt(report, (systems.SubmanifoldComponent((1, 2), labels, None),))
+    text = _written_both_ways(odd, dot="graph G {\n}\n", closure_basis=['[["0", "1"]]'])
+    assert text.isascii()
+    assert json.loads(text)["submanifold"]["components"][0]["generators"] == list(labels)
+    assert json.loads(_written_both_ways(_rebuilt(report, (
+        systems.SubmanifoldComponent((1, 2), (), 1),
+    ))))["submanifold"]["components"][0]["generators"] == []
+    # no components
+    assert json.loads(_written_both_ways(_rebuilt(report, ())))["submanifold"]["components"] == []
+    # a markov chain with every rate frozen has no pairs, no orbits and no components
+    frozen = SystemSpec("markov", 3, frozenset(), initial_distribution=(1, 0, 0))
+    for oracle in (False, True):
+        doc = json.loads(_written_both_ways(analyze(frozen, with_oracle=oracle)))
+        assert doc["controls"] == doc["orbits"] == doc["submanifold"]["components"] == []
+
+
+@st.composite
+def specs(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(min_value=2, max_value=40) | st.integers(min_value=2, max_value=2**62))
+    letters = st.integers(min_value=1, max_value=n)
+    pair = st.tuples(letters, letters).filter(lambda p: p[0] != p[1]).map(sorted).map(tuple)
+    drift = draw(st.none() | pair)
+    low = 0 if family == "markov" or drift is not None else 1
+    controls = frozenset(draw(st.lists(pair, min_size=low, max_size=12)))
+    optional = {}
+    if family == "multi_agent" and draw(st.booleans()):
+        optional["agent_space_dim"] = draw(st.integers(min_value=1, max_value=10**20))
+    if family == "markov" and n <= 40 and draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 10**12), min_size=n, max_size=n))
+        weights[0] += 1
+        optional["initial_distribution"] = tuple(Fraction(w, sum(weights)) for w in weights)
+    return SystemSpec(family, n, controls, drift=drift, **optional)
+
+
+@settings(max_examples=200)
+@given(specs())
+def test_spec_text_is_the_canonical_spec_dict(spec):
+    text = canonical_json(spec_to_dict(spec))
+    assert _spec_text(spec) == text
+    assert spec_digest(spec) == hashlib.sha256(text.encode()).hexdigest()
