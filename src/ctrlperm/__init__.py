@@ -32,7 +32,6 @@ _OWNERS = {
         "cycle_decomposition",
         "generate_subgroup",
         "identity",
-        "is_k_cycle",
         "nontrivial_orbits",
         "transposition",
         "transposition_product",
@@ -51,7 +50,6 @@ _OWNERS = {
         "SignedBasisTerm",
         "basis_bracket",
         "bracket",
-        "circulation_generator",
         "coupling_generator",
         "lie_closure",
         "rotation_generator",

@@ -6,9 +6,9 @@ floating point anywhere.  The one computation modulo a prime, the mod-3
 screen of the bracket closure, can only prove that a closure is as large as
 it can be, so it never changes an answer.  The module provides the
 skew-symmetric rotation generators spanning so(n), the zero-row-sum
-coupling/circulation generators of the agent-interaction algebra, Lie
-brackets, and the bracket-closure computation behind the rank-condition
-oracle.
+coupling generators of the agent-interaction algebra, the Lie bracket, the
+structure constants of so(n), and the bracket-closure computation behind
+the rank-condition oracle.
 
 Each ambient algebra a closure can fill is one row of ``_AMBIENTS``: its
 name, exact test, dimension, test mod 3 and closed-form basis.  Each
@@ -17,12 +17,15 @@ public ``rotation_entries`` and ``coupling_entries`` check their pair and
 call it, and the oracle in ``systems`` reaches it, with the row of the
 algebra it spans, through ``_GENERATORS``.
 
-:class:`ExactMatrix` is the dense form used at the public boundary.  The
-closure engine works on *entry maps*: ``{(row, col): value}`` dicts holding
-only the nonzero entries, with 0-based indices, because the generators and
-their brackets have a handful of nonzeros out of n^2.  :class:`LinearSpan`
-holds the echelon rows itself, as primitive integer entry maps keyed by
-pivot, and the closure inserts its brackets into the span it returns.
+:class:`ExactMatrix` is the value passed in and out at the public boundary:
+generators, probe matrices and closure bases.  All arithmetic works on
+*entry maps*: ``{(row, col): value}`` dicts holding only the nonzero
+entries, with 0-based indices, because the generators and their brackets
+have a handful of nonzeros out of n^2.  There is one bracket,
+``_bracket_indexed``, which the closure calls and :func:`bracket` wraps.
+:class:`LinearSpan` holds the echelon rows itself, as primitive integer
+entry maps keyed by pivot, and the closure inserts its brackets into the
+span it returns.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "basis_bracket",
     "coupling_entries",
     "coupling_generator",
-    "circulation_generator",
     "lie_closure",
 ]
 
@@ -108,10 +110,6 @@ class ExactMatrix(Record):
         return len(self.rows)
 
     @classmethod
-    def zeros(cls, n):
-        return cls([[0] * n for _ in range(n)])
-
-    @classmethod
     def from_entries(cls, n, entries):
         """The n-by-n matrix with the given ``{(row, col): value}`` entries, 0-based."""
         if n < 1:
@@ -128,65 +126,21 @@ class ExactMatrix(Record):
         }
 
     def __add__(self, other):
-        self._check_same_size(other)
+        if self.n != other.n:
+            raise ValueError(f"matrix sizes differ: {self.n} != {other.n}")
         return ExactMatrix(
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
         )
 
-    def __sub__(self, other):
-        self._check_same_size(other)
-        return ExactMatrix(
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        )
-
-    def __neg__(self):
-        return ExactMatrix([-a for a in row] for row in self.rows)
-
-    def scaled(self, c):
-        c = _as_exact(c)
-        return ExactMatrix([c * a for a in row] for row in self.rows)
-
-    def __matmul__(self, other):
-        self._check_same_size(other)
-        cols = tuple(zip(*other.rows))
-        return ExactMatrix(
-            [sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows
-        )
-
-    def transpose(self):
-        return ExactMatrix(zip(*self.rows))
-
-    def is_zero(self):
-        return all(a == 0 for row in self.rows for a in row)
-
     def is_skew_symmetric(self):
         return _is_skew(self.entries())
-
-    def is_symmetric(self):
-        return self.rows == tuple(zip(*self.rows))
-
-    def has_zero_row_sums(self):
-        """Every row sum and every column sum is zero."""
-        return _has_zero_sums(self.entries())
 
     def format_grid(self):
         """Dense rational grid, one row per line, entries space-separated."""
         return "\n".join(" ".join(str(a) for a in row) for row in self.rows)
 
-    @classmethod
-    def parse_grid(cls, text):
-        """Parse the rendering produced by :meth:`format_grid`."""
-        rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-        if not rows:
-            raise ValueError("empty matrix text")
-        return cls(rows)
-
     def __repr__(self):
         return f"ExactMatrix({[list(r) for r in self.rows]!r})"
-
-    def _check_same_size(self, other):
-        if self.n != other.n:
-            raise ValueError(f"matrix sizes differ: {self.n} != {other.n}")
 
 
 # The one builder of each standard generator: its entry map on 0-based a < b, unchecked
@@ -215,8 +169,10 @@ def rotation_generator(n, pair):
 
 
 def bracket(a, b):
-    """The Lie bracket ``a @ b - b @ a``."""
-    return (a @ b) - (b @ a)
+    """The Lie bracket ``a @ b - b @ a``, computed on entry maps as the closure does."""
+    if a.n != b.n:
+        raise ValueError(f"matrix sizes differ: {a.n} != {b.n}")
+    return ExactMatrix.from_entries(a.n, _bracket_indexed(a.entries(), *_index(b.entries())))
 
 
 class SignedBasisTerm(NamedTuple):
@@ -270,22 +226,6 @@ def coupling_generator(n, pair):
     normalized, so (i, j) and (j, i) give the same matrix.
     """
     return ExactMatrix.from_entries(n, coupling_entries(n, pair))
-
-
-def circulation_generator(n, i, j, k):
-    """Antisymmetric zero-row-sum generator circulating flow among i, j, k.
-
-    Swapping any two of the three indices flips the sign.
-    """
-    if len({i, j, k}) != 3:
-        raise ValueError(f"indices must be distinct: {(i, j, k)}")
-    for a in (i, j, k):
-        if not 1 <= a <= n:
-            raise ValueError(f"index out of range 1..{n}: {a}")
-    i, j, k = i - 1, j - 1, k - 1
-    return ExactMatrix.from_entries(
-        n, {(i, k): 1, (k, i): -1, (i, j): -1, (j, i): 1, (j, k): -1, (k, j): 1}
-    )
 
 
 def _primitive(vec):

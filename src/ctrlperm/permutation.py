@@ -29,7 +29,6 @@ __all__ = [
     "cycle_decomposition",
     "nontrivial_orbits",
     "transposition_product",
-    "is_k_cycle",
     "generate_subgroup",
 ]
 
@@ -191,14 +190,6 @@ def transposition_product(pairs, n):
     for pair in pairs:
         acc = compose(acc, transposition(n, pair))
     return acc
-
-
-def is_k_cycle(sigma, k):
-    """True iff ``sigma`` is a single cycle of length exactly ``k``."""
-    if k < 2:
-        raise ValueError(f"cycle length must be at least 2, got {k}")
-    cycles = cycle_decomposition(sigma).cycles
-    return len(cycles) == 1 and len(cycles[0]) == k
 
 
 class SubgroupSummary(Record):

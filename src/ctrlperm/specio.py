@@ -319,9 +319,10 @@ def parse_probe(text):
     unknown = set(doc) - {"n", "generators"}
     _require(not unknown, f"unknown probe keys: {sorted(unknown)}")
     _require(type(doc.get("n")) is int, "probe document needs an integer n")
+    n = doc["n"]
+    _require(n >= 1, f"probe n must be at least 1, got {n}")
     gens = doc.get("generators")
     _require(isinstance(gens, list) and gens, "probe document needs a nonempty generators list")
-    n = doc["n"]
     matrices = []
     for idx, grid in enumerate(gens):
         _require(

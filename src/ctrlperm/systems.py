@@ -347,7 +347,11 @@ def _rotation_labels(orbit, sep=" "):
 
 
 def _agent_labels(orbit, sep=" "):
-    """``couple(i,j)`` for each pair, then ``circ(i,j,k)`` for each triple, joined by ``sep``."""
+    """``couple(i,j)`` for each pair, then ``circ(i,j,k)`` for each triple, joined by ``sep``.
+
+    ``circ(i,j,k)`` names the bracket [couple(i,j), couple(j,k)], which
+    ``liealg.bracket`` builds from two ``coupling_generator`` values.
+    """
     letters = list(map(str, orbit))
     rows = _pair_rows(letters)
     if not rows:

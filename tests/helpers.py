@@ -1,13 +1,12 @@
 """Shared helpers for the test suite: seeded random builders, the
 transposition-decomposition oracle used to cross-check partition-level
-operations at the permutation level, and a dense reference for the
-bracket-closure engine."""
+operations at the permutation level, and a dense reference algebra and
+bracket-closure engine that share no code with ``ctrlperm.liealg``."""
 
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from ctrlperm.liealg import ExactMatrix, bracket
 from ctrlperm.permutation import Permutation, cycle_decomposition
 
 
@@ -115,12 +114,102 @@ def reference_agent_labels(orbit):
     return couples + circs
 
 
+# ------------------------------------------------ dense reference algebra
+#
+# Square matrices as tuples of exact rows, with the dense sum, product and
+# bracket, the standard generators written out from their definitions, and
+# the shape predicates.  The tests compare the library's bracket, structure
+# constants and closure with this reference, so it imports nothing from
+# ``ctrlperm.liealg``; it reads a library matrix only through its ``rows``.
+
+
+class Dense:
+    """A square matrix of ints and Fractions, as a tuple of rows."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = tuple(map(tuple, rows))
+
+    @classmethod
+    def of(cls, matrix):
+        """The reference copy of a library ``ExactMatrix``."""
+        return cls(matrix.rows)
+
+    @classmethod
+    def zeros(cls, n):
+        return cls([0] * n for _ in range(n))
+
+    def __eq__(self, other):
+        return isinstance(other, Dense) and self.rows == other.rows
+
+    def __repr__(self):
+        return f"Dense({[list(row) for row in self.rows]!r})"
+
+    def __add__(self, other):
+        return Dense([a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows))
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, c):
+        return Dense([c * a for a in row] for row in self.rows)
+
+    def __matmul__(self, other):
+        cols = tuple(zip(*other.rows))
+        return Dense([sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows)
+
+    def transpose(self):
+        return Dense(zip(*self.rows))
+
+    def entries(self):
+        """The nonzero entries as a ``{(row, col): value}`` map, 0-based."""
+        return {(i, j): a for i, row in enumerate(self.rows) for j, a in enumerate(row) if a}
+
+    def is_symmetric(self):
+        return self == self.transpose()
+
+    def is_skew_symmetric(self):
+        return not (self + self.transpose()).entries()
+
+    def has_zero_sums(self):
+        """Every row sum and every column sum is zero."""
+        return not any(map(sum, self.rows)) and not any(map(sum, zip(*self.rows)))
+
+
+def dense_bracket(a, b):
+    return a @ b - b @ a
+
+
+def unit(n, i, j):
+    """The n-by-n matrix E_ij: a single 1 at row i, column j, 1-based."""
+    return Dense([int((r, c) == (i, j)) for c in range(1, n + 1)] for r in range(1, n + 1))
+
+
+def rotation(n, i, j):
+    """The rotation generator of the (i, j) plane: E_ij - E_ji."""
+    return unit(n, i, j) - unit(n, j, i)
+
+
+def coupling(n, i, j):
+    """The coupling of i and j: E_ij + E_ji - E_ii - E_jj."""
+    return unit(n, i, j) + unit(n, j, i) - unit(n, i, i) - unit(n, j, j)
+
+
+def circulation(n, i, j, k):
+    """The circulation among i, j and k: [coupling(i, j), coupling(j, k)].
+
+    It is skew-symmetric with zero row sums, and swapping two of the three
+    letters flips its sign.
+    """
+    return rotation(n, i, k) + rotation(n, j, i) + rotation(n, k, j)
+
+
 # ------------------------------------------- reference closure engine
 #
 # The bracket-closure engine as it was before sparse storage: an all-pairs
-# worklist over dense matrices, with a dense integer echelon row space.  It
-# shares nothing with ``ctrlperm.liealg`` but ``ExactMatrix`` and the dense
-# ``bracket``, and pins the library's closure basis exactly.
+# worklist over :class:`Dense` matrices, with a dense integer echelon row
+# space.  It pins the library's closure basis exactly.
 
 
 def _dense_primitive(vec):
@@ -176,25 +265,26 @@ class DenseRowSpace:
 
 
 def reference_closure_basis(generators):
-    """Closure basis by brackets of every new element with every element so far."""
+    """Closure basis by brackets of every new element with every element so far.
+
+    The generators are library matrices, and the basis is :class:`Dense`.
+    """
     space = DenseRowSpace()
 
     def insert(m):
         return space.insert([x for row in m.rows for x in row])
 
-    mats = [g for g in generators if insert(g)]
+    mats = [g for g in map(Dense.of, generators) if insert(g)]
     head = 0
     while head < len(mats):
         x = mats[head]
         head += 1
         for y in mats[:head]:
-            b = bracket(x, y)
+            b = dense_bracket(x, y)
             if insert(b):
                 mats.append(b)
     n = generators[0].n
-    return tuple(
-        ExactMatrix([row[i * n : (i + 1) * n] for i in range(n)]) for row in space.rows
-    )
+    return tuple(Dense(row[i * n : (i + 1) * n] for i in range(n)) for row in space.rows)
 
 
 # ------------------------------------------ reference subgroup order

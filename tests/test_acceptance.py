@@ -14,10 +14,8 @@ import pytest
 
 from ctrlperm.graphview import components, control_graph, is_connected
 from ctrlperm.liealg import (
-    ExactMatrix,
     basis_bracket,
     bracket,
-    circulation_generator,
     coupling_generator,
     lie_closure,
     rotation_generator,
@@ -31,9 +29,14 @@ from ctrlperm.monoid import (
 from ctrlperm.permutation import Permutation, transposition, transposition_product
 from ctrlperm.systems import SystemSpec, analyze, oracle_check, probe_nonstandard
 from helpers import (
+    Dense,
+    circulation,
+    coupling,
+    dense_bracket,
     random_orbit_sets,
     random_permutation,
     random_representative,
+    rotation,
     sample_pairs,
     sorted_pair,
     transposition_decomposition,
@@ -150,10 +153,11 @@ def test_criterion_05_structure_constants_exhaustive():
         pairs = list(combinations(range(1, n + 1), 2))
         for p in pairs:
             for q in pairs:
-                expected = bracket(rotation_generator(n, p), rotation_generator(n, q))
-                acc = ExactMatrix.zeros(n)
+                # the dense reference in tests/helpers.py shares no code with liealg
+                expected = dense_bracket(rotation(n, *p), rotation(n, *q))
+                acc = Dense.zeros(n)
                 for coefficient, pair in basis_bracket(p, q, n):
-                    acc = acc + rotation_generator(n, pair).scaled(coefficient)
+                    acc = acc + rotation(n, *pair).scaled(coefficient)
                 if acc != expected:
                     failures.append((n, p, q))
     _check(5, "structure constants match matrix brackets, n=3..8 exhaustive", failures)
@@ -166,12 +170,14 @@ def test_criterion_06_interaction_algebra():
             a_ij = coupling_generator(n, (i, j))
             a_jk = coupling_generator(n, (j, k))
             a_ik = coupling_generator(n, (i, k))
-            b = circulation_generator(n, i, j, k)
+            b = circulation(n, i, j, k)
+            circ = bracket(a_ij, a_jk)
             if not (
-                bracket(a_ij, a_jk) == bracket(a_jk, a_ik) == bracket(a_ik, a_ij) == b
+                Dense.of(circ) == Dense.of(bracket(a_jk, a_ik))
+                == Dense.of(bracket(a_ik, a_ij)) == b
             ):
                 failures.append(("triple bracket", n, i, j, k))
-            if bracket(a_ij, b) != (a_jk - a_ik).scaled(2):
+            if Dense.of(bracket(a_ij, circ)) != (coupling(n, j, k) - coupling(n, i, k)).scaled(2):
                 failures.append(("mixed bracket", n, i, j, k))
         gens = [coupling_generator(n, p) for p in combinations(range(1, n + 1), 2)]
         dim = lie_closure(gens).dim

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_public_names_are_pinned():
     names = ctrlperm.__all__
-    assert len(names) == len(set(names)) == 44
+    assert len(names) == len(set(names)) == 42
     for name in names:
         assert hasattr(ctrlperm, name), name
     # a markov report from analyze already is the classification

@@ -156,6 +156,11 @@ def test_parse_probe():
         parse_probe('{"n": 4}')
     with pytest.raises(SpecFormatError):
         parse_probe('{"n": 2, "generators": [[["0"]]]}')
+    # n below 1 is refused before any grid is read
+    for n in (0, -2):
+        with pytest.raises(SpecFormatError) as err:
+            parse_probe('{"n": %d, "generators": [[]]}' % n)
+        assert str(err.value) == f"probe n must be at least 1, got {n}"
 
 
 def test_parse_probe_entry_types():

@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations, cycle, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from ctrlperm.liealg import (
     _index,
     basis_bracket,
     bracket,
-    circulation_generator,
     coupling_entries,
     coupling_generator,
     lie_closure,
@@ -23,7 +24,12 @@ from ctrlperm.liealg import (
     rotation_generator,
 )
 from helpers import (
+    Dense,
+    circulation,
+    coupling,
+    dense_bracket,
     reference_closure_basis,
+    rotation,
     sample_pairs,
     shuffled,
     sorted_pair,
@@ -35,11 +41,13 @@ def rot(n, i, j):
     return rotation_generator(n, (i, j))
 
 
-def terms_to_matrix(terms, n):
-    acc = ExactMatrix.zeros(n)
-    for coefficient, pair in terms:
-        acc = acc + rotation_generator(n, pair).scaled(coefficient)
-    return acc
+def times(m, c):
+    """The library matrix ``m`` times ``c``."""
+    return ExactMatrix.from_entries(m.n, {k: c * x for k, x in m.entries().items()})
+
+
+def dense_basis(span):
+    return tuple(map(Dense.of, span.basis))
 
 
 # ----------------------------------------------------------- matrices
@@ -55,12 +63,7 @@ def test_exact_matrix_entries_and_equality():
         ExactMatrix([[0.5, 0], [0, 0]])
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2]])
-
-
-def test_grid_render_parse_round_trip():
-    m = ExactMatrix([["-1/2", 1], [0, "3"]])
-    assert m.format_grid() == "-1/2 1\n0 3"
-    assert ExactMatrix.parse_grid(m.format_grid()) == m
+    assert ExactMatrix([["-1/2", 1], [0, "3"]]).format_grid() == "-1/2 1\n0 3"
 
 
 def test_integral_entries_are_stored_as_plain_ints():
@@ -68,14 +71,13 @@ def test_integral_entries_are_stored_as_plain_ints():
     m = ExactMatrix([[True, False], [False, True]])
     assert [type(x) for row in m.rows for x in row] == [int] * 4
     assert m.format_grid() == "1 0\n0 1"
-    assert ExactMatrix.parse_grid(m.format_grid()) == m
     assert type(ExactMatrix.from_entries(2, {(0, 1): True}).rows[0][1]) is int
 
 
 def test_rotation_generator_shape():
     m = rot(3, 1, 2)
     assert m.rows == ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
-    assert (m + m.transpose()).is_zero()
+    assert Dense.of(m) == rotation(3, 1, 2)
     with pytest.raises(ValueError):
         rot(3, 2, 4)
 
@@ -106,19 +108,21 @@ def test_bracket_shared_index():
 
 
 def test_bracket_disjoint_pairs_vanishes():
-    assert bracket(rot(5, 1, 2), rot(5, 4, 5)).is_zero()
+    assert bracket(rot(5, 1, 2), rot(5, 4, 5)).entries() == {}
 
 
 def test_bracket_antisymmetry_on_diagonal():
     m = ExactMatrix([[1, 2, 0], [0, -1, 3], [5, 0, 0]])
-    assert bracket(m, m).is_zero()
+    assert bracket(m, m).entries() == {}
+    with pytest.raises(ValueError, match="matrix sizes differ: 3 != 4"):
+        bracket(m, rot(4, 1, 2))
 
 
 def test_basis_bracket_examples():
     assert basis_bracket((1, 2), (2, 3), 5) == (SignedBasisTerm(1, (1, 3)),)
     assert basis_bracket((1, 2), (4, 5), 5) == ()
-    # expected value computed with the matrix-level bracket oracle
-    assert bracket(rot(5, 1, 3), rot(5, 1, 2)) == rot(5, 2, 3)
+    # expected value computed with the dense reference bracket
+    assert dense_bracket(rotation(5, 1, 3), rotation(5, 1, 2)) == rotation(5, 2, 3)
     assert basis_bracket((1, 3), (1, 2), 5) == (SignedBasisTerm(1, (2, 3)),)
     assert basis_bracket((1, 2), (1, 2), 5) == ()
 
@@ -128,8 +132,12 @@ def test_basis_bracket_matches_matrix_bracket(n):
     pairs = list(combinations(range(1, n + 1), 2))
     for p in pairs:
         for q in pairs:
-            expected = bracket(rotation_generator(n, p), rotation_generator(n, q))
-            assert terms_to_matrix(basis_bracket(p, q, n), n) == expected
+            expected = dense_bracket(rotation(n, *p), rotation(n, *q))
+            terms = Dense.zeros(n)
+            for coefficient, pair in basis_bracket(p, q, n):
+                terms = terms + rotation(n, *pair).scaled(coefficient)
+            assert terms == expected
+            assert Dense.of(bracket(rotation_generator(n, p), rotation_generator(n, q))) == expected
 
 
 @settings(max_examples=100)
@@ -153,7 +161,7 @@ def test_jacobi_identity_exact(data):
 
     a, b, c = skew(), skew(), skew()
     total = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
-    assert total.is_zero()
+    assert total.entries() == {}
 
 
 # ------------------------------------------------- interaction algebra
@@ -163,38 +171,49 @@ def test_coupling_generator_shape_and_normalization():
     m = coupling_generator(3, (1, 2))
     assert m.rows == ((-1, 1, 0), (1, -1, 0), (0, 0, 0))
     assert coupling_generator(5, (4, 2)) == coupling_generator(5, (2, 4))
-    assert m.is_symmetric() and m.has_zero_row_sums()
+    assert Dense.of(m) == coupling(3, 1, 2)
+
+
+def circ(n, i, j, k):
+    """The library's circ(i,j,k): the bracket [couple(i,j), couple(j,k)]."""
+    return bracket(coupling_generator(n, (i, j)), coupling_generator(n, (j, k)))
 
 
 def test_circulation_generator_shape():
-    b = circulation_generator(4, 1, 2, 3)
-    assert b.is_skew_symmetric() and b.has_zero_row_sums()
+    b = Dense.of(circ(4, 1, 2, 3))
+    assert b.is_skew_symmetric() and b.has_zero_sums()
+    assert b == circulation(4, 1, 2, 3)
     with pytest.raises(ValueError):
-        circulation_generator(4, 1, 1, 2)
+        circ(4, 1, 1, 2)
     with pytest.raises(ValueError):
-        circulation_generator(3, 1, 2, 4)
+        circ(3, 1, 2, 4)
 
 
 def test_circulation_sign_under_index_swaps():
-    b = circulation_generator(5, 1, 2, 3)
-    assert circulation_generator(5, 2, 1, 3) == -b
-    assert circulation_generator(5, 1, 3, 2) == -b
-    assert circulation_generator(5, 2, 3, 1) == b
+    b = Dense.of(circ(5, 1, 2, 3))
+    assert Dense.of(circ(5, 2, 1, 3)) == b.scaled(-1)
+    assert Dense.of(circ(5, 1, 3, 2)) == b.scaled(-1)
+    assert Dense.of(circ(5, 2, 3, 1)) == b
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_coupling_bracket_identities(n):
     for i, j, k in combinations(range(1, n + 1), 3):
+        c_ij, c_jk, c_ik = coupling(n, i, j), coupling(n, j, k), coupling(n, i, k)
+        b = circulation(n, i, j, k)
+        assert b.is_skew_symmetric() and b.has_zero_sums()
+        assert circulation(n, j, i, k) == circulation(n, i, k, j) == b.scaled(-1)
+        assert dense_bracket(c_ij, c_jk) == b
         a_ij = coupling_generator(n, (i, j))
         a_jk = coupling_generator(n, (j, k))
         a_ik = coupling_generator(n, (i, k))
-        b = circulation_generator(n, i, j, k)
-        assert bracket(a_ij, a_jk) == b
-        assert bracket(a_jk, a_ik) == b
-        assert bracket(a_ik, a_ij) == b
-        assert bracket(a_ij, b) == (a_jk - a_ik).scaled(2)
-        assert bracket(a_jk, b) == (a_ik - a_ij).scaled(2)
-        assert bracket(a_ik, b) == (a_ij - a_jk).scaled(2)
+        circ = bracket(a_ij, a_jk)
+        assert Dense.of(circ) == b
+        assert Dense.of(bracket(a_jk, a_ik)) == b
+        assert Dense.of(bracket(a_ik, a_ij)) == b
+        assert Dense.of(bracket(a_ij, circ)) == (c_jk - c_ik).scaled(2)
+        assert Dense.of(bracket(a_jk, circ)) == (c_ik - c_ij).scaled(2)
+        assert Dense.of(bracket(a_ik, circ)) == (c_ij - c_jk).scaled(2)
 
 
 def test_two_coupling_closure_is_four_dimensional():
@@ -204,7 +223,7 @@ def test_two_coupling_closure_is_four_dimensional():
         coupling_generator(3, (1, 2)),
         coupling_generator(3, (2, 3)),
         coupling_generator(3, (1, 3)),
-        circulation_generator(3, 1, 2, 3),
+        circulation(3, 1, 2, 3).entries(),
     ):
         assert span.contains(m)
 
@@ -212,24 +231,24 @@ def test_two_coupling_closure_is_four_dimensional():
 def test_symmetric_antisymmetric_grading():
     rng = random.Random(5)
     n = 5
-    couples = [coupling_generator(n, p) for p in combinations(range(1, n + 1), 2)]
-    circs = [circulation_generator(n, 1, j, k) for j, k in combinations(range(2, n + 1), 2)]
+    couples = [coupling(n, *p) for p in combinations(range(1, n + 1), 2)]
+    circs = [circulation(n, 1, j, k) for j, k in combinations(range(2, n + 1), 2)]
 
     def combo(basis):
-        acc = ExactMatrix.zeros(n)
+        acc = Dense.zeros(n)
         for m in basis:
             acc = acc + m.scaled(int(rng.random() * 7) - 3)
-        return acc
+        return ExactMatrix(acc.rows)
 
     for _ in range(25):
         g1a, g1b = combo(couples), combo(couples)
         g2a, g2b = combo(circs), combo(circs)
-        sym_sym = bracket(g1a, g1b)
-        assert sym_sym.is_skew_symmetric() and sym_sym.has_zero_row_sums()
-        anti_anti = bracket(g2a, g2b)
-        assert anti_anti.is_skew_symmetric() and anti_anti.has_zero_row_sums()
-        mixed = bracket(g1a, g2a)
-        assert mixed.is_symmetric() and mixed.has_zero_row_sums()
+        sym_sym = Dense.of(bracket(g1a, g1b))
+        assert sym_sym.is_skew_symmetric() and sym_sym.has_zero_sums()
+        anti_anti = Dense.of(bracket(g2a, g2b))
+        assert anti_anti.is_skew_symmetric() and anti_anti.has_zero_sums()
+        mixed = Dense.of(bracket(g1a, g2a))
+        assert mixed.is_symmetric() and mixed.has_zero_sums()
 
 
 # ------------------------------------------------------------- closure
@@ -253,7 +272,7 @@ def test_closure_of_paired_rotation_sum():
     assert span.dim == 4
     for m in (
         g,
-        rot(4, 1, 3) - rot(4, 2, 4),
+        (rotation(4, 1, 3) - rotation(4, 2, 4)).entries(),
         rot(4, 1, 4) + rot(4, 2, 3),
         rot(4, 2, 3),
     ):
@@ -304,12 +323,12 @@ def _random_generator_sets(seed):
             gens = []
             for _ in range(1 + int(rng.random() * 3)):
                 letters = shuffled(rng, range(1, n + 1))
-                acc = ExactMatrix.zeros(n)
+                acc = {}
                 for at in range(0, 2 * (1 + int(rng.random() * (n // 2))) - 1, 2):
                     i, j = sorted(letters[at : at + 2])
                     sign = 1 if rng.random() < 0.5 else -1
-                    acc = acc + rotation_generator(n, (i, j)).scaled(sign)
-                gens.append(acc)
+                    acc[i - 1, j - 1], acc[j - 1, i - 1] = sign, -sign
+                gens.append(ExactMatrix.from_entries(n, acc))
             sets.append((f"probe n={n}", gens))
     for n in range(3, 7):
         # rational coefficients, in a mix of rotations and couplings
@@ -318,7 +337,7 @@ def _random_generator_sets(seed):
             for p in sample_pairs(rng, n, 1 + int(rng.random() * n)):
                 coefficient = Fraction(1 + int(rng.random() * 5), 1 + int(rng.random() * 6))
                 builder = rotation_generator if rng.random() < 0.5 else coupling_generator
-                gens.append(builder(n, p).scaled(coefficient))
+                gens.append(times(builder(n, p), coefficient))
             sets.append((f"fraction n={n}", gens))
     for n in range(4, 9):
         # two or three disjoint blocks, sometimes an isolated letter; each block
@@ -346,24 +365,39 @@ def _random_generator_sets(seed):
     return sets
 
 
+def test_dense_reference_imports_nothing_from_liealg():
+    # the reference checks the library's bracket and closure, so it must not
+    # share their code
+    tree = ast.parse((Path(__file__).parent / "helpers.py").read_text())
+    owned = set(liealg.__all__) | {"liealg"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("ctrlperm.liealg") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("ctrlperm.liealg"), node.module
+            if node.module == "ctrlperm":
+                assert owned.isdisjoint(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "liealg"
+
+
 def test_closure_basis_matches_reference_engine():
     # exact basis equality, not only the dimension: the echelon rows are unique
     # for the span, and --dump-basis prints them
     for label, gens in _random_generator_sets(20261017):
         span = lie_closure(gens)
-        assert span.basis == reference_closure_basis(gens), label
+        assert dense_basis(span) == reference_closure_basis(gens), label
         assert span.dim == len(span.basis)
 
 
 def test_sparse_bracket_matches_dense_bracket():
     for label, gens in _random_generator_sets(7):
-        n = gens[0].n
         for a in gens:
             for b in gens:
-                expected = bracket(a, b)
+                expected = dense_bracket(Dense.of(a), Dense.of(b))
                 got = _bracket_indexed(a.entries(), *_index(b.entries()))
                 assert got == expected.entries(), label
-                assert ExactMatrix.from_entries(n, got) == expected
+                assert Dense.of(bracket(a, b)) == expected, label
 
 
 def test_span_accepts_entry_maps():
@@ -533,14 +567,14 @@ def _screen_sets(seed):
         for kind, builder in (("rotation", rotation_generator), ("coupling", coupling_generator)):
             tree = [builder(n, p) for p in spanning_tree_pairs(rng, range(1, n + 1))]
             sets.append((f"{kind} tree n={n}", tree, False))
-            sets.append((f"{kind} tree times 3 n={n}", [g.scaled(3) for g in tree], True))
+            sets.append((f"{kind} tree times 3 n={n}", [times(g, 3) for g in tree], True))
         for _ in range(2):
             gens = [_signed_sum(n, rng) for _ in range(3)]
             sets.append((f"signed sums n={n}", [ExactMatrix.from_entries(n, g) for g in gens], False))
             scale = rng.choice((3, -6, Fraction(3, 2)))
             sets.append(
                 (f"signed sums times {scale} n={n}",
-                 [ExactMatrix.from_entries(n, g).scaled(scale) for g in gens], True)
+                 [times(ExactMatrix.from_entries(n, g), scale) for g in gens], True)
             )
     for label, gens in _random_generator_sets(seed):
         if label.startswith(("complete", "fraction", "2 blocks", "3 blocks")):
@@ -571,7 +605,7 @@ def test_screen_and_exact_worklist_give_one_basis(monkeypatch):
             assert (verdicts, screened.basis) == twin, label
         elif gens[0].n <= 8 or "coupling" not in label:
             # the dense reference takes about 2 s on a coupling tree at n=10
-            assert screened.basis == reference_closure_basis(gens), label
+            assert dense_basis(screened) == reference_closure_basis(gens), label
         twin = (list(verdicts), screened.basis)
         certified += sum(verdicts)
     # every tree and the full blocks of the signed-sum, fraction and block
@@ -641,7 +675,7 @@ def test_dependent_generator_on_two_blocks_keeps_the_blocks(monkeypatch):
         assert span.dim == dim
         monkeypatch.undo()
         matrices = [ExactMatrix.from_entries(n, g) for g in gens]
-        assert span.basis == reference_closure_basis(matrices)
+        assert dense_basis(span) == reference_closure_basis(matrices)
     # a generator equal to another times 3 is made primitive, so it repeats
     # that one; its block is still screened once, and certified
     calls = _recording_screen(monkeypatch)
@@ -866,9 +900,14 @@ def test_rank_at_points():
     ],
 )
 def test_shape_tests_on_edge_cases(rows, skew, symmetric, zero_sums):
+    # the exact tests of the first two _AMBIENTS rows, on the entries and on
+    # the entries of the transpose, against the dense reference's predicates
     m = ExactMatrix(rows)
+    entries = m.entries()
+    transposed = {(j, i): x for (i, j), x in entries.items()}
     assert m.is_skew_symmetric() is skew
-    assert m.is_symmetric() is symmetric
-    assert m.has_zero_row_sums() is zero_sums
-    assert m.transpose().is_skew_symmetric() is skew
-    assert m.transpose().has_zero_row_sums() is zero_sums
+    for e in (entries, transposed):
+        assert liealg._is_skew(e) is skew
+        assert liealg._has_zero_sums(e) is zero_sums
+    d = Dense(rows)
+    assert (d.is_skew_symmetric(), d.is_symmetric(), d.has_zero_sums()) == (skew, symmetric, zero_sums)

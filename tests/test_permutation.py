@@ -15,7 +15,6 @@ from ctrlperm.permutation import (
     cycle_decomposition,
     generate_subgroup,
     identity,
-    is_k_cycle,
     nontrivial_orbits,
     transposition,
     transposition_product,
@@ -136,17 +135,6 @@ def test_transposition_product_chain_examples():
 def test_transposition_product_split_chain():
     sigma = transposition_product([(1, 2), (2, 3), (4, 5)], 5)
     assert sigma == Permutation.from_cycles(5, [(1, 2, 3), (4, 5)])
-
-
-def test_is_k_cycle():
-    five = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
-    split = Permutation.from_cycles(5, [(1, 2, 3), (4, 5)])
-    assert is_k_cycle(five, 5)
-    assert not is_k_cycle(five, 4)
-    assert not is_k_cycle(split, 5)
-    assert not is_k_cycle(identity(5), 2)
-    with pytest.raises(ValueError):
-        is_k_cycle(five, 1)
 
 
 def test_generate_subgroup_dihedral_and_symmetric():

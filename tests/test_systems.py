@@ -534,7 +534,7 @@ def test_probe_rejects_overlapping_pairs():
 
 def test_probe_rejects_non_unit_coefficients_and_non_skew():
     with pytest.raises(ValueError):
-        probe_nonstandard([rotation_generator(4, (1, 2)).scaled(2)])
+        probe_nonstandard([rotation_generator(4, (1, 2)) + rotation_generator(4, (1, 2))])
     from ctrlperm.liealg import ExactMatrix
 
     with pytest.raises(ValueError):
