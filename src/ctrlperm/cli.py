@@ -210,21 +210,21 @@ def _cmd_analyze(args):
             f"the report would list {labels} generator labels, more than the cap of"
             f" {REPORT_MAX_LABELS}"
         )
+    grids = None
     if args.dump_basis:
         oracle = report.oracle or oracle_check(spec, report.method_class, max_n=max_n)
-        basis = oracle.closure.basis
+        grids = oracle.closure._grids()
     if args.text:
         sys.stdout.write(_render_text(report))
         if args.dot:
             sys.stdout.write(to_dot(control_graph(spec)))
         if args.dump_basis:
             sys.stdout.write("closure basis:\n")
-            for m in basis:
-                sys.stdout.write(m.format_grid() + "\n\n")
+            for grid in grids:
+                sys.stdout.write(grid + "\n\n")
     else:
         # written in one pass, with the labels and control pairs written once
         dot = to_dot(control_graph(spec)) if args.dot else None
-        grids = [m.format_grid() for m in basis] if args.dump_basis else None
         sys.stdout.write(_report_text(report, dot, grids))
     return 0 if report.controllable else 1
 

@@ -93,6 +93,19 @@ def _checked_entries(n, entries):
     return checked, plain
 
 
+def _grid_text(n, entries):
+    """The dense grid text of an n-by-n entry map, checked as by :func:`_checked_entries`.
+
+    One row per line, entries space-separated, ``0`` in every cell without
+    an entry; a row with no entry is written once and reused.
+    """
+    rows = {}
+    for (i, j), x in _checked_entries(n, entries)[0].items():
+        rows.setdefault(i, ["0"] * n)[j] = str(x)
+    zero_row = " ".join(["0"] * n)
+    return "\n".join([" ".join(rows[i]) if i in rows else zero_row for i in range(n)])
+
+
 class ExactMatrix(Record):
     """A square matrix with exact rational entries; an immutable value record."""
 
@@ -137,7 +150,7 @@ class ExactMatrix(Record):
 
     def format_grid(self):
         """Dense rational grid, one row per line, entries space-separated."""
-        return "\n".join(" ".join(str(a) for a in row) for row in self.rows)
+        return _grid_text(self.n, self.entries())
 
     def __repr__(self):
         return f"ExactMatrix({[list(r) for r in self.rows]!r})"
@@ -328,6 +341,15 @@ class LinearSpan:
         """Basis matrices, the reduced echelon rows in pivot order."""
         rows = self.rows
         return tuple([ExactMatrix.from_entries(self.n, rows[pivot]) for pivot in self.pivots])
+
+    def _grids(self):
+        """The grid text of each basis matrix, in pivot order, written from the echelon rows.
+
+        The same texts as ``[m.format_grid() for m in self.basis]``, with no
+        :class:`ExactMatrix` built.
+        """
+        rows, n = self.rows, self.n
+        return [_grid_text(n, rows[pivot]) for pivot in sorted(rows)]
 
     def rank_at(self, point):
         """Rank of the span evaluated at a point: dim of {M @ point}."""

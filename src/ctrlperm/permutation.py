@@ -14,10 +14,10 @@ orders) or with the absorbing-product test oracle.
 from __future__ import annotations
 
 import re
-from math import factorial
+from math import factorial, prod
 
 from ._record import Record, setfield
-from .monoid import check_pair
+from .monoid import UnionFind, check_pair
 
 __all__ = [
     "Permutation",
@@ -295,11 +295,23 @@ def generate_subgroup(generators, n):
     the identity through the levels below it.  The order is the product of
     the orbit lengths.  Time and memory are polynomial in n and the number of
     generators; no group element is listed.
+
+    *Orbit bound.*  The group permutes each of its orbits on the letters
+    among itself, so it lies in the product of the symmetric groups on its
+    orbits, and its order is at most B, the product of |O|! over the orbits
+    O.  At every step, the generators of a level fix the earlier levels'
+    base points and lie in the group, so they generate a subgroup of the
+    true stabilizer of those points; the level's transversal is the orbit of
+    its base point under that subgroup, no longer than the orbit under the
+    stabilizer itself.  The product of the transversal lengths is therefore
+    at most the order, and once it equals B the order is B and the chain
+    stops.  A group below the bound, such as A_n, runs the full check.
     """
     if n < 1:
         raise ValueError(f"need at least one letter, got n={n}")
     one = tuple(range(n))
     chain = []
+    orbits = UnionFind(n)
     for g in generators:
         if g.n != n:
             raise ValueError(f"generator on {g.n} letters, expected {n}")
@@ -308,10 +320,14 @@ def generate_subgroup(generators, n):
             if not chain:
                 chain.append(_Level(next(x for x in one if image[x] != x), one))
             chain[0].add_generator(image)
+            orbits.union_pairs((k, v) for k, v in enumerate(g.image, 1) if k != v)
+    bound = prod(factorial(len(orbit)) for orbit in orbits.groups())
     # invariant: each level below ``at`` is complete for the group its
     # generators generate, so sifting through them decides membership
     at = len(chain) - 1
     while at >= 0:
+        if prod(len(level.transversal) for level in chain) == bound:
+            break
         residue, stop = _next_residue(chain, at, one)
         if residue is None:
             at -= 1
@@ -323,9 +339,7 @@ def generate_subgroup(generators, n):
         for level in chain[at + 1 : stop + 1]:
             level.add_generator(residue)
         at = stop
-    order = 1
-    for level in chain:
-        order *= len(level.transversal)
+    order = prod(len(level.transversal) for level in chain)
     return SubgroupSummary(order, order == factorial(n))
 
 

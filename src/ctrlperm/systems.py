@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from math import comb
+from math import comb, lcm
 from operator import index
 
 from ._record import Record, setfield
@@ -64,6 +64,16 @@ ORACLE_MAX_AGENTS = 8
 
 class OracleSizeError(ValueError):
     """The instance is too large for the closure oracle's size guard."""
+
+
+def _common_sum(values):
+    """``(total, L)`` with ``sum(values) == total / L``: one integer sum of Fractions.
+
+    L is the lcm of the denominators, so each value is numerator * (L //
+    denominator) / L, and no Fraction is added or normalized on the way.
+    """
+    common = lcm(*[x.denominator for x in values])
+    return sum([x.numerator * (common // x.denominator) for x in values]), common
 
 
 class SystemSpec(Record):
@@ -113,7 +123,10 @@ class SystemSpec(Record):
                 raise ValueError("initial_distribution applies to the markov family only")
             from fractions import Fraction
 
-            dist = tuple(Fraction(x) for x in initial_distribution)
+            # a plain Fraction is kept; anything else, a subclass too, is converted
+            dist = tuple(
+                x if type(x) is Fraction else Fraction(x) for x in initial_distribution
+            )
             for at, value in enumerate(dist):
                 # a report writes each entry back with str
                 try:
@@ -124,9 +137,11 @@ class SystemSpec(Record):
                     ) from None
             if len(dist) != n:
                 raise ValueError(f"initial_distribution length {len(dist)} != n={n}")
-            if any(x < 0 for x in dist):
+            # a normalized Fraction carries its sign in the numerator
+            if any(x.numerator < 0 for x in dist):
                 raise ValueError("initial_distribution entries must be nonnegative")
-            if sum(dist) != 1:
+            total, common = _common_sum(dist)
+            if total != common:
                 try:
                     got = f", got {sum(dist)}"
                 except ValueError:  # more digits than Python writes an integer with
@@ -414,8 +429,12 @@ def _submanifold(spec, orbits, fixed_points, closure):
     dims = [c.dim for c in components]
     conserved = frozen = None
     if spec.initial_distribution is not None:
+        from fractions import Fraction
+
         dist = spec.initial_distribution
-        conserved = tuple((orbit, sum(dist[i - 1] for i in orbit)) for orbit in orbits)
+        conserved = tuple(
+            (orbit, Fraction(*_common_sum([dist[i - 1] for i in orbit]))) for orbit in orbits
+        )
         frozen = tuple((j, dist[j - 1]) for j in fixed_points)
     d = "(n-1)" if spec.agent_space_dim is None else spec.agent_space_dim - 1
     return SubmanifoldDescription(
@@ -431,14 +450,18 @@ def analyze(spec, with_oracle=False, oracle_max_n=None):
     """Decide controllability by orbit merging and describe the submanifold.
 
     The drift pair, when present, is folded into the control set before the
-    merge; on these compact state spaces the drift contributes to
-    reachability exactly like a control.  The permutation verdict never
-    touches matrix arithmetic.  With ``with_oracle=True`` the exact
-    rank-condition oracle runs as well and its result is attached; otherwise
-    ``oracle`` is None.  The report keeps ``spec`` itself rather than copies
-    of its fields.  For a markov spec ``controllable`` says whether the chain
-    is irreducible, and ``orbits`` together with the singletons of
-    ``fixed_points`` are its communication classes.
+    merge.  The fold is proven for the rotation families, whose flows form
+    a compact connected Lie group, where the rank condition is equivalent
+    to controllability (Jurdjevic & Sussmann, J. Diff. Eq. 12, 1972), and
+    for specs without a drift.  A drift on ``multi_agent`` or ``markov`` is
+    an open gap (item 1 of ``ROADMAP.md``), and a markov verdict under
+    nonnegative rates, u >= 0, means accessibility only.  The permutation
+    verdict never touches matrix arithmetic.  With ``with_oracle=True`` the
+    exact rank-condition oracle runs as well and its result is attached;
+    otherwise ``oracle`` is None.  The report keeps ``spec`` itself rather
+    than copies of its fields.  For a markov spec ``controllable`` says
+    whether the chain is irreducible, and ``orbits`` together with the
+    singletons of ``fixed_points`` are its communication classes.
     """
     method_class = spec.orbit_class()
     orbits = method_class.orbits

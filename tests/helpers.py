@@ -205,6 +205,15 @@ def circulation(n, i, j, k):
     return rotation(n, i, k) + rotation(n, j, i) + rotation(n, k, j)
 
 
+def reference_grid(rows):
+    """Dense grid text of a matrix's exact rows, one ``str`` per cell.
+
+    The writer ``ExactMatrix.format_grid`` had before grids were written
+    from entry maps.
+    """
+    return "\n".join(" ".join(str(a) for a in row) for row in rows)
+
+
 # ------------------------------------------- reference closure engine
 #
 # The bracket-closure engine as it was before sparse storage: an all-pairs

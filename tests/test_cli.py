@@ -34,8 +34,8 @@ from ctrlperm.specio import (
     spec_to_dict,
 )
 from ctrlperm.systems import FAMILIES, SystemSpec, analyze, oracle_check, probe_nonstandard
-from helpers import reference_parser, sample_pairs
-from test_specio import REPORT_SPECS
+from helpers import reference_grid, reference_parser, sample_pairs
+from test_specio import REPORT_SPECS, _random_spec
 
 CHAIN5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[3,4],[4,5]]}'
 SPLIT5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[4,5]]}'
@@ -383,6 +383,23 @@ def test_json_report_writes_what_the_public_path_writes(spec, write, capsys):
             doc["closure_basis"] = [m.format_grid() for m in report.oracle.closure.basis]
         main(["analyze", path, *flags])
         assert capsys.readouterr() == (canonical_json(doc), ""), flags
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dump_basis_writes_the_dense_grid_of_each_basis_matrix(family, write, capsys):
+    # the dump writes its grids from the span's echelon rows, building no matrix
+    rng = random.Random(f"dump-basis-{family}")
+    for _ in range(8):
+        spec = _random_spec(rng, family)
+        basis = oracle_check(spec, spec.orbit_class()).closure.basis
+        grids = [m.format_grid() for m in basis]
+        assert grids == [reference_grid(m.rows) for m in basis]
+        path = write("s.json", canonical_json(spec_to_dict(spec)))
+        main(["analyze", path, "--dump-basis"])
+        assert json.loads(capsys.readouterr().out)["closure_basis"] == grids
+        main(["analyze", path, "--dump-basis", "--text"])
+        text = capsys.readouterr().out.split("closure basis:\n")[1]
+        assert text == "".join(grid + "\n\n" for grid in grids)
 
 
 def test_analyze_text_dot_and_basis(write, capsys):

@@ -29,6 +29,7 @@ from helpers import (
     coupling,
     dense_bracket,
     reference_closure_basis,
+    reference_grid,
     rotation,
     sample_pairs,
     shuffled,
@@ -64,6 +65,29 @@ def test_exact_matrix_entries_and_equality():
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2]])
     assert ExactMatrix([["-1/2", 1], [0, "3"]]).format_grid() == "-1/2 1\n0 3"
+
+
+def test_format_grid_writes_each_cell_as_the_dense_writer_does():
+    rng = random.Random(26)
+    values = [0, 0, 0, 1, -1, 7, -12, Fraction(1, 2), Fraction(-3, 4), Fraction(10**20, 3)]
+    for n in range(1, 7):
+        for _ in range(10):
+            m = ExactMatrix([[rng.choice(values) for _ in range(n)] for _ in range(n)])
+            assert m.format_grid() == reference_grid(m.rows)
+        zero = ExactMatrix.from_entries(n, {})
+        assert zero.format_grid() == reference_grid(zero.rows) == "\n".join([" ".join("0" * n)] * n)
+
+
+def test_span_grids_check_every_row_index():
+    # a corrupt echelon row fails the grid writer's entry check, as from_entries does
+    for bad in ((0, 3), (-1, 0)):
+        span = lie_closure([rot(3, 1, 2), rot(3, 2, 3)])
+        row = next(iter(span.rows.values()))
+        row[bad] = 1
+        with pytest.raises(ValueError, match=r"^entry index .* outside a 3x3 matrix$"):
+            span._grids()
+        with pytest.raises(ValueError, match=r"^entry index .* outside a 3x3 matrix$"):
+            span.basis
 
 
 def test_integral_entries_are_stored_as_plain_ints():
@@ -443,6 +467,7 @@ def test_entry_indices_must_be_integers(bad):
             lambda: LinearSpan(3).insert(entries),
             lambda: LinearSpan(3).contains(entries),
             lambda: ExactMatrix.from_entries(3, entries),
+            lambda: liealg._grid_text(3, entries),
         ):
             with pytest.raises(error) as exc:
                 call()

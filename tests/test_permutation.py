@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrlperm import permutation
+from ctrlperm.monoid import UnionFind
 from ctrlperm.permutation import (
     CycleDecomposition,
     Permutation,
@@ -211,6 +213,68 @@ def test_generate_subgroup_matches_the_breadth_first_listing():
             n, [str(g) for g in gens],
         )
     assert min(kinds.values()) >= 10, kinds
+
+
+def _cycles(n, *cycles):
+    return Permutation.from_cycles(n, cycles)
+
+
+def _count_sifts(monkeypatch):
+    """Count the Schreier generators ``generate_subgroup`` sifts."""
+    calls = []
+    sift = permutation._sift
+
+    def counted(*args):
+        calls.append(1)
+        return sift(*args)
+
+    monkeypatch.setattr(permutation, "_sift", counted)
+    return calls
+
+
+class _NoBound(UnionFind):
+    """One class of n + 1 letters: a bound of (n + 1)! that no subgroup of S_n meets."""
+
+    def groups(self):
+        return (tuple(range(len(self.parent))),)
+
+
+# (n, generators, whether the group is the product of the symmetric groups on its orbits)
+_BOUND_CASES = [
+    (8, [transposition(8, (i, i + 1)) for i in range(1, 8)], True),
+    # S_4 x S_2, with the fixed points 5 and 8
+    (8, [transposition(8, (1, 2)), _cycles(8, (2, 3, 4)), transposition(8, (6, 7))], True),
+    # repeated and identity generators
+    (6, [transposition(6, (1, 2)), _cycles(6, (1, 2, 3, 4)), transposition(6, (1, 2)),
+         identity(6), _cycles(6, (1, 2, 3, 4))], True),
+    (5, [identity(5), identity(5)], True),
+    (7, [_cycles(7, (1, 2, k)) for k in range(3, 8)], False),
+    (7, [_cycles(7, range(1, 8))], False),
+    (4, [_cycles(4, (1, 2, 3, 4)), _cycles(4, (1, 3))], False),
+    (4, [_cycles(4, (1, 2), (3, 4)), _cycles(4, (1, 3), (2, 4))], False),
+    (4, [_cycles(4, (1, 2), (3, 4))], False),
+]
+
+
+@pytest.mark.parametrize("n, gens, at_bound", _BOUND_CASES)
+def test_generate_subgroup_stops_at_the_orbit_bound_only_when_exact(monkeypatch, n, gens, at_bound):
+    order = reference_subgroup_order(gens, n)
+    expected = SubgroupSummary(order, order == factorial(n))
+    orbits = UnionFind(n)
+    for g in gens:
+        orbits.union_pairs((k, g(k)) for k in range(1, n + 1))
+    assert (order == prod(factorial(len(o)) for o in orbits.groups())) == at_bound
+    sifts = _count_sifts(monkeypatch)
+    assert generate_subgroup(gens, n) == expected
+    stopped = len(sifts)
+    # with a bound no group meets, the chain runs every check, to the same order
+    monkeypatch.setattr(permutation, "UnionFind", _NoBound)
+    assert generate_subgroup(gens, n) == expected
+    checked = len(sifts) - stopped
+    if at_bound and order > 2:
+        assert stopped < checked
+    else:
+        assert stopped == checked
 
 
 def test_generate_subgroup_rejects_bad_input():

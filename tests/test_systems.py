@@ -83,6 +83,87 @@ def test_spec_refuses_distribution_entries_no_report_can_write():
             SystemSpec("markov", 3, frozenset([(1, 2)]), initial_distribution=dist)
 
 
+class _Rational(Fraction):
+    """A Fraction subclass: the spec stores it as a plain Fraction."""
+
+
+# Mersenne primes: large coprime denominators, two of them above 10**30
+MERSENNE = (2**61 - 1, 2**107 - 1, 2**127 - 1)
+
+
+def _entry(rng, n):
+    """A random nonnegative entry below 1/n, in one of the forms a library caller may give."""
+    kind = rng.choice(("int", "ratio", "decimal", "exponent", "subclass", "fraction"))
+    if kind == "int":
+        return 0
+    if kind in ("decimal", "exponent"):
+        digits = rng.randint(2, 8)
+        k = rng.randint(0, 10**digits // n - 1)
+        return f"0.{k:0{digits}d}" if kind == "decimal" else f"{k}e-{digits}"
+    d = rng.choice(MERSENNE) if kind == "ratio" else rng.randint(1, 50)
+    value = Fraction(rng.randint(0, d - 1), d * n)
+    if kind == "ratio":
+        return f"{value.numerator}/{value.denominator}"
+    return _Rational(value) if kind == "subclass" else value
+
+
+def _random_distribution(rng, n):
+    """n mixed-form entries; the last is the rest of 1, maybe nudged off it.
+
+    Returns the entries and whether they sum to exactly 1.
+    """
+    entries = [_entry(rng, n) for _ in range(n - 1)]
+    rest = 1 - sum(map(Fraction, entries))
+    nudge = rng.choice((0, 0, Fraction(1, rng.choice(MERSENNE)), -Fraction(1, 10**40)))
+    last = rest + nudge
+    form = rng.choice((str, _Rational, Fraction))
+    entries.append(form(last) if last.denominator != 1 else int(last))
+    return entries, nudge == 0
+
+
+def test_distribution_sums_are_exact_on_mixed_entries():
+    rng = random.Random(2026)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(2, 38)
+        entries, exact = _random_distribution(rng, n)
+        reference = tuple(map(Fraction, entries))
+        assert (sum(reference) == 1) == exact
+        seen[exact] += 1
+        pairs = sample_pairs(rng, n, rng.randint(0, n - 1))
+        if not exact:
+            with pytest.raises(ValueError) as refused:
+                SystemSpec("markov", n, frozenset(pairs), initial_distribution=entries)
+            assert str(refused.value) == f"initial_distribution must sum to 1, got {sum(reference)}"
+            continue
+        spec = SystemSpec("markov", n, frozenset(pairs), initial_distribution=entries)
+        assert spec.initial_distribution == reference
+        assert {type(x) for x in spec.initial_distribution} == {Fraction}
+        report = analyze(spec)
+        for orbit, value in report.submanifold.conserved_sums:
+            assert type(value) is Fraction
+            assert value == sum(reference[i - 1] for i in orbit)
+        frozen = tuple((j, reference[j - 1]) for j in report.fixed_points)
+        assert report.submanifold.frozen_states == frozen
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        (("1/2", "7/10"), "initial_distribution must sum to 1, got 6/5"),
+        ((Fraction(3, 2), -Fraction(1, 2)), "initial_distribution entries must be nonnegative"),
+        ((_Rational(-1, 3), _Rational(4, 3)), "initial_distribution entries must be nonnegative"),
+        # the sign is checked before the sum
+        ((-1, 0), "initial_distribution entries must be nonnegative"),
+        (("1/3",), "initial_distribution length 1 != n=2"),
+    ],
+)
+def test_distribution_refusals_keep_their_messages(dist, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SystemSpec("markov", 2, frozenset([(1, 2)]), initial_distribution=dist)
+
+
 class _Letter(int):
     """An int subclass: check_pair stores it as a plain int."""
 
