@@ -54,10 +54,12 @@ from .specio import (
     _report_text,
     _spec_text,
     _sum_texts,
+    # canonical_json, report_to_dict and spec_to_dict are not called here:
+    # perfbench/tracing.py wraps these three globals
     canonical_json,
     parse_probe,
     parse_spec,
-    report_to_dict,  # not called here: perfbench/tracing.py wraps this global
+    report_to_dict,
     spec_to_dict,
 )
 from .systems import (
@@ -271,7 +273,7 @@ def _cmd_compare(args):
         )
         if not agree:
             print("  reproduce with spec:")
-            print("  " + canonical_json(spec_to_dict(spec)).replace("\n", "\n  ").rstrip())
+            print("  " + _spec_text(spec).replace("\n", "\n  ").rstrip())
     print(f"{agreements}/{count} agree")
     return 0 if agreements == count else 1
 

