@@ -51,6 +51,8 @@ from types import SimpleNamespace
 
 from .specio import (
     SpecFormatError,
+    _component_letters,
+    _orbit_letters,
     _report_text,
     _spec_text,
     _sum_texts,
@@ -111,11 +113,22 @@ def _oracle_max_n():
 
 
 def _read(path):
+    """The text of the file at ``path``, as ``open(path, encoding="utf-8").read()`` gives it.
+
+    The bytes come in one unbuffered read and are decoded in one call, so an
+    invalid byte is reported at its position in the file.  Text mode's
+    universal newlines are applied only to a text that holds a carriage
+    return: a CRLF or CR spec reads, and its JSON errors point, as an LF one.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
     except OSError as exc:
         raise SpecFormatError(f"cannot read {path}: {exc}")
+    text = data.decode()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _sample_pairs(rng, n, m):
@@ -164,13 +177,14 @@ def _format_pairs(pairs):
 
 def _render_text(report):
     spec = report.spec
+    letters, _, class_text = _orbit_letters(report)
     lines = [
         f"family:         {spec.family}",
         f"n:              {spec.n}",
         f"controls:       {_format_pairs(sorted(spec.controls))}",
         f"drift:          {_format_pairs([spec.drift]) if spec.drift else 'none'}",
         f"verdict:        {'controllable' if report.controllable else 'not controllable'}",
-        f"orbit class:    {report.method_class}",
+        f"orbit class:    {class_text}",
         f"fixed points:   {', '.join(map(str, report.fixed_points)) or 'none'}",
         f"min controls:   {'satisfied' if report.min_controls_satisfied else 'NOT satisfied'}"
         f" (needs >= {spec.n - 1})",
@@ -178,10 +192,10 @@ def _render_text(report):
     ]
     if report.submanifold.components:
         lines.append("components:")
-        for comp in report.submanifold.components:
+        for comp, texts in _component_letters(report, letters):
             dim = "dim ?" if comp.dim is None else f"dim {comp.dim}"
-            orbit = "{" + ",".join(map(str, comp.orbit)) + "}"
-            lines.append(f"  {orbit}  {dim}  {comp._label_text(' ')}")
+            orbit = "{" + ",".join(texts) + "}"
+            lines.append(f"  {orbit}  {dim}  {comp._label_text(' ', texts)}")
     total = report.submanifold.total_dim
     lines.append(f"total dim:      {'?' if total is None else total}")
     if report.submanifold.conserved_sums is not None:

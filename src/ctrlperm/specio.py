@@ -15,6 +15,13 @@ file.  The CLI writes through them, and the dict forms
 :func:`report_to_dict` and :func:`spec_to_dict` are their text parsed back.
 The tests hold both writers to :func:`canonical_json` of a dict reference
 kept in ``tests/helpers.py``, which shares no code with this module.
+
+The report writer turns each orbit letter into text once
+(:func:`_orbit_letters`); ``orbits``, ``method_class``, each component's
+``orbit`` and labels, and the control pairs reuse that text, and so do the
+class and the components of ``cli``'s ``--text`` report.  A report built by
+hand whose parts hold other orbits writes their letters itself, and nothing
+the writers build grows with n.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import json
 import re
 
 from ._version import __version__
+from .monoid import OrbitPartition
 from .systems import FAMILIES, SystemSpec
 
 __all__ = [
@@ -199,10 +207,70 @@ def _list(items, newline):
     return f"[{inner}{text}{newline}]" if text else "[]"
 
 
-def _controls_text(controls):
-    """The sorted control pairs as JSON, as both the spec document and the report hold them."""
-    rows = ",".join([f"\n    [\n      {i},\n      {j}\n    ]" for i, j in sorted(controls)])
+def _controls_text(controls, names=None):
+    """The sorted control pairs as JSON, as both the spec document and the report hold them.
+
+    ``names`` maps letters to their text; a letter it lacks is written from the int.
+    """
+    pairs = sorted(controls)
+    if names is None:
+        rows = ",".join([f"\n    [\n      {i},\n      {j}\n    ]" for i, j in pairs])
+    else:
+        try:
+            rows = ",".join(
+                [f"\n    [\n      {names[i]},\n      {names[j]}\n    ]" for i, j in pairs]
+            )
+        except KeyError:  # a report built by hand, whose orbits miss a control letter
+            return _controls_text(controls)
     return f"[{rows}\n  ]" if rows else "[]"
+
+
+def _orbit_letters(report):
+    """Each of ``report.orbits`` as letter texts, the text of each letter, and the class text.
+
+    Each letter becomes text here once, and every rendering of an orbit
+    reuses it.  When ``report.orbits`` is the orbit tuple of
+    ``report.method_class``, an :class:`OrbitPartition` whose letters are
+    exact ints, the dict maps each orbit letter to its text and
+    ``str(report.method_class)`` is written from the texts.  Otherwise, as in
+    a report built by hand, the dict is None and the class writes its own.
+    """
+    letters = [list(map(str, orbit)) for orbit in report.orbits]
+    partition = report.method_class
+    if type(partition) is not OrbitPartition or partition.orbits is not report.orbits:
+        return letters, None, str(partition)
+    names = {}
+    for orbit, texts in zip(report.orbits, letters):
+        names.update(zip(orbit, texts))
+    return letters, names, "".join(["{" + ",".join(texts) + "}" for texts in letters]) or "{}"
+
+
+def _component_letters(report, letters):
+    """Each component with its orbit's letters as text.
+
+    A component whose orbit is the report orbit at its own index, as in
+    every report :func:`~ctrlperm.systems.analyze` builds, reuses that
+    orbit's ``letters``; any other writes its own.
+    """
+    orbits = report.orbits
+    for at, c in enumerate(report.submanifold.components):
+        if at < len(orbits) and c.orbit is orbits[at]:
+            yield c, letters[at]
+        else:
+            yield c, list(map(str, c.orbit))
+
+
+def _count(value, field):
+    """``value`` for a writer's f-string: "null" for None, an exact int as it is.
+
+    Anything else, a bool included, has no JSON text as a count and raises
+    ``TypeError`` naming ``field``.
+    """
+    if value is None:
+        return "null"
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an int or None, got {value!r}")
+    return value
 
 
 def _spec_text(spec, controls=None):
@@ -231,9 +299,13 @@ def _report_text(report, dot=None, closure_basis=None):
     :func:`report_to_dict` is this text parsed, and the tests hold it to
     :func:`canonical_json` of the dict reference in ``tests/helpers.py``.
     ``dot`` (the DOT text) and ``closure_basis`` (a list of grid texts) are
-    added under their keys when given.  The control pairs are written once,
-    for the spec digest and for the report.  An unwritable conserved sum
-    raises ``ValueError`` before any text is built.
+    added under their keys when given.  Each orbit letter is turned into
+    text once and reused by every list, class and label that holds it, and
+    the control pairs look their letters up in the same text; the pairs are
+    written once, for the spec digest and for the report.  An unwritable
+    conserved sum raises ``ValueError`` before any text is built, and a dim
+    or ``total_dim`` that is neither an exact int nor None raises
+    ``TypeError``, as a label that is not a string does.
     """
     nl1, nl2, nl3, nl4 = "\n  ", "\n    ", "\n      ", "\n        "
     spec, sub, oracle = report.spec, report.submanifold, report.oracle
@@ -242,7 +314,8 @@ def _report_text(report, dot=None, closure_basis=None):
         sums = [(_list(map(str, orbit), nl4), value) for orbit, value in _sum_texts(sub)]
     if sub.frozen_states is not None:
         frozen = [(state, str(value)) for state, value in sub.frozen_states]
-    controls = _controls_text(spec.controls)
+    letters, names, class_text = _orbit_letters(report)
+    controls = _controls_text(spec.controls, names)
     out = ["{"]
     if closure_basis is not None:
         out.append(f'{nl1}"closure_basis": {_list(map(_encode_str, closure_basis), nl1)},')
@@ -253,7 +326,7 @@ def _report_text(report, dot=None, closure_basis=None):
     out.append(
         f'{nl1}"drift": {drift},{nl1}"family": {_encode_str(spec.family)},'
         f'{nl1}"fixed_points": {_list(map(str, report.fixed_points), nl1)},'
-        f'{nl1}"method_class": {_encode_str(str(report.method_class))},'
+        f'{nl1}"method_class": {_encode_str(class_text)},'
         f'{nl1}"min_controls_satisfied": {_BOOL[report.min_controls_satisfied]},'
         f'{nl1}"n": {spec.n},{nl1}"oracle": '
     )
@@ -264,9 +337,9 @@ def _report_text(report, dot=None, closure_basis=None):
         out.append(
             f'{{{nl2}"agrees": {_BOOL[oracle.agrees]},'
             f'{nl2}"controllable": {_BOOL[oracle.controllable]},'
-            f'{nl2}"dim": {oracle.dim},{nl2}"orbits": {orbits}{nl1}}}'
+            f'{nl2}"dim": {_count(oracle.dim, "the oracle dim")},{nl2}"orbits": {orbits}{nl1}}}'
         )
-    orbits = _list([_list(map(str, o), nl2) for o in report.orbits], nl1)
+    orbits = _list([_list(texts, nl2) for texts in letters], nl1)
     out.append(
         f',{nl1}"orbits": {orbits},{nl1}"provenance": {{'
         f'{nl2}"oracle_ran": {_BOOL[oracle is not None]},'
@@ -275,19 +348,19 @@ def _report_text(report, dot=None, closure_basis=None):
         f'{nl1}"submanifold": {{{nl2}"components": '
     )
     sep = "["
-    for c in sub.components:
+    for c, texts in _component_letters(report, letters):
+        dim = _count(c.dim, "a component dim")
         if c._labels is None:
             # a tuple given by hand may hold any labels
             labels = (_list(map(_encode_str, c._generators), nl4),)
         else:
-            text = c._labels(c.orbit, f'",{nl4}  "')
+            text = c._labels(texts, f'",{nl4}  "')
             labels = (f'[{nl4}  "', text, f'"{nl4}]') if text else ("[]",)
-        dim = "null" if c.dim is None else c.dim
         out += (f'{sep}{nl3}{{{nl4}"dim": {dim},{nl4}"generators": ', *labels)
-        out.append(f',{nl4}"orbit": {_list(map(str, c.orbit), nl4)}{nl3}}}')
+        out.append(f',{nl4}"orbit": {_list(texts, nl4)}{nl3}}}')
         sep = ","
     out.append(f"{nl2}]" if sub.components else "[]")
-    total = "null" if sub.total_dim is None else sub.total_dim
+    total = _count(sub.total_dim, "total_dim")
     out.append(
         f',{nl2}"conserved_sums": {_records("orbit", sums)},'
         f'{nl2}"frozen_states": {_records("state", frozen)},'

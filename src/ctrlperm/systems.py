@@ -195,9 +195,10 @@ class SubmanifoldComponent(Record):
     :func:`analyze` builds it from its orbit's label builder,
     :func:`_rotation_labels` or :func:`_agent_labels`, and builds no label:
     each of the CLI's reports asks the builder for the labels joined by its
-    own separator, and the ``generators`` tuple is split from the labels
-    joined by spaces when first read.  A component built from a tuple keeps
-    the tuple and has no builder.
+    own separator, from the orbit's letters as the report already wrote them,
+    and the ``generators`` tuple is split from the labels joined by spaces
+    when first read.  A component built from a tuple keeps the tuple and has
+    no builder.
     """
 
     __slots__ = ("orbit", "_generators", "dim", "_labels")
@@ -209,18 +210,18 @@ class SubmanifoldComponent(Record):
         setfield(self, "dim", dim)
         setfield(self, "_labels", None)
 
-    def _label_text(self, sep):
-        """The labels joined by ``sep``, each as it is."""
+    def _label_text(self, sep, letters):
+        """The labels joined by ``sep``, each as it is; ``letters`` are the orbit's letter texts."""
         if self._labels is None:
             return sep.join(self._generators)
-        return self._labels(self.orbit, sep)
+        return self._labels(letters, sep)
 
     @property
     def generators(self):
         """The labels of the vector fields spanning the distribution on the orbit."""
         labels = self._generators
         if labels is None and self._labels is not None:
-            text = self._labels(self.orbit, " ")
+            text = self._labels(list(map(str, self.orbit)), " ")
             labels = tuple(text.split(" ")) if text else ()
             setfield(self, "_generators", labels)
         return labels
@@ -351,23 +352,23 @@ def _pair_rows(letters, head="", sep=" "):
 
 # Each label builder writes an orbit's labels joined by ``sep``, in a few
 # C-level joins, so each report gets them in its own separator with no
-# rewriting pass.  A label is printable ASCII without a space, '"' or '\\',
-# so the text joined by spaces splits back into the labels, and JSON quotes
-# each label as it is.
+# rewriting pass.  It takes the orbit's letters as a list of their texts,
+# which the report writers have already made for the orbit lists.  A label is
+# printable ASCII without a space, '"' or '\\', so the text joined by spaces
+# splits back into the labels, and JSON quotes each label as it is.
 
 
-def _rotation_labels(orbit, sep=" "):
+def _rotation_labels(letters, sep=" "):
     """``rot(i,j)`` for each pair i < j of the orbit, in combinations order, joined by ``sep``."""
-    return sep.join(_pair_rows(list(map(str, orbit)), "rot(", sep))
+    return sep.join(_pair_rows(letters, "rot(", sep))
 
 
-def _agent_labels(orbit, sep=" "):
+def _agent_labels(letters, sep=" "):
     """``couple(i,j)`` for each pair, then ``circ(i,j,k)`` for each triple, joined by ``sep``.
 
     ``circ(i,j,k)`` names the bracket [couple(i,j), couple(j,k)], which
     ``liealg.bracket`` builds from two ``coupling_generator`` values.
     """
-    letters = list(map(str, orbit))
     rows = _pair_rows(letters)
     if not rows:
         return ""

@@ -395,6 +395,63 @@ def reference_report_dict(report):
     return doc
 
 
+def reference_text(report):
+    """The ``--text`` report, each line written from the report's public fields."""
+    spec, sub = report.spec, report.submanifold
+
+    def pairs(items):
+        return " ".join(f"({i},{j})" for i, j in items) if items else "none"
+
+    def letters(orbit):
+        return "{" + ",".join(str(a) for a in orbit) + "}"
+
+    lines = [
+        f"family:         {spec.family}",
+        f"n:              {spec.n}",
+        f"controls:       {pairs(sorted(spec.controls))}",
+        f"drift:          {pairs([spec.drift]) if spec.drift else 'none'}",
+        f"verdict:        {'controllable' if report.controllable else 'not controllable'}",
+        f"orbit class:    {report.method_class}",
+        f"fixed points:   {', '.join(str(a) for a in report.fixed_points) or 'none'}",
+        f"min controls:   {'satisfied' if report.min_controls_satisfied else 'NOT satisfied'}"
+        f" (needs >= {spec.n - 1})",
+        f"state space:    {sub.state_space}",
+    ]
+    if sub.components:
+        lines.append("components:")
+        for c in sub.components:
+            dim = "dim ?" if c.dim is None else f"dim {c.dim}"
+            lines.append(f"  {letters(c.orbit)}  {dim}  {' '.join(c.generators)}")
+    lines.append(f"total dim:      {'?' if sub.total_dim is None else sub.total_dim}")
+    if sub.conserved_sums is not None:
+        lines += [f"conserved sum:  {letters(orbit)} = {value}" for orbit, value in sub.conserved_sums]
+        lines += [f"frozen state:   {state} = {value}" for state, value in sub.frozen_states]
+    if report.oracle is not None:
+        o = report.oracle
+        lines.append(
+            f"oracle:         dim {o.dim}, {'controllable' if o.controllable else 'not controllable'},"
+            f" {'agrees' if o.agrees else 'DISAGREES'}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------------- reference spec read
+
+
+def reference_read(path):
+    """A spec file's text as text mode reads it, universal newlines and all.
+
+    ``cli._read`` must give the same text, or raise a ``ValueError`` with the
+    same message, for every file.  An unreadable path raises a plain
+    ``ValueError`` here, ``SpecFormatError`` there.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}")
+
+
 # ------------------------------------------- reference command-line parser
 
 

@@ -36,6 +36,7 @@ from ctrlperm.systems import FAMILIES, SystemSpec, analyze, oracle_check, probe_
 from helpers import (
     reference_grid,
     reference_parser,
+    reference_read,
     reference_report_dict,
     reference_spec_dict,
     sample_pairs,
@@ -327,6 +328,110 @@ def test_label_cap_counts_every_orbit(family, labels, write, capsys, monkeypatch
         "", f"error: the report would list {labels} generator labels, more than the cap of"
         f" {labels - 1}\n"
     )
+
+
+# ------------------------------------------------------------ spec read
+
+_LF_SPEC = '{\n  "family": "so_n",\n  "n": 5,\n  "controls": [[1, 2], [2, 3], [4, 5]]\n}\n'
+# a comma missing on the fourth line
+_LF_BAD = '{\n  "family": "so_n",\n  "n": 5,\n  "controls": [[1, 2] [2, 3]]\n}\n'
+# invalid UTF-8 past the first 8 KB, and after carriage returns
+_PADDED = b'{"family": "so_n",' + b" " * 9000 + b'"n": 5, "controls": [[1, 2]], "x": "\xff"}'
+
+_READ_CASES = {
+    "crlf": _LF_SPEC.replace("\n", "\r\n").encode(),
+    "cr": _LF_SPEC.replace("\n", "\r").encode(),
+    "crlf syntax error": _LF_BAD.replace("\n", "\r\n").encode(),
+    "cr syntax error": _LF_BAD.replace("\n", "\r").encode(),
+    "cr cr lf": _LF_BAD.replace("\n", "\r\r\n").encode(),
+    "cr in a string": b'{"family": "so\r_n", "n": 5, "controls": [[1, 2]]}',
+    "bom": b"\xef\xbb\xbf" + _LF_SPEC.encode(),
+    "bom crlf": b"\xef\xbb\xbf" + _LF_SPEC.replace("\n", "\r\n").encode(),
+    "invalid utf-8 past 8 KB": _PADDED,
+    "invalid utf-8 after crlf": _PADDED.replace(b" ", b"\r\n"),
+    "truncated utf-8": b'{"family": "\xc3',
+    "empty": b"",
+}
+
+
+def _outcome(argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("data", _READ_CASES.values(), ids=_READ_CASES)
+def test_spec_files_read_as_text_mode_reads_them(data, tmp_path, monkeypatch):
+    # a CRLF or CR spec reads as its LF twin, so its JSON errors point at the
+    # same line, column and char; an invalid byte is named at its position in
+    # the file; every command that reads a file reads it the same way
+    path = tmp_path / "spec.json"
+    path.write_bytes(data)
+    try:
+        spec, error = parse_spec(reference_read(path)), None
+    except ValueError as exc:
+        spec, error = None, f"error: {exc}\n"
+    for argv in (["analyze", str(path)], ["analyze", "--text", str(path)], ["probe", str(path)]):
+        outcome = _outcome(argv)
+        if argv[0] == "analyze" and error is not None:
+            assert outcome == (2, "", error), argv
+        elif argv[0] == "analyze":
+            assert outcome[::2] == (0 if analyze(spec).controllable else 1, ""), argv
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read", reference_read)
+            assert outcome == _outcome(argv), argv
+    if data is _PADDED:
+        assert "in position %d:" % data.index(b"\xff") in error
+
+
+def test_crlf_specs_give_the_bytes_and_errors_of_their_lf_twins(tmp_path):
+    outcomes = []
+    for text in (_LF_SPEC, _LF_BAD):
+        for newline in ("\n", "\r\n", "\r"):
+            path = tmp_path / "spec.json"
+            path.write_bytes(text.replace("\n", newline).encode())
+            outcomes.append(_outcome(["analyze", str(path)]))
+    good, bad = outcomes[:3], outcomes[3:]
+    assert good[0][0] == 1 and good[0][1].startswith("{") and good.count(good[0]) == 3
+    assert bad[0] == (
+        2, "", "error: not valid JSON: Expecting ',' delimiter: line 4 column 23 (char 54)\n"
+    )
+    assert bad.count(bad[0]) == 3
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_paths_are_refused_as_before(kind, tmp_path, monkeypatch):
+    path = tmp_path / "missing.json" if kind == "missing" else tmp_path
+    with pytest.raises(OSError) as raised:
+        open(path, encoding="utf-8")
+    expected = f"error: cannot read {path}: {raised.value}\n"
+    for argv in (["analyze", str(path)], ["compare", str(path)], ["probe", str(path)]):
+        outcome = _outcome(argv)
+        assert outcome == (2, "", expected), argv
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read", reference_read)
+            assert _outcome(argv) == outcome
+
+
+# line ends, JSON text, a two-byte character, a lone lead byte, an invalid byte, a BOM
+_BYTES = [b"\r", b"\n", b"\r\n", b" ", b"{", b"}", b'"', b"1", b"\xc3\xa9", b"\xc3", b"\xff", b"\xef\xbb\xbf"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_BYTES), max_size=40))
+def test_read_gives_the_text_of_a_text_mode_read(tmp_path_factory, pieces):
+    path = tmp_path_factory.mktemp("read") / "any.json"
+    path.write_bytes(b"".join(pieces))
+
+    def outcome(read):
+        try:
+            return read(str(path))
+        except ValueError as exc:
+            return "error", str(exc)
+
+    assert outcome(cli._read) == outcome(reference_read)
 
 
 # ---------------------------------------------------------- analyze

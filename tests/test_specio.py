@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,8 +19,9 @@ from ctrlperm.specio import (
     spec_digest,
     spec_to_dict,
 )
+from ctrlperm.monoid import OrbitPartition
 from ctrlperm.systems import FAMILIES, SystemSpec, analyze, oracle_check
-from helpers import reference_report_dict, reference_spec_dict
+from helpers import reference_report_dict, reference_spec_dict, reference_text
 
 
 def test_canonical_json_pins_its_definition():
@@ -86,12 +89,13 @@ def _written_both_ways(report, **extras):
     """The writer's text of ``report``, asserted equal to the reference dict's.
 
     The public dict form, the writer's text parsed back, must equal the
-    reference too.
+    reference too, and the ``--text`` report the reference one.
     """
     reference = reference_report_dict(report)
     text = _report_text(report, **extras)
     assert text == canonical_json({**reference, **extras}), extras
     assert report_to_dict(report) == reference
+    assert cli._render_text(report) == reference_text(report)
     return text
 
 
@@ -152,16 +156,16 @@ def test_report_text_of_markov_frozen_states():
         assert doc["submanifold"]["conserved_sums"] == [{"orbit": [1, 2], "value": "1/2"}]
 
 
-def _rebuilt(report, components):
-    """``report`` with its submanifold's components replaced."""
+def _rebuilt(report, components=None, total_dim=None, **fields):
+    """``report`` with the given fields, its submanifold's components or total_dim replaced."""
     sub = report.submanifold
-    return systems.ControllabilityReport(
-        report.spec, report.controllable, report.method_class, report.orbits,
-        report.fixed_points, report.min_controls_satisfied, report.oracle,
-        systems.SubmanifoldDescription(
-            components, sub.total_dim, sub.state_space, sub.conserved_sums, sub.frozen_states
-        ),
+    sub = systems.SubmanifoldDescription(
+        sub.components if components is None else components,
+        sub.total_dim if total_dim is None else total_dim,
+        sub.state_space, sub.conserved_sums, sub.frozen_states,
     )
+    values = {name: getattr(report, name) for name in systems.ControllabilityReport._slots}
+    return systems.ControllabilityReport(**{**values, "submanifold": sub, **fields})
 
 
 def test_report_text_of_hand_built_reports():
@@ -182,6 +186,20 @@ def test_report_text_of_hand_built_reports():
         for writer in (_report_text, report_to_dict):
             with pytest.raises(TypeError):
                 writer(mixed)
+    # nor has a count that is not an exact int or None, a bool included
+    oracle = report.oracle
+    for bad in ("one", True, False, 1.0, Fraction(1)):
+        component = systems.SubmanifoldComponent((1, 2), ("rot(1,2)",), bad)
+        odd_oracle = systems.OracleResult(bad, oracle.controllable, oracle.orbits, oracle.agrees, None)
+        for field, odd in (
+            ("a component dim", _rebuilt(report, (component,))),
+            ("total_dim", _rebuilt(report, total_dim=bad)),
+            ("the oracle dim", _rebuilt(report, oracle=odd_oracle)),
+        ):
+            message = re.escape(f"{field} must be an int or None, got {bad!r}")
+            for writer in (_report_text, report_to_dict):
+                with pytest.raises(TypeError, match=f"^{message}$"):
+                    writer(odd)
     assert json.loads(_written_both_ways(_rebuilt(report, (
         systems.SubmanifoldComponent((1, 2), (), 1),
     ))))["submanifold"]["components"][0]["generators"] == []
@@ -192,6 +210,66 @@ def test_report_text_of_hand_built_reports():
     for oracle in (False, True):
         doc = json.loads(_written_both_ways(analyze(frozen, with_oracle=oracle)))
         assert doc["controls"] == doc["orbits"] == doc["submanifold"]["components"] == []
+        assert doc["method_class"] == "{}"
+
+
+def test_hand_built_reports_write_their_own_letters():
+    # the writers write each orbit's letters once and reuse the text; a report
+    # whose parts do not share the report's orbits must still write its own
+    report = analyze(SystemSpec("so_n", 7, frozenset([(1, 2), (2, 3), (5, 6)])), with_oracle=True)
+    assert report.orbits == ((1, 2, 3), (5, 6)) and report.fixed_points == (4, 7)
+    other = analyze(SystemSpec("so_n", 7, frozenset([(1, 4), (6, 7), (5, 6)])))
+    own = report.submanifold.components
+    given = tuple(
+        systems.SubmanifoldComponent(c.orbit, c.generators, c.dim) for c in other.submanifold.components
+    )
+    cases = {
+        # components of another spec's orbits, each with its label builder
+        "other components": _rebuilt(report, other.submanifold.components),
+        "other components from tuples": _rebuilt(report, given),
+        # the report's own components, each at another orbit's index, or one more
+        "reordered": _rebuilt(report, own[::-1]),
+        "one more": _rebuilt(report, own + other.submanifold.components[:1]),
+        # an orbit equal to the report's, but a list
+        "list orbit": _rebuilt(report, (systems.SubmanifoldComponent([1, 2, 3], own[0].generators, 3),)),
+        # a method class with other orbits, or equal orbits that are another tuple
+        "other class": _rebuilt(report, method_class=other.method_class),
+        "equal class": _rebuilt(report, method_class=OrbitPartition(7, report.orbits)),
+        # orbits of another spec, shared with the method class: letters of the
+        # control pairs that no orbit holds
+        "other orbits": _rebuilt(report, method_class=other.method_class, orbits=other.orbits),
+        # no orbits at all, in the class and the report
+        "no orbits": _rebuilt(
+            report, method_class=OrbitPartition(7, ()), orbits=OrbitPartition(7, ()).orbits
+        ),
+        "fixed points": _rebuilt(report, fixed_points=(1, 4, 10**30)),
+    }
+    for name, case in cases.items():
+        doc = json.loads(_written_both_ways(case))
+        assert doc["method_class"] == str(case.method_class), name
+    doc = json.loads(_written_both_ways(cases["no orbits"]))
+    assert doc["method_class"] == "{}" and doc["orbits"] == []
+    assert doc["controls"] == [[1, 2], [2, 3], [5, 6]]
+    assert [c["orbit"] for c in json.loads(_written_both_ways(cases["reordered"]))[
+        "submanifold"]["components"]] == [[5, 6], [1, 2, 3]]
+
+
+def test_writers_build_nothing_sized_by_n():
+    # n up to sys.maxsize - 1 is a valid spec: a table over the letters 1..n
+    # could not be built, so a hand-built report on 2**62 letters is written
+    # at once (analyze itself still lists the fixed points)
+    spec = SystemSpec("so_n", 2**62, frozenset([(1, 2)]))
+    partition = OrbitPartition(spec.n, [(1, 2)])
+    fixed = (3, 4, 2**62)
+    report = systems.ControllabilityReport(
+        spec, False, partition, partition.orbits, fixed, False, None,
+        systems._submanifold(spec, partition.orbits, fixed, None),
+    )
+    start = time.perf_counter()
+    doc = json.loads(_written_both_ways(report))
+    assert time.perf_counter() - start < 1.0
+    assert doc["n"] == 2**62 and doc["method_class"] == "{1,2}"
+    assert doc["submanifold"]["components"] == [{"dim": 1, "generators": ["rot(1,2)"], "orbit": [1, 2]}]
 
 
 @st.composite

@@ -327,18 +327,20 @@ def _label_orbits():
 
 
 def test_generator_labels_match_their_definition():
-    # each label function writes the labels as one text, joined by single
-    # spaces unless it is given another separator, such as the JSON writer's
+    # each label function writes the labels as one text from the orbit's
+    # letters as text, joined by single spaces unless it is given another
+    # separator, such as the JSON writer's
     for orbit in _label_orbits():
+        letters = list(map(str, orbit))
         for build, reference in (
             (_rotation_labels, reference_rotation_labels),
             (_agent_labels, reference_agent_labels),
         ):
-            text = build(orbit)
+            text = build(letters)
             assert type(text) is str
             assert (text.split(" ") if text else []) == list(reference(orbit)), orbit
             for sep in (" ", '",\n      "', " | "):
-                assert build(orbit, sep) == sep.join(reference(orbit)), (orbit, sep)
+                assert build(letters, sep) == sep.join(reference(orbit)), (orbit, sep)
 
 
 def test_generator_labels_need_no_json_escape():
@@ -347,7 +349,7 @@ def test_generator_labels_need_no_json_escape():
     label = re.compile(r'[!#-\[\]-~]+')
     for orbit in _label_orbits():
         for build in (_rotation_labels, _agent_labels):
-            text = build(orbit)
+            text = build(list(map(str, orbit)))
             assert all(label.fullmatch(item) for item in text.split(" ") if text), orbit
 
 
