@@ -51,11 +51,9 @@ from types import SimpleNamespace
 
 from .specio import (
     SpecFormatError,
-    _component_letters,
-    _orbit_letters,
     _report_text,
     _spec_text,
-    _sum_texts,
+    _text_report,
     # canonical_json, report_to_dict and spec_to_dict are not called here:
     # perfbench/tracing.py wraps these three globals
     canonical_json,
@@ -171,50 +169,6 @@ def _sample_pairs(rng, n, m):
     return chosen
 
 
-def _format_pairs(pairs):
-    return " ".join(f"({i},{j})" for i, j in pairs) if pairs else "none"
-
-
-def _render_text(report):
-    spec = report.spec
-    letters, _, class_text = _orbit_letters(report)
-    lines = [
-        f"family:         {spec.family}",
-        f"n:              {spec.n}",
-        f"controls:       {_format_pairs(sorted(spec.controls))}",
-        f"drift:          {_format_pairs([spec.drift]) if spec.drift else 'none'}",
-        f"verdict:        {'controllable' if report.controllable else 'not controllable'}",
-        f"orbit class:    {class_text}",
-        f"fixed points:   {', '.join(map(str, report.fixed_points)) or 'none'}",
-        f"min controls:   {'satisfied' if report.min_controls_satisfied else 'NOT satisfied'}"
-        f" (needs >= {spec.n - 1})",
-        f"state space:    {report.submanifold.state_space}",
-    ]
-    if report.submanifold.components:
-        lines.append("components:")
-        for comp, texts in _component_letters(report, letters):
-            dim = "dim ?" if comp.dim is None else f"dim {comp.dim}"
-            orbit = "{" + ",".join(texts) + "}"
-            lines.append(f"  {orbit}  {dim}  {comp._label_text(' ', texts)}")
-    total = report.submanifold.total_dim
-    lines.append(f"total dim:      {'?' if total is None else total}")
-    if report.submanifold.conserved_sums is not None:
-        for orbit, value in _sum_texts(report.submanifold):
-            lines.append(
-                "conserved sum:  {" + ",".join(map(str, orbit)) + "} = " + value
-            )
-        for state, value in report.submanifold.frozen_states:
-            lines.append(f"frozen state:   {state} = {value}")
-    if report.oracle is not None:
-        o = report.oracle
-        lines.append(
-            f"oracle:         dim {o.dim}, "
-            f"{'controllable' if o.controllable else 'not controllable'}, "
-            f"{'agrees' if o.agrees else 'DISAGREES'}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_analyze(args):
     spec = parse_spec(_read(args.spec))
     # only the oracle and the basis dump are guarded, so only they read the override
@@ -230,18 +184,8 @@ def _cmd_analyze(args):
     if args.dump_basis:
         oracle = report.oracle or oracle_check(spec, report.method_class, max_n=max_n)
         grids = oracle.closure._grids()
-    if args.text:
-        sys.stdout.write(_render_text(report))
-        if args.dot:
-            sys.stdout.write(to_dot(control_graph(spec)))
-        if args.dump_basis:
-            sys.stdout.write("closure basis:\n")
-            for grid in grids:
-                sys.stdout.write(grid + "\n\n")
-    else:
-        # written in one pass, with the labels and control pairs written once
-        dot = to_dot(control_graph(spec)) if args.dot else None
-        sys.stdout.write(_report_text(report, dot, grids))
+    dot = to_dot(control_graph(spec)) if args.dot else None
+    sys.stdout.write((_text_report if args.text else _report_text)(report, dot, grids))
     return 0 if report.controllable else 1
 
 

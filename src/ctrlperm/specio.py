@@ -1,4 +1,4 @@
-"""JSON formats for spec files and report files.
+"""JSON formats for spec files and report files, and the text report.
 
 Rationals travel as strings ("3/5") because JSON numbers are floats.
 Serialization is canonical: orbits and pair lists sorted, optional null fields
@@ -16,12 +16,16 @@ file.  The CLI writes through them, and the dict forms
 The tests hold both writers to :func:`canonical_json` of a dict reference
 kept in ``tests/helpers.py``, which shares no code with this module.
 
-The report writer turns each orbit letter into text once
+The report's other layout, the human-readable ``--text`` report, has one
+writer too, :func:`_text_report`; the tests hold it to the text reference
+in ``tests/helpers.py``.
+
+The report writers turn each orbit letter into text once
 (:func:`_orbit_letters`); ``orbits``, ``method_class``, each component's
 ``orbit`` and labels, and the control pairs reuse that text, and so do the
-class and the components of ``cli``'s ``--text`` report.  A report built by
-hand whose parts hold other orbits writes their letters itself, and nothing
-the writers build grows with n.
+class and the components of the text report.  A report built by hand whose
+parts hold other orbits writes their letters itself, and nothing the
+writers build grows with n.
 """
 
 from __future__ import annotations
@@ -382,6 +386,61 @@ def _records(key, rows):
     )
 
 
+def _pairs_text(pairs):
+    return " ".join([f"({i},{j})" for i, j in pairs]) if pairs else "none"
+
+
+def _text_report(report, dot=None, closure_basis=None):
+    """The human-readable report; the one ``--text`` writer.
+
+    It takes what :func:`_report_text` takes.  The report's lines come
+    first, then ``dot`` when given, then, when ``closure_basis`` is given,
+    a ``closure basis:`` line and each grid followed by a blank line.  The
+    orbit letters, the class and the labels are written as the JSON writer
+    writes them, and an unwritable conserved sum raises the same
+    ``ValueError``.
+    """
+    spec, sub = report.spec, report.submanifold
+    letters, _, class_text = _orbit_letters(report)
+    lines = [
+        f"family:         {spec.family}",
+        f"n:              {spec.n}",
+        f"controls:       {_pairs_text(sorted(spec.controls))}",
+        f"drift:          {_pairs_text([spec.drift]) if spec.drift else 'none'}",
+        f"verdict:        {'controllable' if report.controllable else 'not controllable'}",
+        f"orbit class:    {class_text}",
+        f"fixed points:   {', '.join(map(str, report.fixed_points)) or 'none'}",
+        f"min controls:   {'satisfied' if report.min_controls_satisfied else 'NOT satisfied'}"
+        f" (needs >= {spec.n - 1})",
+        f"state space:    {sub.state_space}",
+    ]
+    if sub.components:
+        lines.append("components:")
+        for c, texts in _component_letters(report, letters):
+            dim = "dim ?" if c.dim is None else f"dim {c.dim}"
+            # a tuple given by hand has no label builder
+            labels = " ".join(c._generators) if c._labels is None else c._labels(texts, " ")
+            lines.append(f"  {{{','.join(texts)}}}  {dim}  {labels}")
+    lines.append(f"total dim:      {'?' if sub.total_dim is None else sub.total_dim}")
+    if sub.conserved_sums is not None:
+        for orbit, value in _sum_texts(sub):
+            lines.append("conserved sum:  {" + ",".join(map(str, orbit)) + "} = " + value)
+        for state, value in sub.frozen_states:
+            lines.append(f"frozen state:   {state} = {value}")
+    if report.oracle is not None:
+        o = report.oracle
+        lines.append(
+            f"oracle:         dim {o.dim}, "
+            f"{'controllable' if o.controllable else 'not controllable'}, "
+            f"{'agrees' if o.agrees else 'DISAGREES'}"
+        )
+    out = ["\n".join(lines), "\n", dot or ""]
+    if closure_basis is not None:
+        out.append("closure basis:\n")
+        out += [grid + "\n\n" for grid in closure_basis]
+    return "".join(out)
+
+
 def parse_probe(text):
     """Parse a probe document: ``{"n": int, "generators": [grid, ...]}``.
 
@@ -412,7 +471,7 @@ def parse_probe(text):
 def _sum_texts(submanifold):
     """``(orbit, str(sum))`` for each conserved sum.
 
-    :func:`_report_text` and ``cli._render_text`` write these.  A sum of
+    :func:`_report_text` and :func:`_text_report` write these.  A sum of
     writable entries can have more digits than ``str`` writes; that raises
     ``ValueError`` naming the orbit, before anything is written.
     """

@@ -210,12 +210,6 @@ class SubmanifoldComponent(Record):
         setfield(self, "dim", dim)
         setfield(self, "_labels", None)
 
-    def _label_text(self, sep, letters):
-        """The labels joined by ``sep``, each as it is; ``letters`` are the orbit's letter texts."""
-        if self._labels is None:
-            return sep.join(self._generators)
-        return self._labels(letters, sep)
-
     @property
     def generators(self):
         """The labels of the vector fields spanning the distribution on the orbit."""
@@ -566,27 +560,28 @@ def _disjoint_pair_decomposition(matrix):
     Accepts an n-by-n matrix equal to a sum of +/- rotation generators whose
     index pairs share no letter; rejects anything else.
     """
-    if not matrix.is_skew_symmetric():
+    from .liealg import _is_skew
+
+    entries = matrix.entries()
+    if not _is_skew(entries):
         raise ValueError("generator is not skew-symmetric")
     pairs = []
     used = set()
-    for i in range(matrix.n):
-        for j in range(i + 1, matrix.n):
-            v = matrix.rows[i][j]
-            if v == 0:
-                continue
-            if v not in (1, -1):
-                raise ValueError(
-                    f"entry {v} at ({i + 1},{j + 1}): generators must be signed sums "
-                    "of standard rotation generators"
-                )
-            if i + 1 in used or j + 1 in used:
-                raise ValueError(
-                    "index pairs of a generator must be pairwise disjoint; "
-                    f"letter reuse at ({i + 1},{j + 1})"
-                )
-            used.update((i + 1, j + 1))
-            pairs.append((i + 1, j + 1))
+    # the upper triangle in row-major order: the fault reported is the first in that order
+    for i, j in sorted(key for key in entries if key[0] < key[1]):
+        v = entries[i, j]
+        if v not in (1, -1):
+            raise ValueError(
+                f"entry {v} at ({i + 1},{j + 1}): generators must be signed sums "
+                "of standard rotation generators"
+            )
+        if i + 1 in used or j + 1 in used:
+            raise ValueError(
+                "index pairs of a generator must be pairwise disjoint; "
+                f"letter reuse at ({i + 1},{j + 1})"
+            )
+        used.update((i + 1, j + 1))
+        pairs.append((i + 1, j + 1))
     return pairs
 
 

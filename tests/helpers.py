@@ -395,8 +395,12 @@ def reference_report_dict(report):
     return doc
 
 
-def reference_text(report):
-    """The ``--text`` report, each line written from the report's public fields."""
+def reference_text(report, dot=None, closure_basis=None):
+    """The ``--text`` report, each line written from the report's public fields.
+
+    ``dot`` follows the report's lines, then a ``closure basis:`` line and
+    each grid of ``closure_basis`` followed by a blank line.
+    """
     spec, sub = report.spec, report.submanifold
 
     def pairs(items):
@@ -432,7 +436,14 @@ def reference_text(report):
             f"oracle:         dim {o.dim}, {'controllable' if o.controllable else 'not controllable'},"
             f" {'agrees' if o.agrees else 'DISAGREES'}"
         )
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if dot is not None:
+        text += dot
+    if closure_basis is not None:
+        text += "closure basis:\n"
+        for grid in closure_basis:
+            text += grid + "\n\n"
+    return text
 
 
 # ------------------------------------------------------- reference spec read

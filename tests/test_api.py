@@ -51,7 +51,10 @@ def test_bench_tracing_hooks_exist(monkeypatch):
 
 @pytest.mark.parametrize(
     ("module", "private"),
-    [(liealg, ()), (specio, ("_report_text", "_spec_text", "_sum_texts", "_digest"))],
+    [
+        (liealg, ()),
+        (specio, ("_report_text", "_spec_text", "_text_report", "_sum_texts", "_digest")),
+    ],
     ids=["liealg", "specio"],
 )
 def test_references_import_nothing_from_what_they_check(module, private):

@@ -39,6 +39,7 @@ from helpers import (
     reference_read,
     reference_report_dict,
     reference_spec_dict,
+    reference_text,
     sample_pairs,
 )
 from test_specio import REPORT_SPECS, _random_spec
@@ -523,6 +524,22 @@ def test_analyze_text_dot_and_basis(write, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "1 -- 2;" in doc["dot"]
     assert len(doc["closure_basis"]) == 4
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_text_report_with_every_extra_is_the_reference_text(family, write, capsys):
+    # the whole --text output: the report, then the DOT text, then the basis grids
+    rng = random.Random(f"text-extras-{family}")
+    spec = _random_spec(rng, family)
+    while family == "markov" and spec.initial_distribution is None:
+        spec = _random_spec(rng, family)
+    path = write("s.json", canonical_json(reference_spec_dict(spec)))
+    report = analyze(spec, with_oracle=True)
+    grids = [reference_grid(m.rows) for m in report.oracle.closure.basis]
+    expected = reference_text(report, to_dot(control_graph(spec)), grids)
+    code = main(["analyze", path, "--text", "--oracle", "--dot", "--dump-basis"])
+    assert capsys.readouterr() == (expected, "")
+    assert code == (0 if report.controllable else 1)
 
 
 def test_analyze_markov_report(write, capsys):

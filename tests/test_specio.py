@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlperm.graphview import control_graph, to_dot
-from ctrlperm import cli, systems
+from ctrlperm import systems
 from ctrlperm.specio import (
     _report_text,
     _spec_text,
+    _text_report,
     canonical_json,
     report_to_dict,
     spec_digest,
@@ -89,13 +90,14 @@ def _written_both_ways(report, **extras):
     """The writer's text of ``report``, asserted equal to the reference dict's.
 
     The public dict form, the writer's text parsed back, must equal the
-    reference too, and the ``--text`` report the reference one.
+    reference too, and the ``--text`` report, with the same extras, the
+    reference one.
     """
     reference = reference_report_dict(report)
     text = _report_text(report, **extras)
     assert text == canonical_json({**reference, **extras}), extras
     assert report_to_dict(report) == reference
-    assert cli._render_text(report) == reference_text(report)
+    assert _text_report(report, **extras) == reference_text(report, **extras)
     return text
 
 
@@ -172,7 +174,7 @@ def test_report_text_of_hand_built_reports():
     report = analyze(SystemSpec("so_n", 3, frozenset([(1, 2)])), with_oracle=True)
     # a component built from its tuple is written as the one from the builder
     built = _rebuilt(report, (systems.SubmanifoldComponent((1, 2), ("rot(1,2)",), 1),))
-    assert "  {1,2}  dim 1  rot(1,2)\n" in cli._render_text(built)
+    assert "  {1,2}  dim 1  rot(1,2)\n" in _text_report(built)
     assert _written_both_ways(built) == _written_both_ways(report)
     # labels given by hand may need an escape
     labels = ('a"b', "c\\d", "é", "ctl\x01", "")

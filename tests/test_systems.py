@@ -616,12 +616,25 @@ def test_probe_rejects_overlapping_pairs():
 
 
 def test_probe_rejects_non_unit_coefficients_and_non_skew():
-    with pytest.raises(ValueError):
-        probe_nonstandard([rotation_generator(4, (1, 2)) + rotation_generator(4, (1, 2))])
     from ctrlperm.liealg import ExactMatrix
 
-    with pytest.raises(ValueError):
-        probe_nonstandard([ExactMatrix([[0, 1], [1, 0]])])
+    not_unit = "generators must be signed sums of standard rotation generators"
+    reuse = "index pairs of a generator must be pairwise disjoint; letter reuse at"
+    twice = rotation_generator(4, (1, 2)) + rotation_generator(4, (1, 2))
+    overlapping = rotation_generator(4, (1, 2)) + rotation_generator(4, (1, 3))
+    # letter 1 reused at (1,4), and a non-unit entry at (2,3): the first in
+    # row-major order is reported, though (2,3) comes first by column
+    both = rotation_generator(4, (1, 4)) + rotation_generator(4, (2, 3))
+    both = rotation_generator(4, (1, 2)) + both + rotation_generator(4, (2, 3))
+    for generator, message in (
+        (ExactMatrix([[0, 1], [1, 0]]), "generator is not skew-symmetric"),
+        (ExactMatrix([[1, 0], [0, 0]]), "generator is not skew-symmetric"),
+        (twice, f"entry 2 at (1,2): {not_unit}"),
+        (overlapping, f"{reuse} (1,3)"),
+        (both, f"{reuse} (1,4)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            probe_nonstandard([generator])
 
 
 def test_probe_orders_its_subgroup_through_the_systems_forwarder(monkeypatch):
