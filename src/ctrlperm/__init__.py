@@ -14,8 +14,12 @@ of the submodules ``graphview``, ``liealg``, ``monoid``, ``permutation``
 and ``systems``, is imported on first access, so a program that only
 merges orbits never compiles the oracle (``liealg``) or loads
 ``fractions``.  Nor does it compile ``permutation``, which loads with
-subgroup orders or the absorbing product, or ``graphview``, which loads
-with the first control graph.
+subgroup orders or the absorbing product, ``graphview``, which loads
+with the first control graph, or ``_rationals``, which loads with
+``fractions`` and the first markov ``initial_distribution`` or probe
+document.  ``ctrlperm.cli`` compiles what a plain JSON ``analyze`` runs;
+its other commands (``_commands``) and its ``--text`` layout
+(``_textreport``) load with their first use.
 """
 
 import importlib

@@ -5,6 +5,12 @@ JSON: 0 means controllable (for ``compare``: full agreement), 1 means not
 controllable (``compare``: a disagreement), 2 means bad input, a size
 guard violation, or an internal error.
 
+Start-up compiles what a plain JSON ``analyze`` runs.  The other commands
+(``compare``, ``probe``, ``gen``, in ``_commands``), the ``--text`` layout
+(``_textreport``), exact rationals (``_rationals``), the graph view, the
+oracle, the permutation algebra and the help text (``_clihelp``) load with
+the first command line that needs them.
+
 Randomized subcommands use Python's Mersenne Twister (MT19937) seeded
 explicitly, drawing only from ``Random.random()``, whose output stream for a
 given integer seed is stable across platforms and Python versions.
@@ -40,11 +46,7 @@ error.
 
 from __future__ import annotations
 
-import bisect
-import itertools
-import math
 import os
-import random
 import re
 import sys
 from types import SimpleNamespace
@@ -52,8 +54,6 @@ from types import SimpleNamespace
 from .specio import (
     SpecFormatError,
     _report_text,
-    _spec_text,
-    _text_report,
     # canonical_json, report_to_dict and spec_to_dict are not called here:
     # perfbench/tracing.py wraps these three globals
     canonical_json,
@@ -62,15 +62,9 @@ from .specio import (
     report_to_dict,
     spec_to_dict,
 )
-from .systems import (
-    FAMILIES,
-    SystemSpec,
-    _label_count,
-    analyze,
-    check_oracle_size,
-    oracle_check,
-    probe_nonstandard,
-)
+# _commands calls parse_spec, parse_probe, oracle_check and probe_nonstandard
+# through this module, so a name wrapped here is the one every command calls
+from .systems import FAMILIES, _label_count, analyze, oracle_check, probe_nonstandard
 
 ORACLE_MAX_ENV = "CTRLPERM_ORACLE_MAX_N"
 # The most generator labels an analyze report may list.  A k-letter orbit lists
@@ -80,8 +74,6 @@ ORACLE_MAX_ENV = "CTRLPERM_ORACLE_MAX_N"
 # 275 MB and peaks at 0.81 GB resident, and that of a multi_agent path on 391
 # letters is 300 MB and peaks at 0.59 GB (CPython 3.11.7, x86_64).
 REPORT_MAX_LABELS = 10**7
-# random() returns a multiple of 2**-53
-_FLOAT_EXACT = 2**53
 
 
 # graphview loads with the first --dot.  Both forwarders stay globals of this
@@ -129,46 +121,6 @@ def _read(path):
     return text
 
 
-def _sample_pairs(rng, n, m):
-    """Draw m distinct index pairs uniformly, using only rng.random().
-
-    Each draw picks an index among the pairs not yet drawn, in lexicographic
-    order, as if popping it from the list of all n(n-1)/2 pairs; that list is
-    never built.  The index becomes a rank by skipping the ranks already
-    drawn, and the rank becomes the pair (i, j).  Up to 2**53 pairs left, the
-    index is ``int(random() * left)``; beyond, that would reach only
-    float-spaced indices, so the index is built from several draws.
-    """
-    if m < 0:
-        raise SpecFormatError(f"m must be nonnegative, got {m}")
-    total = n * (n - 1) // 2 if n > 1 else 0
-    if m > total:
-        raise SpecFormatError(f"m={m} exceeds the {total} available pairs for n={n}")
-    drawn = []  # ranks drawn so far, sorted
-    chosen = []
-    for _ in range(m):
-        left = total - len(drawn)
-        if left <= _FLOAT_EXACT:
-            idx = min(int(rng.random() * left), left - 1)
-        else:
-            # random() has 53 bits, too few to reach every index: join k draws
-            # into one exact fraction r / 2**(53k) with 53 bits to spare
-            k = (left.bit_length() + 105) // 53
-            r = 0
-            for _ in range(k):
-                r = r << 53 | int(rng.random() * _FLOAT_EXACT)
-            idx = r * left >> 53 * k
-        # drawn[at] - at ranks below drawn[at] are undrawn, so the ranks drawn
-        # below the idx-th undrawn one are those with drawn[at] - at <= idx
-        below = bisect.bisect_right(range(len(drawn)), idx, key=lambda at: drawn[at] - at)
-        rank = idx + below
-        drawn.insert(below, rank)
-        # the last t rows, i = n-t .. n-1, hold the last t(t+1)/2 ranks
-        t = (math.isqrt(8 * (total - 1 - rank) + 1) + 1) // 2
-        chosen.append((n - t, n + 1 + rank - total + t * (t - 1) // 2))
-    return chosen
-
-
 def _cmd_analyze(args):
     spec = parse_spec(_read(args.spec))
     # only the oracle and the basis dump are guarded, so only they read the override
@@ -185,83 +137,13 @@ def _cmd_analyze(args):
         oracle = report.oracle or oracle_check(spec, report.method_class, max_n=max_n)
         grids = oracle.closure._grids()
     dot = to_dot(control_graph(spec)) if args.dot else None
-    sys.stdout.write((_text_report if args.text else _report_text)(report, dot, grids))
-    return 0 if report.controllable else 1
+    if args.text:
+        from . import _textreport  # the --text layout loads with its first use
 
-
-def _cmd_compare(args):
-    max_n = _oracle_max_n()
-    if args.random is not None and args.spec is not None:
-        raise SpecFormatError("compare takes a spec path or --random N M SEED COUNT, not both")
-    if args.random is not None:
-        n, m, seed, count = args.random
-        if count < 1:
-            raise SpecFormatError(f"COUNT must be positive, got {count}")
-        # refuse before drawing, and before the header, so a refused run
-        # neither samples nor prints anything
-        check_oracle_size("so_n", n, max_n)
-        rng = random.Random(seed)
-        specs = (
-            SystemSpec("so_n", n, frozenset(_sample_pairs(rng, n, m)))
-            for _ in range(count)
-        )
-        # each spec is drawn just before its row; the first one before the
-        # header, so a bad N or M, shared by every draw, prints nothing
-        specs = itertools.chain([next(specs)], specs)
-    elif args.spec is not None:
-        spec = parse_spec(_read(args.spec))
-        check_oracle_size(spec.family, spec.n, max_n)
-        specs, count = [spec], 1
+        sys.stdout.write(_textreport._text_report(report, dot, grids))
     else:
-        raise SpecFormatError("compare needs a spec path or --random N M SEED COUNT")
-    agreements = 0
-    header = f"{'idx':>5}  {'n':>3}  {'m':>3}  {'perm':<7} {'oracle':<7} {'dim':>4}  agree"
-    print(header)
-    for idx, spec in enumerate(specs):
-        # the table needs only the permutation verdict, not a full report
-        method_class = spec.orbit_class()
-        oracle = oracle_check(spec, method_class, max_n=max_n)
-        agree = oracle.agrees
-        agreements += agree
-        print(
-            f"{idx:>5}  {spec.n:>3}  {len(spec.all_pairs):>3}  "
-            f"{'yes' if method_class.is_full() else 'no':<7} "
-            f"{'yes' if oracle.controllable else 'no':<7} "
-            f"{oracle.dim:>4}  {'ok' if agree else 'DISAGREEMENT'}"
-        )
-        if not agree:
-            print("  reproduce with spec:")
-            print("  " + _spec_text(spec).replace("\n", "\n  ").rstrip())
-    print(f"{agreements}/{count} agree")
-    return 0 if agreements == count else 1
-
-
-def _cmd_probe(args):
-    n, generators = parse_probe(_read(args.spec))
-    result = probe_nonstandard(generators, max_n=_oracle_max_n())
-    print(
-        "EXPERIMENTAL: the subgroup statistic below is a conjecture-level"
-        " indicator; trust the rank-condition verdict."
-    )
-    print(f"n:               {n}")
-    print(f"generators:      {len(generators)}")
-    print("permutations:    " + ", ".join(str(p) for p in result.permutation_images))
-    group_note = "the full symmetric group" if result.subgroup_is_full_symmetric else "a proper subgroup"
-    print(f"subgroup order:  {result.subgroup_order} ({group_note})")
-    print(f"larc dimension:  {result.larc_dim} of {n * (n - 1) // 2}")
-    print(
-        "larc verdict:    "
-        + ("controllable" if result.larc_controllable else "not controllable")
-    )
-    return 0 if result.larc_controllable else 1
-
-
-def _cmd_gen(args):
-    rng = random.Random(args.seed)
-    pairs = _sample_pairs(rng, args.n, args.m)
-    spec = SystemSpec(args.family, args.n, frozenset(pairs))
-    sys.stdout.write(_spec_text(spec))
-    return 0
+        sys.stdout.write(_report_text(report, dot, grids))
+    return 0 if report.controllable else 1
 
 
 # The command line, one row per command: its handler, its help, its
@@ -270,7 +152,8 @@ def _cmd_gen(args):
 # the conversion is str for a path, int, or the tuple of the allowed words.
 # An option is (flag, metavars, help): a flag without metavars is False until
 # given, and each metavar takes one int.  The flags in a row's last tuple
-# exclude each other.
+# exclude each other.  A handler given by name is that function of
+# ``_commands``, which loads once a command line names it.
 _COMMANDS = {
     "analyze": (
         _cmd_analyze,
@@ -286,7 +169,7 @@ _COMMANDS = {
         ("--json", "--text"),
     ),
     "compare": (
-        _cmd_compare,
+        "_cmd_compare",
         "cross-validate the two methods",
         (("spec", str, False, "path to a spec JSON file"),),
         (
@@ -299,14 +182,14 @@ _COMMANDS = {
         (),
     ),
     "probe": (
-        _cmd_probe,
+        "_cmd_probe",
         "experimental subgroup probe for nonstandard generators",
         (("spec", str, True, "path to a probe JSON file with matrix generators"),),
         (),
         (),
     ),
     "gen": (
-        _cmd_gen,
+        "_cmd_gen",
         "generate a random spec file on stdout",
         (
             ("family", FAMILIES, True, "the system family"),
@@ -478,6 +361,10 @@ def _walk(argv):
         raise _Stop(2, "the following arguments are required: " + ", ".join(missing), command)
     if extras:
         raise _Stop(2, "unrecognized arguments: " + " ".join(extras), command)
+    if type(handler) is str:
+        from . import _commands
+
+        handler = getattr(_commands, handler)
     return handler, SimpleNamespace(**values)
 
 

@@ -669,3 +669,33 @@ def lie_closure(generators, n=None):
                 raise RuntimeError(f"closure blocks share letters {sorted(claimed & block)}")
             claimed |= block
     return span
+
+
+def _disjoint_pair_decomposition(matrix):
+    """Index pairs of a signed sum of rotation generators on disjoint pairs.
+
+    Accepts an n-by-n matrix equal to a sum of +/- rotation generators whose
+    index pairs share no letter; rejects anything else.
+    :func:`~ctrlperm.systems.probe_nonstandard` checks each generator with it.
+    """
+    entries = matrix.entries()
+    if not _is_skew(entries):
+        raise ValueError("generator is not skew-symmetric")
+    pairs = []
+    used = set()
+    # the upper triangle in row-major order: the fault reported is the first in that order
+    for i, j in sorted(key for key in entries if key[0] < key[1]):
+        v = entries[i, j]
+        if v not in (1, -1):
+            raise ValueError(
+                f"entry {v} at ({i + 1},{j + 1}): generators must be signed sums "
+                "of standard rotation generators"
+            )
+        if i + 1 in used or j + 1 in used:
+            raise ValueError(
+                "index pairs of a generator must be pairwise disjoint; "
+                f"letter reuse at ({i + 1},{j + 1})"
+            )
+        used.update((i + 1, j + 1))
+        pairs.append((i + 1, j + 1))
+    return pairs

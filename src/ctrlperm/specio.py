@@ -1,4 +1,4 @@
-"""JSON formats for spec files and report files, and the text report.
+"""JSON formats for spec files and report files.
 
 Rationals travel as strings ("3/5") because JSON numbers are floats.
 Serialization is canonical: orbits and pair lists sorted, optional null fields
@@ -17,8 +17,8 @@ The tests hold both writers to :func:`canonical_json` of a dict reference
 kept in ``tests/helpers.py``, which shares no code with this module.
 
 The report's other layout, the human-readable ``--text`` report, has one
-writer too, :func:`_text_report`; the tests hold it to the text reference
-in ``tests/helpers.py``.
+writer too, ``_textreport._text_report``, which loads with the first
+``analyze --text`` and builds on the helpers here.
 
 The report writers turn each orbit letter into text once
 (:func:`_orbit_letters`); ``orbits``, ``method_class``, each component's
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 
 from ._version import __version__
 from .monoid import OrbitPartition
@@ -49,12 +48,6 @@ __all__ = [
 ]
 
 _SPEC_KEYS = {"family", "n", "controls", "drift", "agent_space_dim", "initial_distribution"}
-
-# Fraction("1e-10000000") computes 10**10000000 before anything else, so a
-# larger exponent than this (Python's default integer-string limit) is refused
-_MAX_EXPONENT = 4300
-# a pattern, not a compiled regex, so importing this module compiles none
-_EXPONENT = r"[eE][-+]?([\d_]+)\s*\Z"
 
 
 class SpecFormatError(ValueError):
@@ -73,40 +66,6 @@ def _as_pair(value, what):
         if type(i) is int and type(j) is int:
             return (i, j)
     raise SpecFormatError(f"{what} must be a pair of integers, got {value!r}")
-
-
-def _as_rationals(values, what):
-    """``values`` as a tuple of exact numbers; ``what`` names an entry in errors.
-
-    json.loads yields exact types; an int stays an int, which ExactMatrix
-    keeps as it is, and only a string is parsed as a Fraction, once its
-    exponent, if any, is at most ``_MAX_EXPONENT`` in size.  ``fractions``
-    is imported, and the exponent pattern looked up in ``re``'s cache, once
-    per call, and only for values that hold a string.
-    """
-    values = tuple(values)
-    if str in set(map(type, values)):
-        from fractions import Fraction
-
-        exponent_in = re.compile(_EXPONENT).search
-    out = []
-    for value in values:
-        if type(value) is int:
-            out.append(value)
-        elif type(value) is str:
-            exponent = exponent_in(value)
-            digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-            if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
-                raise SpecFormatError(f"{what} has an exponent beyond {_MAX_EXPONENT}: {value!r}")
-            try:
-                out.append(Fraction(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SpecFormatError(f"{what} is not a rational: {value!r}") from exc
-        else:
-            raise SpecFormatError(
-                f"{what} must be an integer or a rational string, got {value!r}"
-            )
-    return tuple(out)
 
 
 def _load_object(text, what):
@@ -152,8 +111,11 @@ def parse_spec(text):
     dist = doc.get("initial_distribution")
     if dist is not None:
         _require(isinstance(dist, list), "initial_distribution must be a list")
-        dist = _as_rationals(dist, "initial_distribution entry")
     try:
+        if dist is not None:
+            from . import _rationals
+
+            dist = _rationals.as_rationals(dist, "initial_distribution entry")
         return SystemSpec(
             family=doc["family"],
             n=doc["n"],
@@ -386,66 +348,12 @@ def _records(key, rows):
     )
 
 
-def _pairs_text(pairs):
-    return " ".join([f"({i},{j})" for i, j in pairs]) if pairs else "none"
-
-
-def _text_report(report, dot=None, closure_basis=None):
-    """The human-readable report; the one ``--text`` writer.
-
-    It takes what :func:`_report_text` takes.  The report's lines come
-    first, then ``dot`` when given, then, when ``closure_basis`` is given,
-    a ``closure basis:`` line and each grid followed by a blank line.  The
-    orbit letters, the class and the labels are written as the JSON writer
-    writes them, and an unwritable conserved sum raises the same
-    ``ValueError``.
-    """
-    spec, sub = report.spec, report.submanifold
-    letters, _, class_text = _orbit_letters(report)
-    lines = [
-        f"family:         {spec.family}",
-        f"n:              {spec.n}",
-        f"controls:       {_pairs_text(sorted(spec.controls))}",
-        f"drift:          {_pairs_text([spec.drift]) if spec.drift else 'none'}",
-        f"verdict:        {'controllable' if report.controllable else 'not controllable'}",
-        f"orbit class:    {class_text}",
-        f"fixed points:   {', '.join(map(str, report.fixed_points)) or 'none'}",
-        f"min controls:   {'satisfied' if report.min_controls_satisfied else 'NOT satisfied'}"
-        f" (needs >= {spec.n - 1})",
-        f"state space:    {sub.state_space}",
-    ]
-    if sub.components:
-        lines.append("components:")
-        for c, texts in _component_letters(report, letters):
-            dim = "dim ?" if c.dim is None else f"dim {c.dim}"
-            # a tuple given by hand has no label builder
-            labels = " ".join(c._generators) if c._labels is None else c._labels(texts, " ")
-            lines.append(f"  {{{','.join(texts)}}}  {dim}  {labels}")
-    lines.append(f"total dim:      {'?' if sub.total_dim is None else sub.total_dim}")
-    if sub.conserved_sums is not None:
-        for orbit, value in _sum_texts(sub):
-            lines.append("conserved sum:  {" + ",".join(map(str, orbit)) + "} = " + value)
-        for state, value in sub.frozen_states:
-            lines.append(f"frozen state:   {state} = {value}")
-    if report.oracle is not None:
-        o = report.oracle
-        lines.append(
-            f"oracle:         dim {o.dim}, "
-            f"{'controllable' if o.controllable else 'not controllable'}, "
-            f"{'agrees' if o.agrees else 'DISAGREES'}"
-        )
-    out = ["\n".join(lines), "\n", dot or ""]
-    if closure_basis is not None:
-        out.append("closure basis:\n")
-        out += [grid + "\n\n" for grid in closure_basis]
-    return "".join(out)
-
-
 def parse_probe(text):
     """Parse a probe document: ``{"n": int, "generators": [grid, ...]}``.
 
     Each grid is a list of rows of integers or rational strings.
     """
+    from . import _rationals
     from .liealg import ExactMatrix  # the oracle route loads on first use
 
     doc = _load_object(text, "probe")
@@ -463,7 +371,12 @@ def parse_probe(text):
             and all(isinstance(row, list) and len(row) == n for row in grid),
             f"generator {idx} must be an {n}x{n} grid",
         )
-        flat = _as_rationals(itertools.chain.from_iterable(grid), f"generator {idx} entry")
+        try:
+            flat = _rationals.as_rationals(
+                itertools.chain.from_iterable(grid), f"generator {idx} entry"
+            )
+        except ValueError as exc:
+            raise SpecFormatError(str(exc)) from exc
         matrices.append(ExactMatrix([flat[at : at + n] for at in range(0, n * n, n)]))
     return n, matrices
 
@@ -471,7 +384,7 @@ def parse_probe(text):
 def _sum_texts(submanifold):
     """``(orbit, str(sum))`` for each conserved sum.
 
-    :func:`_report_text` and :func:`_text_report` write these.  A sum of
+    :func:`_report_text` and ``_textreport._text_report`` write these.  A sum of
     writable entries can have more digits than ``str`` writes; that raises
     ``ValueError`` naming the orbit, before anything is written.
     """

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from math import comb, lcm
+from math import comb
 from operator import index
 
 from ._record import Record, setfield
@@ -64,16 +64,6 @@ ORACLE_MAX_AGENTS = 8
 
 class OracleSizeError(ValueError):
     """The instance is too large for the closure oracle's size guard."""
-
-
-def _common_sum(values):
-    """``(total, L)`` with ``sum(values) == total / L``: one integer sum of Fractions.
-
-    L is the lcm of the denominators, so each value is numerator * (L //
-    denominator) / L, and no Fraction is added or normalized on the way.
-    """
-    common = lcm(*[x.denominator for x in values])
-    return sum([x.numerator * (common // x.denominator) for x in values]), common
 
 
 class SystemSpec(Record):
@@ -121,33 +111,9 @@ class SystemSpec(Record):
         if initial_distribution is not None:
             if optional != "initial_distribution":
                 raise ValueError("initial_distribution applies to the markov family only")
-            from fractions import Fraction
+            from . import _rationals
 
-            # a plain Fraction is kept; anything else, a subclass too, is converted
-            dist = tuple(
-                x if type(x) is Fraction else Fraction(x) for x in initial_distribution
-            )
-            for at, value in enumerate(dist):
-                # a report writes each entry back with str
-                try:
-                    str(value)
-                except ValueError:
-                    raise ValueError(
-                        f"initial_distribution entry {at} has more digits than can be written"
-                    ) from None
-            if len(dist) != n:
-                raise ValueError(f"initial_distribution length {len(dist)} != n={n}")
-            # a normalized Fraction carries its sign in the numerator
-            if any(x.numerator < 0 for x in dist):
-                raise ValueError("initial_distribution entries must be nonnegative")
-            total, common = _common_sum(dist)
-            if total != common:
-                try:
-                    got = f", got {sum(dist)}"
-                except ValueError:  # more digits than Python writes an integer with
-                    got = ""
-                raise ValueError(f"initial_distribution must sum to 1{got}")
-            initial_distribution = dist
+            initial_distribution = _rationals.distribution(initial_distribution, n)
         setfield(self, "family", family)
         setfield(self, "n", n)
         setfield(self, "controls", controls)
@@ -426,9 +392,11 @@ def _submanifold(spec, orbits, fixed_points, closure):
     if spec.initial_distribution is not None:
         from fractions import Fraction
 
+        from ._rationals import common_sum
+
         dist = spec.initial_distribution
         conserved = tuple(
-            (orbit, Fraction(*_common_sum([dist[i - 1] for i in orbit]))) for orbit in orbits
+            (orbit, Fraction(*common_sum([dist[i - 1] for i in orbit]))) for orbit in orbits
         )
         frozen = tuple((j, dist[j - 1]) for j in fixed_points)
     d = "(n-1)" if spec.agent_space_dim is None else spec.agent_space_dim - 1
@@ -554,37 +522,6 @@ def oracle_check(spec, method_class, max_n=None):
     )
 
 
-def _disjoint_pair_decomposition(matrix):
-    """Index pairs of a signed sum of rotation generators on disjoint pairs.
-
-    Accepts an n-by-n matrix equal to a sum of +/- rotation generators whose
-    index pairs share no letter; rejects anything else.
-    """
-    from .liealg import _is_skew
-
-    entries = matrix.entries()
-    if not _is_skew(entries):
-        raise ValueError("generator is not skew-symmetric")
-    pairs = []
-    used = set()
-    # the upper triangle in row-major order: the fault reported is the first in that order
-    for i, j in sorted(key for key in entries if key[0] < key[1]):
-        v = entries[i, j]
-        if v not in (1, -1):
-            raise ValueError(
-                f"entry {v} at ({i + 1},{j + 1}): generators must be signed sums "
-                "of standard rotation generators"
-            )
-        if i + 1 in used or j + 1 in used:
-            raise ValueError(
-                "index pairs of a generator must be pairwise disjoint; "
-                f"letter reuse at ({i + 1},{j + 1})"
-            )
-        used.update((i + 1, j + 1))
-        pairs.append((i + 1, j + 1))
-    return pairs
-
-
 def probe_nonstandard(generators, max_n=None):
     """Experimental subgroup test for non-standard-basis generators.
 
@@ -605,7 +542,7 @@ def probe_nonstandard(generators, max_n=None):
         raise ValueError("need at least one generator")
     n = generators[0].n
     check_oracle_size("so_n", n, max_n)
-    from .liealg import _GENERATORS
+    from .liealg import _GENERATORS, _disjoint_pair_decomposition
     from .permutation import Permutation
 
     images = []

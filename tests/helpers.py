@@ -96,7 +96,7 @@ def sample_pairs(rng, n, m):
     """m distinct index pairs drawn uniformly from the n(n-1)/2 possible.
 
     Pops each draw from the list of all pairs: the definition that
-    ``ctrlperm.cli._sample_pairs`` must reproduce without building the list.
+    ``ctrlperm._commands._sample_pairs`` must reproduce without building the list.
     """
     pool = list(itertools.combinations(range(1, n + 1), 2))
     assert m <= len(pool)
@@ -474,7 +474,7 @@ def reference_parser():
     """
     import argparse
 
-    from ctrlperm import cli
+    from ctrlperm import _commands, cli
     from ctrlperm.systems import FAMILIES
 
     parser = argparse.ArgumentParser(
@@ -512,17 +512,17 @@ def reference_parser():
         metavar=("N", "M", "SEED", "COUNT"),
         help="compare on COUNT random so_n specs with M pairs on N letters",
     )
-    p.set_defaults(func=cli._cmd_compare)
+    p.set_defaults(func=_commands._cmd_compare)
 
     p = sub.add_parser("probe", help="experimental subgroup probe for nonstandard generators")
     p.add_argument("spec", help="path to a probe JSON file with matrix generators")
-    p.set_defaults(func=cli._cmd_probe)
+    p.set_defaults(func=_commands._cmd_probe)
 
     p = sub.add_parser("gen", help="generate a random spec file on stdout")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("n", type=int)
     p.add_argument("m", type=int, help="number of control pairs")
     p.add_argument("seed", type=int)
-    p.set_defaults(func=cli._cmd_gen)
+    p.set_defaults(func=_commands._cmd_gen)
 
     return parser

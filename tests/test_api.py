@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import ctrlperm
-from ctrlperm import liealg, specio
+from ctrlperm import _textreport, liealg, specio
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,9 +53,10 @@ def test_bench_tracing_hooks_exist(monkeypatch):
     ("module", "private"),
     [
         (liealg, ()),
-        (specio, ("_report_text", "_spec_text", "_text_report", "_sum_texts", "_digest")),
+        (specio, ("_report_text", "_spec_text", "_sum_texts", "_digest")),
+        (_textreport, ("_text_report", "_pairs_text")),
     ],
-    ids=["liealg", "specio"],
+    ids=["liealg", "specio", "_textreport"],
 )
 def test_references_import_nothing_from_what_they_check(module, private):
     # the dense algebra in tests/helpers.py checks the library's bracket and
@@ -63,7 +64,7 @@ def test_references_import_nothing_from_what_they_check(module, private):
     # neither may share the code it checks
     tree = ast.parse((ROOT / "tests" / "helpers.py").read_text())
     name = module.__name__.rpartition(".")[2]
-    owned = {*module.__all__, *private, name}
+    owned = {*getattr(module, "__all__", ()), *private, name}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             assert not any(a.name.startswith(module.__name__) for a in node.names)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctrlperm
-from ctrlperm import cli, specio, systems
+from ctrlperm import _commands, cli, specio, systems
 from ctrlperm.cli import main
 from ctrlperm.graphview import control_graph, to_dot
 from ctrlperm.permutation import check_pair
@@ -752,7 +752,7 @@ def test_compare_size_guard_refuses_before_the_header(write, capsys, monkeypatch
 
 def test_compare_random_draws_each_spec_before_its_row(capsys, monkeypatch):
     draws, seen = [], []
-    real_sample, real_oracle = cli._sample_pairs, cli.oracle_check
+    real_sample, real_oracle = _commands._sample_pairs, cli.oracle_check
 
     def sample(*args):
         draws.append(args)
@@ -762,7 +762,7 @@ def test_compare_random_draws_each_spec_before_its_row(capsys, monkeypatch):
         seen.append(len(draws))
         return real_oracle(spec, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_sample_pairs", sample)
+    monkeypatch.setattr(_commands, "_sample_pairs", sample)
     monkeypatch.setattr(cli, "oracle_check", record)
     assert main(["compare", "--random", "5", "4", "1", "3"]) == 0
     assert seen == [1, 2, 3]
@@ -780,7 +780,7 @@ def test_compare_random_refuses_before_sampling(capsys, monkeypatch, argv, max_n
     else:
         monkeypatch.setenv("CTRLPERM_ORACLE_MAX_N", max_n)
     calls = []
-    monkeypatch.setattr(cli, "_sample_pairs", lambda *args: calls.append(args) or [])
+    monkeypatch.setattr(_commands, "_sample_pairs", lambda *args: calls.append(args) or [])
     assert main(["compare", "--random", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -807,6 +807,35 @@ def test_probe_cli(write, capsys):
     assert "larc dimension:  6 of 6" in out
     bad = {"n": 4, "generators": [[["0", "2", "0", "0"], ["-2", "0", "0", "0"], ["0"] * 4, ["0"] * 4]]}
     assert main(["probe", write("g3.json", json.dumps(bad))]) == 2
+
+
+def test_probe_calls_the_parser_and_probe_bound_on_cli(write, capsys, monkeypatch):
+    # the probe handler looks both names up on cli when called, so a tracer's
+    # wrapper, or a patch as here, is what it calls
+    path = write("g.json", PROBE4)
+    real_parse, real_probe = cli.parse_probe, cli.probe_nonstandard
+
+    def first_only(text):
+        n, generators = real_parse(text)
+        return n, generators[:1]
+
+    def full_rank(generators, max_n=None):
+        result = real_probe(generators, max_n=max_n)
+        return systems.NonstandardProbeResult(
+            result.n, result.permutation_images, result.subgroup_order,
+            result.subgroup_is_full_symmetric, 6, True,
+        )
+
+    monkeypatch.setattr(cli, "parse_probe", first_only)
+    assert main(["probe", path]) == 1
+    out = capsys.readouterr().out
+    assert "generators:      1\n" in out
+    assert "subgroup order:  2 (a proper subgroup)\n" in out
+    assert "larc dimension:  1 of 6\n" in out
+    monkeypatch.setattr(cli, "probe_nonstandard", full_rank)
+    assert main(["probe", path]) == 0
+    out = capsys.readouterr().out
+    assert "larc dimension:  6 of 6\nlarc verdict:    controllable\n" in out
 
 
 def _rotation_probe(n):
@@ -890,21 +919,21 @@ def test_sample_pairs_matches_the_pool_draw():
         for m in (0, n, int(rng.random() * total), total):
             cases.append((n, m, int(rng.random() * 10**6)))
     for n, m, seed in cases:
-        got = cli._sample_pairs(random.Random(seed), n, m)
+        got = _commands._sample_pairs(random.Random(seed), n, m)
         assert got == sample_pairs(random.Random(seed), n, m), (n, m, seed)
 
 
 def test_sample_pairs_never_lists_every_pair():
     # the pool of all pairs on a million letters would hold 5e11 tuples
     n = 10**6
-    pairs = cli._sample_pairs(random.Random(3), n, 50)
-    assert pairs == cli._sample_pairs(random.Random(3), n, 50)
+    pairs = _commands._sample_pairs(random.Random(3), n, 50)
+    assert pairs == _commands._sample_pairs(random.Random(3), n, 50)
     assert len(set(pairs)) == 50
     assert all(1 <= i < j <= n for i, j in pairs)
 
 
 def _float_sample_pairs(rng, n, m):
-    """``cli._sample_pairs`` as it was before its exact draw past 2**53 pairs."""
+    """``_commands._sample_pairs`` as it was before its exact draw past 2**53 pairs."""
     total = n * (n - 1) // 2 if n > 1 else 0
     drawn = []
     chosen = []
@@ -926,7 +955,7 @@ def test_sample_pairs_keeps_its_draws_up_to_2_53_pairs():
         for m in sorted({0, 1, min(5, total), min(200, total), int(rng.random() * min(total, 300))}):
             for seed in range(25):
                 expected = _float_sample_pairs(random.Random(seed), n, m)
-                assert cli._sample_pairs(random.Random(seed), n, m) == expected, (n, m, seed)
+                assert _commands._sample_pairs(random.Random(seed), n, m) == expected, (n, m, seed)
 
 
 def test_sample_pairs_reaches_every_index_past_2_53_pairs():
@@ -945,9 +974,9 @@ def test_sample_pairs_reaches_every_index_past_2_53_pairs():
         return found
 
     assert residues(_float_sample_pairs) == {0}
-    assert residues(cli._sample_pairs) == {0, 1, 2, 3}
-    pairs = cli._sample_pairs(random.Random(5), n, 40)
-    assert len(set(pairs)) == 40 and pairs == cli._sample_pairs(random.Random(5), n, 40)
+    assert residues(_commands._sample_pairs) == {0, 1, 2, 3}
+    pairs = _commands._sample_pairs(random.Random(5), n, 40)
+    assert len(set(pairs)) == 40 and pairs == _commands._sample_pairs(random.Random(5), n, 40)
 
 
 def test_gen_round_trip_thousand_seeds(capsys):
@@ -1057,7 +1086,10 @@ def test_import_stays_off_the_slow_stdlib_modules(module):
 
 
 _ORACLE_MODULES = "['ctrlperm.liealg', 'ctrlperm._mod3', 'fractions', 'decimal']"
-_LAZY_MODULES = "['ctrlperm.graphview', 'ctrlperm.permutation']"
+_LAZY_MODULES = (
+    "['ctrlperm.graphview', 'ctrlperm.permutation',"
+    " 'ctrlperm._commands', 'ctrlperm._textreport', 'ctrlperm._rationals']"
+)
 
 
 @pytest.mark.parametrize("module", ["ctrlperm.cli", "ctrlperm"])
@@ -1076,11 +1108,20 @@ def test_import_leaves_the_oracle_unloaded(module):
 
 
 def test_commands_load_permutation_and_graphview_on_first_use(write):
-    # permutation loads with probe alone, graphview with the first --dot
+    # each step prints the modules it loads first: the text layout with
+    # --text, exact rationals with a distribution, the other commands with
+    # gen, graphview with the first --dot and permutation with probe alone
     so = write("split.json", SPLIT5)
+    markov = write(
+        "m.json",
+        json.dumps(
+            {"family": "markov", "n": 3, "controls": [[1, 2]], "initial_distribution": ["1/3"] * 3}
+        ),
+    )
     steps = [
         ["analyze", so],
         ["analyze", so, "--text"],
+        ["analyze", markov],
         ["gen", "so_n", "5", "4", "7"],
         ["compare", so],
         ["analyze", so, "--oracle"],
@@ -1090,16 +1131,26 @@ def test_commands_load_permutation_and_graphview_on_first_use(write):
     probe = (
         "import contextlib, io, sys\n"
         "from ctrlperm import cli\n"
+        f"lazy = {_LAZY_MODULES}\n"
+        "seen = []\n"
         f"for argv in {steps!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        cli.main(argv)\n"
-        f"    print([m for m in {_LAZY_MODULES} if m in sys.modules])\n"
+        "    new = [m for m in lazy if m in sys.modules and m not in seen]\n"
+        "    seen += new\n"
+        "    print(new)\n"
     )
     done = _python("-c", probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == 5 * ["[]"] + [
+    assert done.stdout.splitlines() == [
+        "[]",
+        "['ctrlperm._textreport']",
+        "['ctrlperm._rationals']",
+        "['ctrlperm._commands']",
+        "[]",
+        "[]",
         "['ctrlperm.graphview']",
-        "['ctrlperm.graphview', 'ctrlperm.permutation']",
+        "['ctrlperm.permutation']",
     ]
 
 
@@ -1214,18 +1265,18 @@ _ANALYZE = {"spec": "a", "oracle": False, "dot": False, "dump_basis": False, "js
         # "--" ends the options
         (["analyze", "--", "--oracle"], cli._cmd_analyze, {**_ANALYZE, "spec": "--oracle"}),
         (["analyze", "--oracle", "a", "--"], cli._cmd_analyze, {**_ANALYZE, "oracle": True}),
-        (["gen", "so_n", "5", "--", "4", "7"], cli._cmd_gen, {"family": "so_n", "n": 5, "m": 4, "seed": 7}),
+        (["gen", "so_n", "5", "--", "4", "7"], _commands._cmd_gen, {"family": "so_n", "n": 5, "m": 4, "seed": 7}),
         # negative numbers and a lone "-" are values
-        (["gen", "so_n", "5", "-1", "3"], cli._cmd_gen, {"family": "so_n", "n": 5, "m": -1, "seed": 3}),
+        (["gen", "so_n", "5", "-1", "3"], _commands._cmd_gen, {"family": "so_n", "n": 5, "m": -1, "seed": 3}),
         (["analyze", "-"], cli._cmd_analyze, {**_ANALYZE, "spec": "-"}),
-        (["compare", "-.5"], cli._cmd_compare, {"spec": "-.5", "random": None}),
+        (["compare", "-.5"], _commands._cmd_compare, {"spec": "-.5", "random": None}),
         # int(token)
-        (["gen", "sphere", " 5", "5_0", "7"], cli._cmd_gen, {"family": "sphere", "n": 5, "m": 50, "seed": 7}),
-        (["compare"], cli._cmd_compare, {"spec": None, "random": None}),
-        (["compare", "--ran", "8", "-10", "1", "3", "a"], cli._cmd_compare, {"spec": "a", "random": [8, -10, 1, 3]}),
-        (["compare", "--random", "1", "2", "3", "4", "--random", "5", "6", "7", "8"], cli._cmd_compare,
+        (["gen", "sphere", " 5", "5_0", "7"], _commands._cmd_gen, {"family": "sphere", "n": 5, "m": 50, "seed": 7}),
+        (["compare"], _commands._cmd_compare, {"spec": None, "random": None}),
+        (["compare", "--ran", "8", "-10", "1", "3", "a"], _commands._cmd_compare, {"spec": "a", "random": [8, -10, 1, 3]}),
+        (["compare", "--random", "1", "2", "3", "4", "--random", "5", "6", "7", "8"], _commands._cmd_compare,
          {"spec": None, "random": [5, 6, 7, 8]}),
-        (["probe", "g"], cli._cmd_probe, {"spec": "g"}),
+        (["probe", "g"], _commands._cmd_probe, {"spec": "g"}),
     ],
 )
 def test_command_line_fields(argv, handler, fields):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from ctrlperm.graphview import control_graph, to_dot
 from ctrlperm import systems
+from ctrlperm._textreport import _text_report
 from ctrlperm.specio import (
     _report_text,
     _spec_text,
-    _text_report,
     canonical_json,
     report_to_dict,
     spec_digest,
@@ -188,7 +188,8 @@ def test_report_text_of_hand_built_reports():
         for writer in (_report_text, report_to_dict):
             with pytest.raises(TypeError):
                 writer(mixed)
-    # nor has a count that is not an exact int or None, a bool included
+    # nor has a count that is not an exact int or None, a bool included, in
+    # either layout
     oracle = report.oracle
     for bad in ("one", True, False, 1.0, Fraction(1)):
         component = systems.SubmanifoldComponent((1, 2), ("rot(1,2)",), bad)
@@ -199,7 +200,7 @@ def test_report_text_of_hand_built_reports():
             ("the oracle dim", _rebuilt(report, oracle=odd_oracle)),
         ):
             message = re.escape(f"{field} must be an int or None, got {bad!r}")
-            for writer in (_report_text, report_to_dict):
+            for writer in (_report_text, report_to_dict, _text_report):
                 with pytest.raises(TypeError, match=f"^{message}$"):
                     writer(odd)
     assert json.loads(_written_both_ways(_rebuilt(report, (
