@@ -16,8 +16,8 @@ merges orbits never compiles the oracle (``liealg``) or loads
 ``fractions``.  Nor does it compile ``permutation``, which loads with
 subgroup orders or the absorbing product, ``graphview``, which loads
 with the first control graph, or ``_rationals``, which loads with
-``fractions`` and the first markov ``initial_distribution`` or probe
-document.  ``ctrlperm.cli`` compiles what a plain JSON ``analyze`` runs;
+``fractions`` and the first markov ``initial_distribution``, probe
+document or string matrix entry.  ``ctrlperm.cli`` compiles what a plain JSON ``analyze`` runs;
 its other commands (``_commands``) and its ``--text`` layout
 (``_textreport``) load with their first use.
 """
@@ -43,7 +43,6 @@ _OWNERS = {
     "monoid": (
         "OrbitPartition",
         "UnionFind",
-        "absorbing_compose",
         "absorbing_product",
         "orbit_partition",
         "partition_from_pairs",

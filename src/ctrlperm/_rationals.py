@@ -1,6 +1,7 @@
-"""Exact-rational entries, loaded with the first markov distribution or probe document.
+"""Exact-rational entries and the one guarded reader of rational strings.
 
-A spec without an ``initial_distribution`` never compiles this module nor
+The module loads with the first markov distribution, probe document or
+string entry of a matrix.  A spec without an ``initial_distribution`` never compiles this module nor
 loads ``fractions``.  It imports nothing from ``specio``, so a
 :class:`~ctrlperm.systems.SystemSpec` built in Python never loads ``json``;
 its ``ValueError`` texts are the ones ``parse_spec`` and ``parse_probe``
@@ -17,26 +18,35 @@ _MAX_EXPONENT = 4300
 _exponent_in = re.compile(r"[eE][-+]?([\d_]+)\s*\Z").search
 
 
+def rational(text, what):
+    """The Fraction the string ``text`` spells; ``what`` names the entry in errors.
+
+    Every rational string the library reads comes through here: an exponent
+    beyond ``_MAX_EXPONENT`` in size is refused before ``Fraction`` computes
+    its power of ten.
+    """
+    exponent = _exponent_in(text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
+        raise ValueError(f"{what} has an exponent beyond {_MAX_EXPONENT}: {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{what} is not a rational: {text!r}") from exc
+
+
 def as_rationals(values, what):
     """``values`` as a tuple of exact numbers; ``what`` names an entry in errors.
 
     json.loads yields exact types; an int stays an int, which ExactMatrix
-    keeps as it is, and only a string is parsed as a Fraction, once its
-    exponent, if any, is at most ``_MAX_EXPONENT`` in size.
+    keeps as it is, and only a string is parsed, by :func:`rational`.
     """
     out = []
     for value in values:
         if type(value) is int:
             out.append(value)
         elif type(value) is str:
-            exponent = _exponent_in(value)
-            digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-            if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
-                raise ValueError(f"{what} has an exponent beyond {_MAX_EXPONENT}: {value!r}")
-            try:
-                out.append(Fraction(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{what} is not a rational: {value!r}") from exc
+            out.append(rational(value, what))
         else:
             raise ValueError(f"{what} must be an integer or a rational string, got {value!r}")
     return tuple(out)
@@ -45,11 +55,24 @@ def as_rationals(values, what):
 def distribution(values, n):
     """``values`` checked as a markov initial distribution on ``n`` letters, as Fractions.
 
-    A plain Fraction is kept; anything else, a subclass too, is converted.
-    The entries must be writable with ``str``, n of them, nonnegative and
-    summing to 1; a ``ValueError`` names the first rule broken.
+    Each entry is an int, a Fraction or a rational string, as a matrix
+    entry is; anything else, a float too, raises :class:`TypeError`.  A
+    plain Fraction is kept, a string is read by :func:`rational` and any
+    other entry, a subclass too, is converted.  The entries must be
+    writable with ``str``, n of them, nonnegative and summing to 1; a
+    ``ValueError`` names the first rule broken.
     """
-    dist = tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+    dist = []
+    for at, x in enumerate(values):
+        if isinstance(x, str):
+            x = rational(x, f"initial_distribution entry {at}")
+        elif not isinstance(x, (int, Fraction)):
+            raise TypeError(
+                f"initial_distribution entry {at} must be an int, a Fraction or a rational"
+                f" string, got {x!r}"
+            )
+        dist.append(x if type(x) is Fraction else Fraction(x))
+    dist = tuple(dist)
     for at, value in enumerate(dist):
         # a report writes each entry back with str
         try:

@@ -400,4 +400,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    # run as ``python -m ctrlperm.cli``: the first-use modules import
+    # ``ctrlperm.cli``, which is this module, not a second copy of it
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

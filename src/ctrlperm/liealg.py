@@ -63,7 +63,9 @@ def _as_exact(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
-        return _as_exact(Fraction(x))
+        from . import _rationals  # loads with the first string entry
+
+        return _as_exact(_rationals.rational(x, "entry"))
     raise TypeError(f"entries must be exact (int, Fraction, or rational string): {x!r}")
 
 
@@ -144,9 +146,6 @@ class ExactMatrix(Record):
         return ExactMatrix(
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
         )
-
-    def is_skew_symmetric(self):
-        return _is_skew(self.entries())
 
     def format_grid(self):
         """Dense rational grid, one row per line, entries space-separated."""
@@ -490,10 +489,8 @@ def _blocks(n, generators):
     order of their first generators.
     """
     letters = UnionFind(n)  # letter a + 1 stands for the 0-based index a
-    for entries in generators:
-        anchor, *others = {a + 1 for entry in entries for a in entry}
-        for a in others:
-            letters.union(anchor, a)
+    stars = [{a + 1 for entry in entries for a in entry} for entries in generators]
+    letters.union_pairs((min(star), a) for star in stars for a in star)
     blocks = {}
     for entries in generators:
         blocks.setdefault(letters.find(next(iter(entries))[0] + 1), []).append(entries)

@@ -22,7 +22,6 @@ permutation-level functions, so merging orbits never compiles
 
 from __future__ import annotations
 
-import re
 from operator import index
 
 from ._record import Record, setfield
@@ -32,7 +31,6 @@ __all__ = [
     "UnionFind",
     "OrbitPartition",
     "orbit_partition",
-    "absorbing_compose",
     "absorbing_product",
     "partition_from_pairs",
 ]
@@ -63,9 +61,6 @@ class UnionFind:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
-
-    def union(self, a, b):
-        self.union_pairs(((a, b),))
 
     def union_pairs(self, pairs):
         """Merge the classes of ``a`` and ``b`` for every pair ``(a, b)``, in one loop."""
@@ -140,9 +135,6 @@ class OrbitPartition(Record):
             return "{}"
         return "".join("{" + ",".join(map(str, orbit)) + "}" for orbit in self.orbits)
 
-    def __repr__(self):
-        return f"OrbitPartition.parse({str(self)!r}, n={self.n})"
-
     def sorted_orbits(self):
         """Orbits as sorted tuples, ordered by smallest letter: :attr:`orbits`."""
         return self.orbits
@@ -171,21 +163,6 @@ class OrbitPartition(Record):
             pairs.extend((first, a) for a in rest)
         return partition_from_pairs(pairs, self.n)
 
-    @classmethod
-    def parse(cls, text, n):
-        """Parse the rendering of ``str``, e.g. ``{1,2,3}{4,5}``; spaces may not split a letter.
-
-        Letters are ASCII decimal digits only, as ``str`` writes them, and
-        each comma stands between two letters.
-        """
-        if not re.fullmatch(r"\s*(\{\s*([0-9]+\s*(,\s*[0-9]+\s*)*)?\}\s*)+", text):
-            raise ValueError(f"not an orbit partition rendering: {text!r}")
-        orbits = []
-        for body in re.findall(r"\{([^{}]*)\}", text):
-            if body.strip():
-                orbits.append([int(tok) for tok in body.split(",")])
-        return cls(n, orbits)
-
 
 def orbit_partition(sigma):
     """The class of ``sigma``: the partition given by its nontrivial orbits.
@@ -198,37 +175,24 @@ def orbit_partition(sigma):
     return OrbitPartition(sigma.n, nontrivial_orbits(sigma))
 
 
-def absorbing_compose(pi, tau):
-    """Multiply ``pi`` by the transposition ``tau``, absorbing redundant factors.
-
-    If both letters moved by ``tau`` already lie inside a single orbit of
-    ``pi``, the factor adds nothing and ``pi`` is returned unchanged.
-    Otherwise the result is the plain product ``pi * tau``, which either
-    extends one orbit by a letter or merges two orbits.
-    """
-    from .permutation import compose, nontrivial_orbits
-
-    support = tau.moved_letters()
-    if len(support) != 2:
-        raise ValueError(f"expected a transposition, got {tau!r}")
-    for orbit in nontrivial_orbits(pi):
-        if support <= orbit:
-            return pi
-    return compose(pi, tau)
-
-
 def absorbing_product(pairs, n):
-    """Left fold of :func:`absorbing_compose` over index pairs, from the identity.
+    """Fold index pairs into one permutation by the absorbing product, from the identity.
 
-    The exact permutation returned depends on the list order, but its orbit
-    partition does not; :func:`partition_from_pairs` computes that partition
-    directly.
+    Each pair's transposition ``tau`` multiplies the product so far, ``pi``,
+    on the right, unless both letters of ``tau`` already lie inside one
+    orbit of ``pi``: that factor adds nothing and is absorbed, so ``pi``
+    stays as it is.  Otherwise the plain product ``compose(pi, tau)``
+    either extends one orbit by a letter or merges two orbits.  The exact
+    permutation returned depends on the list order, but its orbit partition
+    does not; :func:`partition_from_pairs` computes that partition directly.
     """
-    from .permutation import identity, transposition
+    from .permutation import compose, identity, nontrivial_orbits, transposition
 
     acc = identity(n)
     for pair in pairs:
-        acc = absorbing_compose(acc, transposition(n, pair))
+        tau = transposition(n, pair)
+        if not any(tau.moved_letters() <= orbit for orbit in nontrivial_orbits(acc)):
+            acc = compose(acc, tau)
     return acc
 
 

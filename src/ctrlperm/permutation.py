@@ -13,7 +13,6 @@ orders) or with the absorbing-product test oracle.
 
 from __future__ import annotations
 
-import re
 from math import factorial, prod
 
 from ._record import Record, setfield
@@ -48,20 +47,8 @@ class Permutation(Record):
     def n(self):
         return len(self.image)
 
-    def __call__(self, k):
-        """Image of the letter ``k``."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"letter out of range 1..{self.n}: {k}")
-        return self.image[k - 1]
-
-    def __mul__(self, other):
-        return compose(self, other)
-
     def __str__(self):
         return format_cycles(self)
-
-    def __repr__(self):
-        return f"Permutation.parse({format_cycles(self)!r}, n={self.n})"
 
     def moved_letters(self):
         """Letters not fixed by the permutation, as a frozenset."""
@@ -86,25 +73,6 @@ class Permutation(Record):
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 image[a - 1] = b
         return cls(image)
-
-    @classmethod
-    def parse(cls, text, n):
-        """Parse cycle notation such as ``(1 2 3)(4 5)``; ``()`` is the identity.
-
-        Inverse of :func:`format_cycles`: ``Permutation.parse(str(p), p.n) == p``.
-        Letters are ASCII decimal digits only, as :func:`format_cycles` writes them.
-        """
-        stripped = re.sub(r"\s+", " ", text.strip())
-        if stripped in ("()", ""):
-            return identity(n)
-        if not re.fullmatch(r"(\([0-9,\s]*\)\s*)+", stripped):
-            raise ValueError(f"not cycle notation: {text!r}")
-        cycles = []
-        for body in re.findall(r"\(([^()]*)\)", stripped):
-            letters = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
-            if letters:
-                cycles.append(letters)
-        return cls.from_cycles(n, cycles)
 
 
 class CycleDecomposition(Record):
@@ -138,11 +106,12 @@ def transposition(n, pair):
 
 
 def compose(sigma, eta):
-    """The product ``sigma * eta``: apply ``eta`` first, then ``sigma``.
+    """The product of ``sigma`` and ``eta``: apply ``eta`` first, then ``sigma``.
 
-    ``(sigma * eta)(k) == sigma(eta(k))``.  With this convention the product
-    of the transpositions (1 2) and (2 3), in that order, is the 3-cycle
-    (1 2 3).
+    Letter k goes to sigma's image of eta's image of k:
+    ``compose(sigma, eta).image[k - 1] == sigma.image[eta.image[k - 1] - 1]``.
+    With this convention the product of the transpositions (1 2) and (2 3),
+    in that order, is the 3-cycle (1 2 3).
     """
     if sigma.n != eta.n:
         raise ValueError(f"letter counts differ: {sigma.n} != {eta.n}")

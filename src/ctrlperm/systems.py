@@ -511,9 +511,8 @@ def oracle_check(spec, method_class, max_n=None):
         closure = LinearSpan(spec.n)
     controllable = closure.dim == full_dim(spec.n)
     uf = UnionFind(spec.n)
-    for a, b in itertools.combinations(range(spec.n), 2):
-        if closure.contains(pair_entries(a, b)):
-            uf.union(a + 1, b + 1)
+    pairs = itertools.combinations(range(spec.n), 2)
+    uf.union_pairs((a + 1, b + 1) for a, b in pairs if closure.contains(pair_entries(a, b)))
     blocks = tuple(g for g in uf.groups() if len(g) >= 2)
     agrees = controllable == method_class.is_full() and blocks == method_class.orbits
     return OracleResult(

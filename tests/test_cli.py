@@ -1074,6 +1074,17 @@ def test_in_process_calls_match_fresh_processes(write, capsys, monkeypatch):
     assert in_process[: len(commands)] == [(done.stdout, done.returncode) for done in fresh]
 
 
+@pytest.mark.parametrize("argv", [["gen", "so_n", "5", "4", "7"], ["--help"]], ids=["gen", "help"])
+def test_run_as_a_module_imports_cli_once(argv):
+    # run as __main__, cli is the module that _commands and _clihelp import
+    # as ctrlperm.cli; a second copy would compile and run cli.py again
+    done = _python("-X", "importtime", "-m", "ctrlperm.cli", *argv)
+    assert done.returncode == 0, done.stderr
+    imported = [line.rpartition("|")[2].strip() for line in done.stderr.splitlines()]
+    assert "ctrlperm._commands" in imported or "ctrlperm._clihelp" in imported
+    assert "ctrlperm.cli" not in imported
+
+
 @pytest.mark.parametrize("module", ["ctrlperm.cli", "ctrlperm"])
 def test_import_stays_off_the_slow_stdlib_modules(module):
     # dataclasses pulls in inspect, ast, dis and tokenize: about a third of start-up;
@@ -1158,8 +1169,8 @@ def test_permutation_level_oracle_works_from_a_fresh_import():
     # merge stays on the union-find; the absorbing product loads the permutation algebra
     probe = (
         "import sys, ctrlperm\n"
-        "a = ctrlperm.OrbitPartition.parse('{1,2}', 4)\n"
-        "print(a.merge(ctrlperm.OrbitPartition.parse('{2,3}', 4)))\n"
+        "a = ctrlperm.OrbitPartition(4, [(1, 2)])\n"
+        "print(a.merge(ctrlperm.OrbitPartition(4, [(2, 3)])))\n"
         "print('ctrlperm.permutation' in sys.modules)\n"
         "print(ctrlperm.orbit_partition(ctrlperm.absorbing_product([(1, 2), (2, 3)], 4)))\n"
         "print('ctrlperm.permutation' in sys.modules)\n"

@@ -5,10 +5,10 @@ refuses assignment and deletion, equals only instances of its own class,
 hashes consistently with that equality, prints as ``Name(field=value, ...)``
 and survives pickle, copy and deepcopy.  The repr strings are the text the
 records printed when they were frozen dataclasses.  The three value types
-that keep their own repr (``Permutation``, ``OrbitPartition`` and
-``ExactMatrix``) derive from the same base and are checked at the end,
-followed by the one unchecked constructor, ``_trusted``, that every record
-inherits from the base.
+``Permutation``, ``OrbitPartition`` and ``ExactMatrix`` derive from the same
+base and are checked at the end (only ``ExactMatrix`` keeps a repr of its
+own), followed by the one unchecked constructor, ``_trusted``, that every
+record inherits from the base.
 """
 
 import contextlib
@@ -41,7 +41,7 @@ SPAN = LinearSpan(3)
 SPEC = SystemSpec("so_n", 3, frozenset({(1, 2)}))
 COMPONENT = SubmanifoldComponent((1, 2), ("rot(1,2)",), 1)
 SUBMANIFOLD = SubmanifoldDescription((COMPONENT,), 1, "SO(3)")
-SWAP = Permutation.parse("(1 2)", 3)
+SWAP = Permutation((2, 1, 3))
 
 SPEC_REPR = (
     "SystemSpec(family='so_n', n=3, controls=frozenset({(1, 2)}), drift=None,"
@@ -99,7 +99,7 @@ CASES = [
             submanifold=SUBMANIFOLD,
         ),
         f"ControllabilityReport(spec={SPEC_REPR}, controllable=False,"
-        " method_class=OrbitPartition.parse('{1,2}', n=3), orbits=((1, 2),),"
+        " method_class=OrbitPartition(n=3, orbits=((1, 2),)), orbits=((1, 2),),"
         " fixed_points=(3,), min_controls_satisfied=False, oracle=None,"
         f" submanifold={SUBMANIFOLD_REPR})",
         ControllabilityReport(
@@ -115,7 +115,7 @@ CASES = [
             subgroup_is_full_symmetric=False, larc_dim=1, larc_controllable=False,
             experimental=True,
         ),
-        "NonstandardProbeResult(n=3, permutation_images=(Permutation.parse('(1 2)', n=3),),"
+        "NonstandardProbeResult(n=3, permutation_images=(Permutation(image=(2, 1, 3)),),"
         " subgroup_order=2, subgroup_is_full_symmetric=False, larc_dim=1,"
         " larc_controllable=False, experimental=True)",
         NonstandardProbeResult(3, (SWAP,), 2, False, 1, False, experimental=False),
@@ -250,10 +250,10 @@ def test_records_do_not_iterate():
 
 
 
-# The three value types that keep their own repr: (a factory, a field name);
+# The three value types, checked apart from CASES: (a factory, a field name);
 # a factory, so that no test sees what another did to its instance
 VALUES = [
-    (lambda: Permutation.parse("(1 2 3)", 4), "image"),
+    (lambda: Permutation.from_cycles(4, [(1, 2, 3)]), "image"),
     (lambda: OrbitPartition(5, [{5, 4}, {3, 1, 2}]), "orbits"),
     (lambda: ExactMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]), "rows"),
 ]

@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -162,6 +163,22 @@ def test_distribution_sums_are_exact_on_mixed_entries():
 def test_distribution_refusals_keep_their_messages(dist, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SystemSpec("markov", 2, frozenset([(1, 2)]), initial_distribution=dist)
+
+
+def test_distribution_entries_are_read_as_matrix_entries_are():
+    # a string passes the command line's exponent guard before Fraction reads
+    # it: ("1e1000000", "0") once computed 10**1000000 before a digit check
+    # refused the entry
+    with pytest.raises(
+        ValueError, match=r"^initial_distribution entry 1 has an exponent beyond 4300: '1e5000'$"
+    ):
+        SystemSpec("markov", 2, frozenset([(1, 2)]), initial_distribution=("1", "1e5000"))
+    # a float or a Decimal is refused, as ExactMatrix refuses it
+    for dist in ((0.5, 0.5), (Fraction(1, 2), Decimal("0.5"))):
+        with pytest.raises(TypeError, match=r"^initial_distribution entry \d must be an int, a"):
+            SystemSpec("markov", 2, frozenset([(1, 2)]), initial_distribution=dist)
+    with pytest.raises(ValueError, match=r"^initial_distribution entry 0 is not a rational: 'x'$"):
+        SystemSpec("markov", 2, frozenset([(1, 2)]), initial_distribution=("x", "1"))
 
 
 class _Letter(int):
