@@ -35,7 +35,7 @@ def _text_report(report, dot=None, closure_basis=None):
     lines = [
         f"family:         {spec.family}",
         f"n:              {spec.n}",
-        f"controls:       {_pairs_text(sorted(spec.controls))}",
+        f"controls:       {_pairs_text(spec._pairs)}",
         f"drift:          {_pairs_text([spec.drift]) if spec.drift else 'none'}",
         f"verdict:        {'controllable' if report.controllable else 'not controllable'}",
         f"orbit class:    {class_text}",

@@ -207,15 +207,18 @@ def partition_from_pairs(pairs, n):
     n = index(n)
     if n < 1:
         raise ValueError(f"need at least one letter, got n={n}")
-    return _partition([check_pair(pair, n) for pair in pairs], n)
+    return _partition([check_pair(pair, n) for pair in pairs], n)[0]
 
 
 def _partition(pairs, n):
     """:func:`partition_from_pairs` of pairs already checked against an int ``n`` >= 1.
 
-    One union-find pass; nothing is checked again.
+    One union-find pass; nothing is checked again.  Returns the partition
+    and its fixed points, sorted: the singleton classes of the same grouping.
     """
     uf = UnionFind(n)
     uf.union_pairs(pairs)
+    groups = uf.groups()
     # the groups are canonical, and disjoint sets of letters in 1..n
-    return OrbitPartition._trusted(n, tuple([g for g in uf.groups() if len(g) >= 2]))
+    orbits = tuple([g for g in groups if len(g) >= 2])
+    return OrbitPartition._trusted(n, orbits), tuple([g[0] for g in groups if len(g) == 1])

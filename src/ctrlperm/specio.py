@@ -102,8 +102,23 @@ def parse_spec(text):
         _require(key in doc, f"missing required spec key {key!r}")
     _require(doc["family"] in FAMILIES, f"family must be one of {list(FAMILIES)}")
     _require(type(doc["n"]) is int, "n must be an integer")
-    _require(isinstance(doc["controls"], list), "controls must be a list of pairs")
-    controls = [_as_pair(p, "control pair") for p in doc["controls"]]
+    controls = doc["controls"]
+    _require(isinstance(controls, list), "controls must be a list of pairs")
+    # SystemSpec's one pass checks the JSON pairs as they are.  Without a
+    # literal true or false the document holds no bool, and every pair it
+    # accepts is a list of two ints; any fault is named below, as is every
+    # pair of a bytes document.
+    if isinstance(text, str) and "true" not in text and "false" not in text:
+        try:
+            return _spec(doc, controls)
+        except (ValueError, TypeError):
+            pass
+    # the JSON type of each pair, in document order, then the other checks
+    return _spec(doc, frozenset([_as_pair(p, "control pair") for p in controls]))
+
+
+def _spec(doc, controls):
+    """The :class:`SystemSpec` of ``doc`` with ``controls`` as its pairs."""
     drift = _as_pair(doc["drift"], "drift pair") if doc.get("drift") is not None else None
     agent_space_dim = doc.get("agent_space_dim")
     if agent_space_dim is not None:
@@ -119,7 +134,7 @@ def parse_spec(text):
         return SystemSpec(
             family=doc["family"],
             n=doc["n"],
-            controls=frozenset(controls),
+            controls=controls,
             drift=drift,
             agent_space_dim=agent_space_dim,
             initial_distribution=dist,
@@ -173,12 +188,11 @@ def _list(items, newline):
     return f"[{inner}{text}{newline}]" if text else "[]"
 
 
-def _controls_text(controls, names=None):
-    """The sorted control pairs as JSON, as both the spec document and the report hold them.
+def _controls_text(pairs, names=None):
+    """The sorted control ``pairs`` as JSON, as both the spec document and the report hold them.
 
     ``names`` maps letters to their text; a letter it lacks is written from the int.
     """
-    pairs = sorted(controls)
     if names is None:
         rows = ",".join([f"\n    [\n      {i},\n      {j}\n    ]" for i, j in pairs])
     else:
@@ -187,7 +201,7 @@ def _controls_text(controls, names=None):
                 [f"\n    [\n      {names[i]},\n      {names[j]}\n    ]" for i, j in pairs]
             )
         except KeyError:  # a report built by hand, whose orbits miss a control letter
-            return _controls_text(controls)
+            return _controls_text(pairs)
     return f"[{rows}\n  ]" if rows else "[]"
 
 
@@ -248,7 +262,7 @@ def _spec_text(spec, controls=None):
     out = ["{"]
     if spec.agent_space_dim is not None:
         out.append(f'{nl1}"agent_space_dim": {spec.agent_space_dim},')
-    out += (f'{nl1}"controls": ', controls or _controls_text(spec.controls))
+    out += (f'{nl1}"controls": ', controls or _controls_text(spec._pairs))
     if spec.drift is not None:
         out.append(f',{nl1}"drift": {_list(map(str, spec.drift), nl1)}')
     out.append(f',{nl1}"family": {_encode_str(spec.family)}')
@@ -281,7 +295,7 @@ def _report_text(report, dot=None, closure_basis=None):
     if sub.frozen_states is not None:
         frozen = [(state, str(value)) for state, value in sub.frozen_states]
     letters, names, class_text = _orbit_letters(report)
-    controls = _controls_text(spec.controls, names)
+    controls = _controls_text(spec._pairs, names)
     out = ["{"]
     if closure_basis is not None:
         out.append(f'{nl1}"closure_basis": {_list(map(_encode_str, closure_basis), nl1)},')

@@ -71,10 +71,14 @@ class SystemSpec(Record):
 
     An immutable value record.  ``controls`` is stored as a frozenset of
     validated ``(i, j)`` tuples, ``drift`` as a validated tuple and a markov
-    ``initial_distribution`` as a tuple of :class:`~fractions.Fraction`.
+    ``initial_distribution`` as a tuple of :class:`~fractions.Fraction`.  The
+    control pairs are also kept sorted, once, in the private tuple
+    ``_pairs``, which the report writers and the oracle read; equality,
+    hashing, the repr and pickling read only the public fields.
     """
 
-    __slots__ = ("family", "n", "controls", "drift", "agent_space_dim", "initial_distribution")
+    _compared = ("family", "n", "controls", "drift", "agent_space_dim", "initial_distribution")
+    __match_args__, __slots__ = _compared, (*_compared, "_pairs")
 
     def __init__(
         self,
@@ -97,7 +101,16 @@ class SystemSpec(Record):
             raise ValueError(
                 f"n is larger than {sys.maxsize - 1}, the most letters a list can hold"
             )
-        controls = frozenset(check_pair(p, n) for p in controls)
+        controls = list(controls)
+        try:  # one pass over pairs of exact ints in range, as JSON and gen give them
+            pairs = [(i, j) for i, j in controls if type(i) is type(j) is int and 0 < i < j <= n]
+        except (TypeError, ValueError):  # an item that is not a pair
+            pairs = []
+        if len(pairs) < len(controls):  # name the first fault, or read index-like letters
+            pairs = [check_pair(p, n) for p in controls]
+        controls = frozenset(pairs)
+        # once each, sorted: linear on the sorted lists that gen and spec files hold
+        pairs = tuple(sorted(pairs if len(pairs) == len(controls) else controls))
         if drift is not None:
             drift = check_pair(drift, n)
         if not controls and drift is None and not pairless:
@@ -120,6 +133,7 @@ class SystemSpec(Record):
         setfield(self, "drift", drift)
         setfield(self, "agent_space_dim", agent_space_dim)
         setfield(self, "initial_distribution", initial_distribution)
+        setfield(self, "_pairs", pairs)
 
     @property
     def all_pairs(self):
@@ -131,7 +145,7 @@ class SystemSpec(Record):
     def orbit_class(self):
         """The permutation route's answer: :attr:`all_pairs` merged into an orbit partition."""
         # the constructor has checked every pair
-        return _partition(self.all_pairs, self.n)
+        return _partition(self.all_pairs, self.n)[0]
 
 
 class OracleResult(Record):
@@ -296,7 +310,9 @@ def min_controls_check(spec):
     Fewer pairs can never merge all n letters into one orbit, so a spec
     failing this check is never reported controllable.
     """
-    return len(spec.all_pairs) >= spec.n - 1
+    # counted without building all_pairs
+    drift = spec.drift is not None and spec.drift not in spec.controls
+    return len(spec.controls) + drift >= spec.n - 1
 
 
 def _pair_rows(letters, head="", sep=" "):
@@ -426,9 +442,8 @@ def analyze(spec, with_oracle=False, oracle_max_n=None):
     whether the chain is irreducible, and ``orbits`` together with the
     singletons of ``fixed_points`` are its communication classes.
     """
-    method_class = spec.orbit_class()
+    method_class, fixed_points = _partition(spec.all_pairs, spec.n)
     orbits = method_class.orbits
-    fixed_points = tuple(sorted(method_class.fixed_points()))
     oracle = oracle_check(spec, method_class, max_n=oracle_max_n) if with_oracle else None
     return ControllabilityReport(
         spec=spec,
@@ -503,7 +518,7 @@ def oracle_check(spec, method_class, max_n=None):
 
     pair_entries, (_, _, full_dim, _, _) = _GENERATORS[_FAMILIES[spec.family][0]]
     # SystemSpec has checked the pairs, and lie_closure checks every entry index
-    pairs = sorted(spec.all_pairs)
+    pairs = spec._pairs if spec.drift is None else sorted(spec.all_pairs)
     if pairs:
         closure = lie_closure([pair_entries(i - 1, j - 1) for i, j in pairs], spec.n)
     else:

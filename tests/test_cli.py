@@ -145,6 +145,140 @@ def test_parse_spec_raises_what_the_per_pair_checks_raise(controls):
     assert str(raised.value) == expected
 
 
+# whole spec documents with their exact message: where several checks fail,
+# the pinned message says which one wins
+_MALFORMED_SPECS = [
+    # n is checked before the range of any pair ...
+    ({"n": 1, "controls": [[1, 2]]}, "need at least two letters, got n=1"),
+    ({"n": 1, "controls": [[3, 9], [0, 1]]}, "need at least two letters, got n=1"),
+    # ... but after the JSON type of every pair, and of the drift
+    (
+        {"n": 1, "controls": [[1, 2], [True, 2]]},
+        "control pair must be a pair of integers, got [True, 2]",
+    ),
+    ({"n": 1, "controls": [[1, 2]], "drift": [2.0, 3]}, "drift pair must be a pair of integers, got [2.0, 3]"),
+    # a badly typed drift wins over range-bad controls, a range-bad one does not
+    ({"n": 5, "controls": [[4, 6]], "drift": [1]}, "drift pair must be a pair of integers, got [1]"),
+    ({"n": 5, "controls": [[4, 6], [1, 2]], "drift": [True, 2]}, "drift pair must be a pair of integers, got [True, 2]"),
+    ({"n": 5, "controls": [[4, 6]], "drift": [0, 1]}, "index pair must satisfy 1 <= i < j <= 5, got (4, 6)"),
+    # reversed, repeated and out-of-range pairs together: the range faults
+    # are named in the order of the set of pairs, not of the document
+    (
+        {"n": 5, "controls": [[2, 1], [2, 1], [1, 2], [1, 2], [3, 9]]},
+        "index pair must satisfy 1 <= i < j <= 5, got (3, 9)",
+    ),
+    ({"n": 5, "controls": [[2, 1], [4, 9]]}, "index pair must satisfy 1 <= i < j <= 5, got (4, 9)"),
+    ({"n": 5, "controls": [[0, 3], [5, 4]]}, "index pair must satisfy 1 <= i < j <= 5, got (5, 4)"),
+    ({"n": 5, "controls": [[1, 2], [5, 4], [5, 4], [3, 3]]}, "index pair must satisfy 1 <= i < j <= 5, got (5, 4)"),
+    # a letter true would read as 1
+    ({"n": 5, "controls": [[True, 3]]}, "control pair must be a pair of integers, got [True, 3]"),
+    ({"n": 5, "controls": [[1, 2], [True, 3], [0, 9]]}, "control pair must be a pair of integers, got [True, 3]"),
+    # the other fields' JSON types are checked before the range of any pair
+    (
+        {"family": "markov", "n": 3, "controls": [[3, 4]], "initial_distribution": [True, 0, 0]},
+        "initial_distribution entry must be an integer or a rational string, got True",
+    ),
+    (
+        {"family": "markov", "n": 3, "controls": [[1, 2]], "initial_distribution": ["true", "0", "1"]},
+        "initial_distribution entry is not a rational: 'true'",
+    ),
+    ({"family": "multi_agent", "n": 3, "controls": [[0, 2]], "agent_space_dim": True}, "agent_space_dim must be an integer"),
+    ({"n": 5, "controls": []}, "controls may be empty only when a drift pair is present"),
+]
+
+
+@pytest.mark.parametrize("doc, message", _MALFORMED_SPECS, ids=lambda x: json.dumps(x)[:60])
+def test_malformed_spec_documents_name_their_first_fault(doc, message, write, capsys):
+    text = json.dumps({"family": "so_n", **doc})
+    with pytest.raises(SpecFormatError) as raised:
+        parse_spec(text)
+    assert str(raised.value) == message
+    assert main(["analyze", write("bad.json", text)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+class _Letter:
+    """A letter that is not an int but converts to one through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __lt__(self, other):
+        return self.value < other
+
+    def __gt__(self, other):
+        return self.value > other
+
+    def __le__(self, other):
+        return self.value <= other
+
+    def __ge__(self, other):
+        return self.value >= other
+
+
+# the library constructor takes any iterable of index-like pairs
+_LIBRARY_CONTROLS = [
+    ([(1, 2), (2, 3)], {(1, 2), (2, 3)}),
+    (((2, 3), (1, 2), (2, 3)), {(1, 2), (2, 3)}),
+    (frozenset([(1, 3)]), {(1, 3)}),
+    ([[1, 2], [2, 3]], {(1, 2), (2, 3)}),
+    ([(_Letter(1), _Letter(3))], {(1, 3)}),
+    ([(True, 2), (2, 3)], {(1, 2), (2, 3)}),  # a bool reads as 0 or 1
+]
+
+
+@pytest.mark.parametrize("controls, expected", _LIBRARY_CONTROLS, ids=repr)
+def test_library_constructor_reads_index_like_pairs(controls, expected):
+    for given in (controls, (p for p in controls)):
+        spec = SystemSpec("so_n", 3, given)
+        assert spec.controls == frozenset(expected)
+        assert type(spec.controls) is frozenset
+        assert [type(a) for pair in spec.controls for a in pair] == [int] * 2 * len(expected)
+        assert spec == SystemSpec("so_n", 3, frozenset(expected))
+
+
+# a fault in the library's pairs is named in the order they are given
+_LIBRARY_FAULTS = [
+    ([(False, 2)], ValueError, "index pair must satisfy 1 <= i < j <= 3, got (False, 2)"),
+    ([(2, 1)], ValueError, "index pair must satisfy 1 <= i < j <= 3, got (2, 1)"),
+    ([(1, 2, 3), (0, 1)], ValueError, "too many values to unpack (expected 2)"),
+    ([(0, 1), (1, 2, 3)], ValueError, "index pair must satisfy 1 <= i < j <= 3, got (0, 1)"),
+    ([(1, 2), (3, 1), (0, 1)], ValueError, "index pair must satisfy 1 <= i < j <= 3, got (3, 1)"),
+    ([5], TypeError, "cannot unpack non-iterable int object"),
+    ([("1", "2")], TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+    ([(1.0, 2.0)], TypeError, "'float' object cannot be interpreted as an integer"),
+    (5, TypeError, "'int' object is not iterable"),
+]
+
+
+@pytest.mark.parametrize("controls, error, message", _LIBRARY_FAULTS, ids=repr)
+def test_library_constructor_names_the_first_bad_pair(controls, error, message):
+    with pytest.raises(error) as raised:
+        SystemSpec("so_n", 3, controls)
+    assert type(raised.value) is error and str(raised.value) == message
+    # n is checked first
+    with pytest.raises(ValueError, match="need at least two letters, got n=1"):
+        SystemSpec("so_n", 1, controls)
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+def test_parse_spec_reads_a_bytes_document_as_its_text(kind):
+    text = '{"family": "so_n", "n": 4, "controls": [[3, 4], [1, 2], [3, 4]]}'
+    assert parse_spec(kind(text.encode())) == parse_spec(text)
+    for controls, message in [
+        ("[[1, 2], [true, 3]]", "control pair must be a pair of integers, got [True, 3]"),
+        ("[[4, 2], [1, 2]]", "index pair must satisfy 1 <= i < j <= 4, got (4, 2)"),
+    ]:
+        bad = f'{{"family": "so_n", "n": 4, "controls": {controls}}}'
+        with pytest.raises(SpecFormatError) as raised:
+            parse_spec(kind(bad.encode()))
+        assert str(raised.value) == message
+
+
 def test_parse_spec_routes_probe_documents_away():
     with pytest.raises(SpecFormatError, match="probe subcommand"):
         parse_spec(PROBE4)
