@@ -81,10 +81,13 @@ _SURFACES = {
         "rank_at": "item 8",  # the state-space dimension
     }),
 }
+# __slotnames__ is the cache copyreg sets on a class when one of its
+# instances is first copied or pickled, so whether it is there depends on
+# which tests ran before
 _DESCRIBES = {
     "__annotations__", "__dict__", "__doc__", "__firstlineno__", "__init__", "__init_subclass__",
-    "__match_args__", "__module__", "__qualname__", "__slots__", "__static_attributes__",
-    "__weakref__",
+    "__match_args__", "__module__", "__qualname__", "__slotnames__", "__slots__",
+    "__static_attributes__", "__weakref__",
 }
 
 

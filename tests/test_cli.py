@@ -407,6 +407,7 @@ def test_integer_literals_too_long_to_read_are_refused(kind, write, capsys):
     assert main(["analyze" if kind == "spec" else "probe", write("h.json", text)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {kind} document ") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def _path_spec(family, n):
@@ -608,6 +609,24 @@ def test_analyze_report_is_byte_deterministic(write, capsys):
     assert first == second
 
 
+def test_cli_documents_are_canonical_json(write, capsys):
+    # reports and spec files are the bytes of json.dumps(doc, sort_keys=True, indent=2) and a newline
+    split = write("split.json", SPLIT5)
+    for argv, code in [
+        (["analyze", split], 1),
+        (["analyze", split, "--dot"], 1),
+        (["analyze", split, "--oracle", "--dot"], 1),
+        (["gen", "so_n", "6", "5", "1"], 0),
+    ]:
+        assert main(argv) == code, argv
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", argv
+        if "--dot" in argv:
+            assert json.loads(text)["dot"].startswith("graph G {\n"), argv
+    # the spec gen wrote reads back through the command line
+    assert main(["analyze", write("gen.json", text)]) in (0, 1)
+
+
 @pytest.mark.parametrize("spec", REPORT_SPECS, ids=lambda spec: f"{spec.family}-{spec.n}")
 def test_json_report_writes_what_the_public_path_writes(spec, write, capsys):
     # the CLI writes its report through specio._report_text; the bytes must be
@@ -781,9 +800,10 @@ def test_compare_random_batch(capsys):
 
 
 def test_compare_single_spec(write, capsys):
-    path = write("a.json", '{"family": "so_n", "n": 4, "controls": [[1,2],[2,3],[1,3],[3,4]]}')
-    assert main(["compare", path]) == 0
-    assert "1/1 agree" in capsys.readouterr().out
+    # compare exits 0 when the routes agree, also on a spec that is not controllable
+    for text in ('{"family": "so_n", "n": 4, "controls": [[1,2],[2,3],[1,3],[3,4]]}', SPLIT5):
+        assert main(["compare", write("a.json", text)]) == 0
+        assert capsys.readouterr().out.endswith("\n1/1 agree\n")
 
 
 def test_compare_prints_each_disagreement_with_its_spec(write, capsys, monkeypatch):
@@ -941,6 +961,16 @@ def test_probe_cli(write, capsys):
     assert "larc dimension:  6 of 6" in out
     bad = {"n": 4, "generators": [[["0", "2", "0", "0"], ["-2", "0", "0", "0"], ["0"] * 4, ["0"] * 4]]}
     assert main(["probe", write("g3.json", json.dumps(bad))]) == 2
+    capsys.readouterr()
+    # rot(1,2), rot(3,4) and rot(4,5) generate S_2 x S_3: its order meets the
+    # bound of its orbits, 2! 3! = 12, and is a proper subgroup of S_5
+    grids = []
+    for i, j in ((1, 2), (3, 4), (4, 5)):
+        rows = [[0] * 5 for _ in range(5)]
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = 1, -1
+        grids.append(rows)
+    assert main(["probe", write("g4.json", json.dumps({"n": 5, "generators": grids}))]) == 1
+    assert "\nsubgroup order:  12 (a proper subgroup)\n" in capsys.readouterr().out
 
 
 def test_probe_calls_the_parser_and_probe_bound_on_cli(write, capsys, monkeypatch):
@@ -1392,6 +1422,48 @@ def test_import_builds_no_parser():
     done = _python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0\n"
+
+
+# ----------------------------------------------------- console script
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _scripts_by_regex(text):
+    """The [project.scripts] table of a pyproject.toml text, read without tomllib."""
+    section = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    return dict(re.findall(r'^"?([\w.-]+)"?\s*=\s*"([^"]*)"\s*$', section, re.M))
+
+
+def test_console_script_runs_main_as_an_installed_script_does(tmp_path):
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = _scripts_by_regex(text)
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        pass
+    else:
+        assert tomllib.loads(text)["project"]["scripts"] == scripts
+    assert scripts == {"ctrlperm": "ctrlperm.cli:main"}
+    # what pip writes for the entry point: import the function, exit with what it returns
+    module, _, function = scripts["ctrlperm"].partition(":")
+    script = tmp_path / "bin" / "ctrlperm"
+    script.parent.mkdir()
+    script.write_text(f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n")
+    split, bad = tmp_path / "split.json", tmp_path / "bad.json"
+    split.write_text(SPLIT5)
+    bad.write_text('{"family": "so_n", "n": 3, "controls": [[1, 2] [2, 3]]}')
+    version = _python(str(script), "--version")
+    assert (version.returncode, version.stdout, version.stderr) == (
+        0, f"ctrlperm {ctrlperm.__version__}\n", ""
+    )
+    not_controllable = _python(str(script), "analyze", str(split))
+    assert not_controllable.returncode == 1, not_controllable.stderr
+    assert json.loads(not_controllable.stdout)["controllable"] is False
+    malformed = _python(str(script), "analyze", str(bad))
+    assert malformed.returncode == 2 and malformed.stdout == ""
+    assert malformed.stderr.startswith("error: not valid JSON: ")
+    assert "Traceback" not in not_controllable.stderr + malformed.stderr
 
 
 # -------------------------------------------------- command-line grammar
