@@ -207,6 +207,10 @@ class _Letter:
     def __index__(self):
         return self.value
 
+    def __repr__(self):
+        # a fixed repr keeps the test id free of a memory address
+        return f"_Letter({self.value})"
+
     def __lt__(self, other):
         return self.value < other
 
