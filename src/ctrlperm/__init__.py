@@ -73,9 +73,7 @@ _OWNERS = {
     ),
     "graphview": (
         "ControlGraph",
-        "components",
         "control_graph",
-        "is_connected",
         "to_dot",
     ),
 }

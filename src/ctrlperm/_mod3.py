@@ -1,14 +1,11 @@
 """The mod-3 screen of the bracket closure.
 
-:func:`ctrlperm.liealg.lie_closure` runs :func:`certified_basis` on each
-block that needs brackets, before any generator of the block enters the
-exact span; a certified block never does.  A declined block is inserted
-exactly and split again by its independent generators, so the blocks stay
-those that exact insertion alone gives: a rational dependence of primitive
-integer maps reduces to a nonzero dependence mod 3, and dependences never
-span blocks with disjoint supports, so a block joined by a dependent
-generator cannot be certified.  The argument that a full mod-3 closure
-proves the exact closure full is in ``lie_closure``'s docstring.
+:func:`ctrlperm.liealg.lie_closure` runs :func:`certified_basis` once on
+each block with fewer generators than its ambient dimension, before any
+generator of the block enters the exact span; a certified block never
+does, and a declined one is inserted exactly and closed by the exact
+worklist.  The argument that a full mod-3 closure proves the exact closure
+full is in ``lie_closure``'s docstring.
 ``liealg`` imports this module, and its ``_AMBIENTS`` table holds each
 ambient algebra's test mod 3 next to its exact test.
 

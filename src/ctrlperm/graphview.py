@@ -1,25 +1,20 @@
 """Graph view of a control pattern.
 
 Every spec induces an undirected, unweighted graph on the letters, with one
-edge per control (or drift) pair.  Connectivity of that graph is yet another
-face of the controllability verdict, and its connected components coincide
-with the orbit partition; the test suite certifies that correspondence
-against the permutation-level machinery rather than against the shared
-union-find, so the check stays a real cross-check.
+edge per control (or drift) pair.  Its connected components are the spec's
+orbits plus one singleton per fixed point, so connectivity has one answer,
+the orbit partition's ``is_full()``, and a lone letter is no orbit.  This
+module holds the graph and its DOT text.
 """
 
 from __future__ import annotations
 
-from operator import index
-
 from ._record import Record, setfield
-from .monoid import UnionFind, check_pair
+from .monoid import check_letter_count, check_pair
 
 __all__ = [
     "ControlGraph",
     "control_graph",
-    "components",
-    "is_connected",
     "to_dot",
 ]
 
@@ -34,9 +29,7 @@ class ControlGraph(Record):
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: frozenset) -> None:
-        n = index(n)
-        if n < 1:
-            raise ValueError(f"need at least one letter, got n={n}")
+        n = check_letter_count(n)
         setfield(self, "n", n)
         setfield(self, "edges", frozenset(check_pair(e, n) for e in edges))
 
@@ -45,18 +38,6 @@ def control_graph(spec):
     """The interaction graph of a spec: one edge per control-plus-drift pair."""
     # SystemSpec has checked every pair
     return ControlGraph._trusted(spec.n, spec.all_pairs)
-
-
-def components(graph):
-    """Connected components as sorted tuples (singletons included), by minimum."""
-    uf = UnionFind(graph.n)
-    uf.union_pairs(graph.edges)
-    return uf.groups()
-
-
-def is_connected(graph):
-    """True iff the graph has exactly one connected component."""
-    return len(components(graph)) == 1
 
 
 def to_dot(graph):

@@ -508,30 +508,13 @@ def _ambient_of(generators):
     return block, ambient, ambient[2](len(block))
 
 
-def _certify(span, generators, block, ambient):
-    """Write the ambient algebra's basis into ``span`` if the screen proves it the closure.
+def _close_block(span, generators, block, ambient, dim):
+    """Run the exact worklist over a block's generators, already in ``span``.
 
-    Returns True when it does.
+    ``block``, ``ambient`` and ``dim`` are the block's letters, the row of
+    its ambient algebra and that algebra's dimension.  Every kept bracket
+    must lie in the block and the ambient algebra, else :class:`RuntimeError`.
     """
-    basis = _mod3.certified_basis(generators, sorted(block), ambient)
-    if basis is None:
-        return False
-    # any rows the span holds on the block span part of the ambient algebra,
-    # so their pivots are among its basis's: this replaces exactly those rows
-    span.rows.update(basis)
-    return True
-
-
-def _close_block(span, generators, declined):
-    """Close one block's generators, already in ``span``, stopping at its ambient algebra.
-
-    Returns the block.  The mod-3 screen runs first, unless it has already
-    declined the letters ``declined``.  Every kept bracket must lie in the
-    block and the ambient algebra, else :class:`RuntimeError`.
-    """
-    block, ambient, dim = _ambient_of(generators)
-    if len(generators) < dim and block != declined and _certify(span, generators, block, ambient):
-        return block
     name, in_ambient = ambient[:2]
     elements = list(generators)
     k = len(elements)
@@ -551,14 +534,14 @@ def _close_block(span, generators, declined):
                 elements.append(b)
                 if len(elements) == dim:
                     break
-    return block
 
 
 def lie_closure(generators, n=None):
     """Smallest linear span containing the generators and closed under bracket.
 
     Generators are n-by-n :class:`ExactMatrix` values, or ``{(row, col):
-    value}`` entry maps (0-based) when ``n`` is given.
+    value}`` entry maps (0-based) when ``n`` is given.  No generators close
+    to the zero span, which needs ``n``.
 
     *Blocks.*  The letters of each nonzero generator's entries are joined
     into one block, and generators that share a letter share a block.
@@ -567,8 +550,8 @@ def lie_closure(generators, n=None):
     closures; each block is closed on its own generators.  A block is the
     set of letters its generators touch, and blocks that share a letter
     raise :class:`RuntimeError`.  A generator that depends on the others
-    can join blocks that the others leave apart; the certificate below
-    splits such a block again.
+    can join blocks that the others leave apart; the block then closes to
+    the direct sum of its parts' closures, and the worklist finds it.
 
     *Worklist.*  Within a block over the generators g_1..g_k, every element
     that enlarged the span is bracketed against each generator, and a
@@ -596,12 +579,13 @@ def lie_closure(generators, n=None):
     stop is exact, and a wrong block split fails a check rather than
     returning a wrong span.
 
-    *Certificate.*  Each block that needs brackets first runs the same
-    worklist mod 3 (``ctrlperm._mod3``), before any of its generators
-    enters the exact span: the same bracket order, on b-by-b matrices over
-    GF(3) in the block's own coordinates.  Every kept element is checked to
-    lie in the ambient algebra mod 3 (X = -X^T for so(B), row and column
-    sums 0 for the zero-sum algebra), and a failed check raises the same
+    *Certificate.*  Each block with fewer generators than its ambient
+    dimension first runs the same worklist mod 3 (``ctrlperm._mod3``),
+    once, before any of its generators enters the exact span: the same
+    bracket order, on b-by-b matrices over GF(3) in the block's own
+    coordinates.  Every kept element is checked to lie in the ambient
+    algebra mod 3 (X = -X^T for so(B), row and column sums 0 for the
+    zero-sum algebra), and a failed check raises the same
     :class:`RuntimeError`.  Reduction mod 3 commutes with the bracket, so
     each kept element is the image of an integer element of the closure.
     Independence mod 3 implies independence over the rationals: a rational
@@ -615,25 +599,10 @@ def lie_closure(generators, n=None):
     exact span.  That form is unique for the span, so ``basis`` and
     ``pivots`` are those the exact worklist would give.  Each generator is
     made primitive first, so none vanishes mod 3, but the brackets a full
-    closure needs may still be dependent mod 3.
-
-    When the mod-3 closure falls short, it proves nothing.  The block's
-    generators are then inserted into the exact span in order, which drops
-    each one that depends on those before it; the kept ones are split into
-    blocks again, and each part runs its own screen, then the exact
-    worklist.  A part with the letters of the declined block is not
-    screened again: its generators are some of that block's, so they
-    generate no more mod 3.  No block is screened twice.  This gives the
-    blocks and the certified blocks of an exact insertion of every
-    generator before any screen, for two reasons.  Dependences never span
-    blocks with disjoint supports, so a block joined only by a dependent
-    generator closes to the direct sum of its parts' closures, below its
-    ambient dimension.  By the fact above, the screen keeps no more
-    elements than that dimension, so such a block is never certified and
-    is split again.  A generator that depends on the others can only add to
-    what the screen sees, so a block whose own generators the screen
-    declines may still be certified with it; the basis is the same either
-    way.
+    closure needs may still be dependent mod 3.  When the mod-3 closure
+    falls short, it proves nothing: the block's generators are inserted
+    into the exact span in order, which drops each one that depends on
+    those before it, and the exact worklist runs over the kept ones.
 
     Storage is sparse and exact: elements are entry maps, brackets cost
     time in their nonzeros rather than n^3, and the span keeps primitive
@@ -641,9 +610,9 @@ def lie_closure(generators, n=None):
     on the order in which elements were found.
     """
     generators = list(generators)
-    if not generators:
-        raise ValueError("need at least one generator")
     if n is None:
+        if not generators:
+            raise ValueError("need at least one generator, or the matrix size n")
         if not isinstance(generators[0], ExactMatrix):
             raise ValueError("generators given as entry maps need the matrix size n")
         n = generators[0].n
@@ -654,17 +623,18 @@ def lie_closure(generators, n=None):
     claimed = set()
     for block_generators in _blocks(n, vectors):
         block, ambient, dim = _ambient_of(block_generators)
-        screened = len(block_generators) < dim
-        if screened and _certify(span, block_generators, block, ambient):
-            closed = [block]
-        else:
+        basis = None
+        if len(block_generators) < dim:
+            basis = _mod3.certified_basis(block_generators, sorted(block), ambient)
+        if basis is None:
             kept = [g for g in block_generators if span._insert(dict(g))]
-            declined = block if screened else None
-            closed = [_close_block(span, part, declined) for part in _blocks(n, kept)]
-        for block in closed:
-            if not claimed.isdisjoint(block):
-                raise RuntimeError(f"closure blocks share letters {sorted(claimed & block)}")
-            claimed |= block
+            _close_block(span, kept, block, ambient, dim)
+        else:
+            # the span holds no row on the block's letters yet
+            span.rows.update(basis)
+        if not claimed.isdisjoint(block):
+            raise RuntimeError(f"closure blocks share letters {sorted(claimed & block)}")
+        claimed |= block
     return span
 
 

@@ -14,8 +14,9 @@ pairs (:func:`partition_from_pairs`, which :meth:`OrbitPartition.merge` also
 goes through).  They must agree, and the test suite uses each as an oracle
 for the other.
 
-This module also holds :func:`check_pair`, the one index-pair check that
-every layer uses.  It imports the permutation algebra only inside the
+This module also holds :func:`check_pair` and :func:`check_letter_count`,
+the one index-pair check and the one letter-count check that every layer
+uses.  It imports the permutation algebra only inside the
 permutation-level functions, so merging orbits never compiles
 ``permutation``.
 """
@@ -28,6 +29,7 @@ from ._record import Record, setfield
 
 __all__ = [
     "check_pair",
+    "check_letter_count",
     "UnionFind",
     "OrbitPartition",
     "orbit_partition",
@@ -46,6 +48,18 @@ def check_pair(pair, n):
     if not (1 <= i < j <= n):
         raise ValueError(f"index pair must satisfy 1 <= i < j <= {n}, got {(i, j)!r}")
     return (index(i), index(j))
+
+
+def check_letter_count(n):
+    """Validate a letter count and return it as a plain int.
+
+    A count below 1 raises :class:`ValueError`; one that is not an integer
+    raises :class:`TypeError`.
+    """
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"need at least one letter, got n={n}")
+    return n
 
 
 class UnionFind:
@@ -113,9 +127,7 @@ class OrbitPartition(Record):
     __slots__ = ("n", "orbits")
 
     def __init__(self, n, orbits):
-        n = index(n)
-        if n < 1:
-            raise ValueError(f"need at least one letter, got n={n}")
+        n = check_letter_count(n)
         orbits = frozenset(frozenset(map(index, o)) for o in orbits)
         seen = set()
         for orbit in orbits:
@@ -204,9 +216,7 @@ def partition_from_pairs(pairs, n):
     n))`` for every ordering of the set.  The empty set maps to the empty
     partition and nothing else does.
     """
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"need at least one letter, got n={n}")
+    n = check_letter_count(n)
     return _partition([check_pair(pair, n) for pair in pairs], n)[0]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import factorial, prod
 
 from ._record import Record, setfield
-from .monoid import UnionFind, check_pair
+from .monoid import UnionFind, check_letter_count, check_pair
 
 __all__ = [
     "Permutation",
@@ -92,9 +92,7 @@ class CycleDecomposition(Record):
 
 def identity(n):
     """The identity permutation on ``n`` letters."""
-    if n < 1:
-        raise ValueError(f"need at least one letter, got n={n}")
-    return Permutation(range(1, n + 1))
+    return Permutation(range(1, check_letter_count(n) + 1))
 
 
 def transposition(n, pair):
@@ -276,8 +274,7 @@ def generate_subgroup(generators, n):
     at most the order, and once it equals B the order is B and the chain
     stops.  A group below the bound, such as A_n, runs the full check.
     """
-    if n < 1:
-        raise ValueError(f"need at least one letter, got n={n}")
+    n = check_letter_count(n)
     one = tuple(range(n))
     chain = []
     orbits = UnionFind(n)

@@ -514,16 +514,13 @@ def oracle_check(spec, method_class, max_n=None):
     partition match it.
     """
     check_oracle_size(spec.family, spec.n, max_n)
-    from .liealg import _GENERATORS, LinearSpan
+    from .liealg import _GENERATORS
 
     pair_entries, (_, _, full_dim, _, _) = _GENERATORS[_FAMILIES[spec.family][0]]
-    # SystemSpec has checked the pairs, and lie_closure checks every entry index
+    # SystemSpec has checked the pairs, and lie_closure checks every entry index;
+    # a markov chain with every rate frozen has none, and closes to the zero algebra
     pairs = spec._pairs if spec.drift is None else sorted(spec.all_pairs)
-    if pairs:
-        closure = lie_closure([pair_entries(i - 1, j - 1) for i, j in pairs], spec.n)
-    else:
-        # a markov chain with every rate frozen has no generators: the zero algebra
-        closure = LinearSpan(spec.n)
+    closure = lie_closure([pair_entries(i - 1, j - 1) for i, j in pairs], spec.n)
     controllable = closure.dim == full_dim(spec.n)
     uf = UnionFind(spec.n)
     pairs = itertools.combinations(range(spec.n), 2)

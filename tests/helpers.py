@@ -107,6 +107,30 @@ def sample_pairs(rng, n, m):
     return chosen
 
 
+def graph_components(pairs, n):
+    """Letter sets of the connected components of the graph on 1..n, by search.
+
+    In order of their smallest letter, singletons included: a reference for
+    the orbit route that shares no union-find with it.
+    """
+    neighbours = {a: set() for a in range(1, n + 1)}
+    for a, b in pairs:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen, components = set(), []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        component, todo = {start}, [start]
+        while todo:
+            for b in neighbours[todo.pop()] - component:
+                component.add(b)
+                todo.append(b)
+        seen |= component
+        components.append(component)
+    return components
+
+
 def reference_rotation_labels(orbit):
     """Generator labels of a rotation orbit, one f-string per pair."""
     return tuple(f"rot({i},{j})" for i, j in itertools.combinations(orbit, 2))

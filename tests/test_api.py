@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_public_names_are_pinned():
     names = ctrlperm.__all__
-    assert len(names) == len(set(names)) == 41
+    assert len(names) == len(set(names)) == 39
     for name in names:
         assert hasattr(ctrlperm, name), name
     # a markov report from analyze already is the classification

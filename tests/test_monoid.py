@@ -9,11 +9,13 @@ from ctrlperm.monoid import (
     OrbitPartition,
     UnionFind,
     absorbing_product,
+    check_letter_count,
     orbit_partition,
     partition_from_pairs,
 )
-from ctrlperm.permutation import Permutation, identity, transposition
+from ctrlperm.permutation import Permutation, generate_subgroup, identity, transposition
 from helpers import (
+    graph_components,
     random_orbit_sets,
     random_representative,
     transposition_decomposition,
@@ -81,6 +83,25 @@ def test_check_pair_lives_in_monoid():
     from ctrlperm import monoid, permutation
 
     assert permutation.check_pair is monoid.check_pair
+
+
+def test_every_letter_count_goes_through_one_check():
+    from ctrlperm.graphview import ControlGraph
+
+    assert check_letter_count(True) == 1 and type(check_letter_count(True)) is int
+    for build in (
+        check_letter_count,
+        identity,
+        lambda n: generate_subgroup([], n),
+        lambda n: OrbitPartition(n, ()),
+        lambda n: partition_from_pairs([], n),
+        lambda n: ControlGraph(n, ()),
+    ):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=rf"^need at least one letter, got n={n}$"):
+                build(n)
+        with pytest.raises(TypeError):
+            build(2.5)
 
 
 # ---------------------------------------------------- absorbing product
@@ -277,26 +298,6 @@ def test_partition_rejects_non_integral_letters():
     assert type(OrbitPartition(True, []).n) is int
 
 
-def _components(pairs, n):
-    """Letter sets of the connected components of the graph on 1..n, by search."""
-    neighbours = {a: set() for a in range(1, n + 1)}
-    for a, b in pairs:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    seen, components = set(), []
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        component, todo = {start}, [start]
-        while todo:
-            for b in neighbours[todo.pop()] - component:
-                component.add(b)
-                todo.append(b)
-        seen |= component
-        components.append(component)
-    return components
-
-
 def _seeded_pair_sets():
     """Pair sets on n = 1..40 letters: empty, one pair, sparse, dense, and every pair."""
     rng = random.Random(1313)
@@ -310,7 +311,7 @@ def _seeded_pair_sets():
 def test_partition_from_pairs_is_what_the_validating_constructor_builds():
     for n, pairs in _seeded_pair_sets():
         got = partition_from_pairs(pairs, n)
-        components = _components(pairs, n)
+        components = graph_components(pairs, n)
         validated = OrbitPartition(n, [c for c in components if len(c) >= 2])
         assert got == validated and got.orbits == validated.orbits, (n, pairs)
         assert type(got.n) is int and type(got.orbits) is tuple
@@ -329,7 +330,7 @@ def test_union_find_groups_come_out_sorted():
         assert groups == tuple(sorted(tuple(sorted(g)) for g in groups)), (n, pairs)
         assert groups == one_by_one.groups()
         assert sorted(map(frozenset, groups), key=min) == sorted(
-            map(frozenset, _components(pairs, n)), key=min
+            map(frozenset, graph_components(pairs, n)), key=min
         )
 
 

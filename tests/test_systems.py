@@ -594,6 +594,26 @@ def test_methods_agree_on_random_specs_of_every_family(family):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_no_spec_closure_runs_an_exact_bracket(monkeypatch, family):
+    # distinct standard generators are independent, so no dependent generator
+    # joins blocks; each block either is its whole ambient algebra already or
+    # has fewer generators, and on these specs the mod-3 screen certifies it
+    tried = []
+    real = liealg._bracket_indexed
+    monkeypatch.setattr(
+        liealg, "_bracket_indexed", lambda *args: tried.append(1) or real(*args)
+    )
+    top = ORACLE_MAX_ROTATION if family in ("so_n", "sphere") else ORACLE_MAX_AGENTS
+    for n in range(2, top + 1):
+        for seed in range(60):
+            rng = random.Random(7919 * seed + n)
+            pairs = sample_pairs(rng, n, rng.randint(1, n * (n - 1) // 2))
+            spec = SystemSpec(family, n, frozenset(pairs))
+            oracle_check(spec, spec.orbit_class())
+            assert not tried, (family, n, seed)
+
+
 # ----------------------------------------------------- nonstandard probe
 
 
